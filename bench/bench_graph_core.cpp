@@ -1,13 +1,15 @@
-// G1 — graph-core benchmark: the immutable CSR representation vs the
-// legacy adjacency-list Digraph on the Strassen n=32 CDAG (~114k
-// vertices).  Measures construction (edge replay + freeze vs mutable
-// add_edge), whole-graph traversal throughput (adjacency sweeps, BFS both
-// directions, Kahn topological order), and resident bytes per vertex.
+// G1 — graph-core benchmark: the immutable CSR representation vs a
+// legacy incremental adjacency-list graph on the Strassen n=32 CDAG
+// (~114k vertices).  Measures construction (edge replay + freeze vs
+// mutable add_edge), whole-graph traversal throughput (adjacency sweeps,
+// BFS both directions, Kahn topological order), and resident bytes per
+// vertex.
 // The acceptance gates of the CSR migration are emitted as bound checks:
 // sweep throughput >= 2x legacy and bytes/vertex reduced >= 30%.
 //
 // `bench_graph_core --out report.json` writes a versioned fmm.run_report.
 #include <cstdio>
+#include <deque>
 #include <iostream>
 #include <numeric>
 #include <vector>
@@ -23,9 +25,116 @@
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
 
+namespace {
+
+using fmm::graph::VertexId;
+
+/// The pre-CSR graph core, kept here as G1's baseline: one heap vector
+/// per vertex and direction (0 = out, 1 = in), grown by add_edge and
+/// traversed by a deque BFS and a Kahn pass.
+class AdjacencyLists {
+ public:
+  explicit AdjacencyLists(std::size_t num_vertices)
+      : adj_{Lists(num_vertices), Lists(num_vertices)} {}
+
+  std::size_t num_vertices() const { return adj_[0].size(); }
+
+  void add_edge(VertexId u, VertexId v) {
+    FMM_CHECK(u < num_vertices() && v < num_vertices());
+    adj_[0][u].push_back(v);
+    adj_[1][v].push_back(u);
+  }
+
+  const std::vector<VertexId>& out_neighbors(VertexId v) const {
+    FMM_CHECK(v < num_vertices());
+    return adj_[0][v];
+  }
+
+  const std::vector<VertexId>& in_neighbors(VertexId v) const {
+    FMM_CHECK(v < num_vertices());
+    return adj_[1][v];
+  }
+
+  std::vector<VertexId> topological_order() const {
+    std::vector<std::size_t> indeg(num_vertices());
+    std::deque<VertexId> ready;
+    for (VertexId v = 0; v < num_vertices(); ++v) {
+      indeg[v] = adj_[1][v].size();
+      if (indeg[v] == 0) {
+        ready.push_back(v);
+      }
+    }
+    std::vector<VertexId> order;
+    order.reserve(num_vertices());
+    while (!ready.empty()) {
+      const VertexId v = ready.front();
+      ready.pop_front();
+      order.push_back(v);
+      for (const VertexId w : adj_[0][v]) {
+        if (--indeg[w] == 0) {
+          ready.push_back(w);
+        }
+      }
+    }
+    FMM_CHECK_MSG(order.size() == num_vertices(), "graph contains a cycle");
+    return order;
+  }
+
+  std::vector<bool> reachable_from(const std::vector<VertexId>& start) const {
+    return bfs(start, adj_[0]);
+  }
+
+  std::vector<bool> reaching_to(const std::vector<VertexId>& targets) const {
+    return bfs(targets, adj_[1]);
+  }
+
+  /// Heap bytes held by the adjacency lists (capacity, both directions,
+  /// including the per-vertex vector headers).
+  std::size_t memory_bytes() const {
+    std::size_t bytes = 0;
+    for (const Lists& lists : adj_) {
+      bytes += lists.capacity() * sizeof(std::vector<VertexId>);
+      for (const auto& list : lists) {
+        bytes += list.capacity() * sizeof(VertexId);
+      }
+    }
+    return bytes;
+  }
+
+ private:
+  using Lists = std::vector<std::vector<VertexId>>;
+
+  std::vector<bool> bfs(const std::vector<VertexId>& start,
+                        const Lists& adj) const {
+    std::vector<bool> seen(num_vertices(), false);
+    std::deque<VertexId> queue;
+    for (const VertexId v : start) {
+      FMM_CHECK(v < num_vertices());
+      if (!seen[v]) {
+        seen[v] = true;
+        queue.push_back(v);
+      }
+    }
+    while (!queue.empty()) {
+      const VertexId v = queue.front();
+      queue.pop_front();
+      for (const VertexId w : adj[v]) {
+        if (!seen[w]) {
+          seen[w] = true;
+          queue.push_back(w);
+        }
+      }
+    }
+    return seen;
+  }
+
+  Lists adj_[2];
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace fmm;
-  using graph::VertexId;
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
   obs::enable_tracing_if_available();
@@ -54,14 +163,13 @@ int main(int argc, char** argv) {
   report.set_result("vertices", static_cast<std::int64_t>(nv));
   report.set_result("edges", static_cast<std::int64_t>(ne));
 
-  // Legacy target: a Digraph built the way the pre-CSR pipeline built it
-  // (incremental add_edge, per-vertex heap vectors growing independently).
-  // digraph_from_csr would compact the inner vectors into near-sequential
-  // heap order, which no mutable build ever produced.
+  // Legacy target: built the way the pre-CSR pipeline built its graphs
+  // (incremental add_edge, per-vertex heap vectors growing independently),
+  // not compacted into near-sequential heap order by a bulk copy.
   double legacy_build_s = 0;
   double csr_freeze_s = 0;
   Stopwatch legacy_watch;
-  graph::Digraph legacy(nv);
+  AdjacencyLists legacy(nv);
   for (VertexId v = 0; v < nv; ++v) {
     for (const VertexId w : csr.out_neighbors(v)) {
       legacy.add_edge(v, w);
@@ -179,7 +287,7 @@ int main(int argc, char** argv) {
   const double bpv_csr =
       static_cast<double>(csr.memory_bytes()) / static_cast<double>(nv);
 
-  Table table({"Metric", "Legacy (Digraph)", "CSR", "CSR/legacy"});
+  Table table({"Metric", "Legacy (adjacency)", "CSR", "CSR/legacy"});
   const auto row = [&](const char* metric, double legacy_val, double csr_val,
                        double ratio) {
     table.begin_row();

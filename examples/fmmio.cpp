@@ -31,6 +31,7 @@
 //                  [--socket PATH] [--out report.json]
 //   fmmio worker   [--threads T] [--queue Q] [--cache-bytes B]
 //                  [--cache-shards S] [--deadline-ticks D]
+//                  [--slow-ms MS] [--telemetry-ring N]
 //                  [--snapshot-dir DIR] [--snapshot-budget B]
 //                  [--out report.json]
 //   fmmio router   [--workers N] [--queue-depth Q] [--retries K]
@@ -38,7 +39,9 @@
 //                  [--max-respawns R] [--heartbeat-ms MS]
 //                  [--transport inproc|process] [--worker-cmd PATH]
 //                  [--kill K@J,...] [--drop-rate R] [--chaos-seed S]
-//                  [--threads T] [--cache-bytes B] [--deadline-ticks D]
+//                  [--threads T] [--queue Q] [--cache-bytes B]
+//                  [--cache-shards S] [--deadline-ticks D]
+//                  [--slow-ms MS] [--telemetry-ring N]
 //                  [--snapshot-dir DIR] [--snapshot-budget B]
 //                  [--out report.json]
 //   fmmio query    --op OP [--id I] [--alg A] [--n N] [--m M] [--p P]
@@ -103,6 +106,7 @@
 #include "bounds/segments.hpp"
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -119,7 +123,6 @@
 #include "pebble/machine.hpp"
 #include "pebble/optimal.hpp"
 #include "pebble/schedules.hpp"
-#include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/retry.hpp"
 #include "service/service.hpp"
@@ -184,39 +187,61 @@ Args parse(int argc, char** argv) {
   std::exit(2);
 }
 
-bool is_power_of_two(std::int64_t v) {
-  return v >= 1 && (v & (v - 1)) == 0;
+/// An integer flag: --name, `fallback` when absent, and a usage error
+/// below `min`.  `meaning` glosses the low end in that error ("0 =
+/// unlimited"), or is empty.
+struct IntFlag {
+  const char* name;
+  std::int64_t fallback;
+  std::int64_t min;
+  const char* meaning;
+};
+
+std::int64_t read_int(const Args& args, const char* command,
+                      const IntFlag& flag) {
+  const std::int64_t value = args.get_int(flag.name, flag.fallback);
+  if (value < flag.min) {
+    std::string message = std::string(command) + ": --" + flag.name +
+                          " must be >= " + std::to_string(flag.min);
+    if (*flag.meaning != '\0') {
+      message += std::string(" (") + flag.meaning + ")";
+    }
+    usage_error(message + ", got " + std::to_string(value));
+  }
+  return value;
 }
 
-bool is_power_of(std::int64_t v, std::int64_t base) {
-  if (v < 1 || base < 2) {
-    return false;
+/// --drop-rate: a probability in [0, 1).
+double read_drop_rate(const Args& args, const char* command) {
+  const double rate = std::atof(args.get("drop-rate", "0").c_str());
+  if (rate < 0.0 || rate >= 1.0) {
+    usage_error(std::string(command) + ": --drop-rate must be in [0, 1), "
+                "got " + args.get("drop-rate", "0"));
   }
-  while (v % base == 0) {
-    v /= base;
-  }
-  return v == 1;
-}
-
-bool is_power_of_seven(std::int64_t v) {
-  if (v < 1) {
-    return false;
-  }
-  while (v % 7 == 0) {
-    v /= 7;
-  }
-  return v == 1;
+  return rate;
 }
 
 /// --n for CDAG-shaped commands: positive power of two.
 std::int64_t require_pow2_n(const Args& args, std::int64_t fallback,
                             const char* command) {
   const std::int64_t n = args.get_int("n", fallback);
-  if (!is_power_of_two(n)) {
+  if (!is_power_of(n, 2)) {
     usage_error(std::string(command) + ": --n must be a positive power of "
                 "two, got " + std::to_string(n));
   }
   return n;
+}
+
+/// The scheme's base dim; a rectangular scheme, which has no square
+/// base and so no H^{n x n}, is a usage error.
+std::int64_t require_square_base(const bilinear::SchemeTraits& traits,
+                                 const std::string& command) {
+  if (traits.base < 2) {
+    usage_error(command + ": scheme '" + traits.name + "' is rectangular; "
+                "the recursive n x n construction needs a square base "
+                "scheme");
+  }
+  return static_cast<std::int64_t>(traits.base);
 }
 
 /// --n for scheme-recursive commands: positive power of the scheme's
@@ -225,12 +250,7 @@ std::int64_t require_pow2_n(const Args& args, std::int64_t fallback,
 std::int64_t require_base_n(const Args& args, std::int64_t fallback,
                             const char* command,
                             const bilinear::SchemeTraits& traits) {
-  if (traits.base < 2) {
-    usage_error(std::string(command) + ": scheme '" + traits.name +
-                "' is rectangular; the recursive n x n construction needs "
-                "a square base scheme");
-  }
-  const auto base = static_cast<std::int64_t>(traits.base);
+  const std::int64_t base = require_square_base(traits, command);
   std::int64_t n = args.get_int("n", fallback);
   if (!args.has("n") && !is_power_of(n, base)) {
     n = base * base;
@@ -243,33 +263,30 @@ std::int64_t require_base_n(const Args& args, std::int64_t fallback,
   return n;
 }
 
-/// --m for cache-size commands: strictly positive.
-std::int64_t require_positive_m(const Args& args, std::int64_t fallback,
-                                const char* command) {
-  const std::int64_t m = args.get_int("m", fallback);
-  if (m <= 0) {
-    usage_error(std::string(command) + ": --m (fast memory words) must be "
-                "> 0, got " + std::to_string(m));
-  }
-  return m;
-}
-
-/// Registry-backed algorithm lookup (catalog names, classic-NxMxP,
-/// -alt variants, file:scheme.json).  Unknown names and invalid scheme
-/// files are one-line usage errors, not CheckError stack traces.
-bilinear::BilinearAlgorithm pick(const std::string& name) {
+/// Registry-backed scheme lookup (catalog names, classic-NxMxP, -alt
+/// variants, file:scheme.json): the traits (base dim, rank, ω0,
+/// fingerprint).  Unknown names and invalid scheme files are one-line
+/// usage errors, not CheckError stack traces.
+bilinear::SchemeTraits pick_traits(const std::string& name) {
   try {
-    return sweep::resolve_algorithm(name);
+    return sweep::resolve_traits(name);
   } catch (const CheckError& e) {
     usage_error(e.what());
   }
 }
 
-/// The resolved scheme's traits (base dim, rank, ω0, fingerprint) with
-/// the same unknown-name behavior as pick().
-bilinear::SchemeTraits pick_traits(const std::string& name) {
+/// The <algorithm> positional of certify/simulate/optimal/cdag and its
+/// traits, resolved like pick_traits; without one, prints the `usage`
+/// line and exits 2.
+std::pair<bilinear::BilinearAlgorithm, bilinear::SchemeTraits>
+pick_positional(const Args& args, const char* usage) {
+  if (args.positional.size() < 2) {
+    std::fprintf(stderr, "usage: fmmio %s\n", usage);
+    std::exit(2);
+  }
   try {
-    return sweep::resolve_traits(name);
+    return {sweep::resolve_algorithm(args.positional[1]),
+            sweep::resolve_traits(args.positional[1])};
   } catch (const CheckError& e) {
     usage_error(e.what());
   }
@@ -288,6 +305,11 @@ obs::ReportCli report_cli_from(const Args& args) {
   return cli;
 }
 
+constexpr IntFlag kCacheBytesFlag{"cache-bytes", 256ll << 20, 0,
+                                  "0 = no retention"};
+constexpr IntFlag kSnapshotBudgetFlag{"snapshot-budget", 0, 0,
+                                      "0 = unlimited"};
+
 /// --snapshot-dir DIR for commands that mount the shared on-disk
 /// snapshot store (docs/SNAPSHOTS.md).
 std::string require_snapshot_dir(const Args& args, const char* command) {
@@ -299,16 +321,6 @@ std::string require_snapshot_dir(const Args& args, const char* command) {
   return dir;
 }
 
-std::uint64_t require_snapshot_budget(const Args& args,
-                                      const char* command) {
-  const std::int64_t budget = args.get_int("snapshot-budget", 0);
-  if (budget < 0) {
-    usage_error(std::string(command) + ": --snapshot-budget must be >= 0 "
-                "bytes (0 = unlimited), got " + std::to_string(budget));
-  }
-  return static_cast<std::uint64_t>(budget);
-}
-
 /// The optional store for single-shot commands (sweep/optimal); serve
 /// and router configure theirs through ServiceConfig instead.
 std::unique_ptr<snapshot::SnapshotStore> snapshot_store_from(
@@ -318,8 +330,65 @@ std::unique_ptr<snapshot::SnapshotStore> snapshot_store_from(
   }
   snapshot::SnapshotStoreConfig config;
   config.directory = require_snapshot_dir(args, command);
-  config.byte_budget = require_snapshot_budget(args, command);
+  config.byte_budget =
+      static_cast<std::uint64_t>(read_int(args, command, kSnapshotBudgetFlag));
   return std::make_unique<snapshot::SnapshotStore>(config);
+}
+
+/// The integer flags that shape a QueryService.  Together with
+/// --snapshot-dir they are exactly what service_config_from reads and
+/// what `router --transport process` forwards to its worker processes.
+constexpr IntFlag kServiceFlags[] = {
+    {"threads", 0, 0, "0 = hardware concurrency"},
+    {"queue", 256, 0, ""},
+    kCacheBytesFlag,
+    {"cache-shards", 8, 1, ""},
+    {"deadline-ticks", 0, 0, "0 = no deadline"},
+    {"slow-ms", 100, 0, "0 logs every request as slow"},
+    {"telemetry-ring", 256, 1, ""},
+    kSnapshotBudgetFlag,
+};
+
+service::ServiceConfig service_config_from(const Args& args,
+                                           const char* command) {
+  const auto value = [&](std::string_view name) {
+    for (const IntFlag& flag : kServiceFlags) {
+      if (name == flag.name) {
+        return read_int(args, command, flag);
+      }
+    }
+    throw CheckError("fmmio: --" + std::string(name) +
+                     " is missing from kServiceFlags");
+  };
+  service::ServiceConfig config;
+  config.num_threads = static_cast<std::size_t>(value("threads"));
+  config.max_queue = static_cast<std::size_t>(value("queue"));
+  config.cache.memory_budget_bytes =
+      static_cast<std::size_t>(value("cache-bytes"));
+  config.cache.shards = static_cast<std::size_t>(value("cache-shards"));
+  config.deadline_ticks = value("deadline-ticks");
+  config.slow_ms = value("slow-ms");
+  config.telemetry_ring = static_cast<std::size_t>(value("telemetry-ring"));
+  config.snapshot_budget_bytes =
+      static_cast<std::uint64_t>(value("snapshot-budget"));
+  if (args.has("snapshot-dir")) {
+    config.snapshot_dir = require_snapshot_dir(args, command);
+  }
+  return config;
+}
+
+/// --retries/--backoff-base/--backoff-mult over `policy`'s defaults:
+/// sweep retries tasks, the router requests.
+resilience::RetryPolicy retry_policy_from(const Args& args,
+                                          const char* command,
+                                          resilience::RetryPolicy policy) {
+  policy.max_attempts = static_cast<int>(read_int(
+      args, command, {"retries", policy.max_attempts, 1, "total attempts"}));
+  policy.base_backoff_ticks = read_int(
+      args, command, {"backoff-base", policy.base_backoff_ticks, 0, ""});
+  policy.backoff_multiplier = static_cast<int>(read_int(
+      args, command, {"backoff-mult", policy.backoff_multiplier, 1, ""}));
+  return policy;
 }
 
 int cmd_list() {
@@ -350,14 +419,9 @@ int cmd_list() {
 }
 
 int cmd_certify(const Args& args) {
-  if (args.positional.size() < 2) {
-    std::fprintf(stderr, "usage: fmmio certify <algorithm>\n");
-    return 2;
-  }
+  const auto [alg, traits] = pick_positional(args, "certify <algorithm>");
   const obs::ReportCli cli = report_cli_from(args);
   obs::Registry::instance().reset();
-  const auto alg = pick(args.positional[1]);
-  const bilinear::SchemeTraits traits = pick_traits(args.positional[1]);
   std::printf("Certifying %s\n", alg.name().c_str());
   std::printf("  Scheme: <%zu,%zu,%zu;%zu>  fingerprint %s\n", traits.n,
               traits.m, traits.p, traits.rank, traits.fingerprint.c_str());
@@ -409,19 +473,15 @@ int cmd_certify(const Args& args) {
 }
 
 int cmd_bounds(const Args& args) {
-  if (args.get_int("n", 4096) < 1 || args.get_int("m", 4096) < 1 ||
-      args.get_int("p", 1) < 1) {
-    usage_error("bounds: --n, --m and --p must all be >= 1");
-  }
-  const double n = static_cast<double>(args.get_int("n", 4096));
-  const double m = static_cast<double>(args.get_int("m", 4096));
-  const double p = static_cast<double>(args.get_int("p", 1));
+  const auto flag = [&](const IntFlag& spec) {
+    return static_cast<double>(read_int(args, "bounds", spec));
+  };
+  const double n = flag({"n", 4096, 1, ""});
+  const double m = flag({"m", 4096, 1, ""});
+  const double p = flag({"p", 1, 1, ""});
   const std::string alg = args.get("alg", "strassen");
   const bilinear::SchemeTraits traits = pick_traits(alg);
-  if (traits.base < 2) {
-    usage_error("bounds: scheme '" + traits.name + "' is rectangular; the "
-                "square fast-MM bounds need a square base scheme");
-  }
+  require_square_base(traits, "bounds");
   const bounds::MmParams params{n, m, p};
   std::printf("Lower bounds at n=%g, M=%g, P=%g (%s, omega0=%s):\n", n, m,
               p, traits.name.c_str(), format_double(traits.omega0).c_str());
@@ -443,17 +503,14 @@ int cmd_bounds(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
-  if (args.positional.size() < 2) {
-    std::fprintf(stderr, "usage: fmmio simulate <algorithm> --n N --m M\n");
-    return 2;
-  }
+  const auto [alg, traits] =
+      pick_positional(args, "simulate <algorithm> --n N --m M");
   const obs::ReportCli cli = report_cli_from(args);
   obs::Registry::instance().reset();
-  const auto alg = pick(args.positional[1]);
-  const bilinear::SchemeTraits traits = pick_traits(args.positional[1]);
   const auto n =
       static_cast<std::size_t>(require_base_n(args, 16, "simulate", traits));
-  const std::int64_t m = require_positive_m(args, 64, "simulate");
+  const std::int64_t m =
+      read_int(args, "simulate", {"m", 64, 1, "fast memory words"});
   const std::string schedule_kind = args.get("schedule", "dfs");
   if (schedule_kind != "dfs" && schedule_kind != "bfs" &&
       schedule_kind != "random") {
@@ -553,31 +610,24 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_optimal(const Args& args) {
-  if (args.positional.size() < 2) {
-    std::fprintf(stderr,
-                 "usage: fmmio optimal <algorithm> --n N --m M [--remat] "
-                 "[--max-states K] [--snapshot-dir DIR] "
-                 "[--out report.json]\n");
-    return 2;
-  }
+  const auto [alg, traits] = pick_positional(
+      args, "optimal <algorithm> --n N --m M [--remat] [--max-states K] "
+            "[--snapshot-dir DIR] [--out report.json]");
   const obs::ReportCli cli = report_cli_from(args);
   obs::Registry::instance().reset();
-  const auto alg = pick(args.positional[1]);
-  const bilinear::SchemeTraits traits = pick_traits(args.positional[1]);
   const auto n =
       static_cast<std::size_t>(require_base_n(args, 2, "optimal", traits));
-  const std::int64_t m = require_positive_m(args, 8, "optimal");
+  const std::int64_t m =
+      read_int(args, "optimal", {"m", 8, 1, "fast memory words"});
 
   pebble::OptimalPebbleOptions options;
   options.cache_size = m;
   options.allow_recomputation = args.has("remat");
-  const std::int64_t max_states = args.get_int(
-      "max-states",
-      static_cast<std::int64_t>(pebble::OptimalPebbleOptions{}.max_states));
-  if (max_states < 1) {
-    usage_error("optimal: --max-states must be >= 1, got " +
-                std::to_string(max_states));
-  }
+  const std::int64_t max_states = read_int(
+      args, "optimal",
+      {"max-states",
+       static_cast<std::int64_t>(pebble::OptimalPebbleOptions{}.max_states),
+       1, ""});
   options.max_states = static_cast<std::size_t>(max_states);
   // Same certified floor the sweep layer injects: Theorem 1.1's closed
   // form divided by the repo's certified slack (sweep::kBoundSlack).
@@ -654,13 +704,8 @@ int cmd_optimal(const Args& args) {
 }
 
 int cmd_cdag(const Args& args) {
-  if (args.positional.size() < 2) {
-    std::fprintf(stderr,
-                 "usage: fmmio cdag <algorithm> --n N [--dot [--force]]\n");
-    return 2;
-  }
-  const auto alg = pick(args.positional[1]);
-  const bilinear::SchemeTraits traits = pick_traits(args.positional[1]);
+  const auto [alg, traits] =
+      pick_positional(args, "cdag <algorithm> --n N [--dot [--force]]");
   const auto n =
       static_cast<std::size_t>(require_base_n(args, 4, "cdag", traits));
   const cdag::Cdag cdag = cdag::build_cdag(alg, n);
@@ -702,38 +747,38 @@ std::vector<std::string> split_csv(const std::string& raw) {
   return items;
 }
 
-/// "--wipes p@step[,p@step...]" → explicit WipeEvent list.
-std::vector<resilience::WipeEvent> parse_wipes(const std::string& raw) {
-  std::vector<resilience::WipeEvent> wipes;
-  for (const std::string& item : split_csv(raw)) {
+/// --<flag> "A@B[,A@B...]" as (A, B) pairs of integers >= 0; any other
+/// entry is a one-line usage error spelling the expected `shape`.
+std::vector<std::pair<std::int64_t, std::int64_t>> read_at_pairs(
+    const Args& args, const char* command, const char* flag,
+    const char* shape) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
+  for (const std::string& item : split_csv(args.get(flag, ""))) {
     const std::size_t at = item.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 >= item.size()) {
-      usage_error("parallel: --wipes entries must look like PROC@STEP, "
-                  "got '" + item + "'");
+    std::int64_t first = -1;
+    std::int64_t second = -1;
+    try {
+      first = std::stoll(item.substr(0, at));
+      second = std::stoll(item.substr(at + 1));
+    } catch (const std::exception&) {
     }
-    resilience::WipeEvent wipe;
-    wipe.processor = std::atoi(item.substr(0, at).c_str());
-    wipe.step = std::atoi(item.substr(at + 1).c_str());
-    if (wipe.processor < 0 || wipe.step < 0) {
-      usage_error("parallel: --wipes coordinates must be >= 0, got '" +
-                  item + "'");
+    if (at == std::string::npos || first < 0 || second < 0) {
+      usage_error(std::string(command) + ": --" + flag + " wants " + shape +
+                  ", got '" + item + "'");
     }
-    wipes.push_back(wipe);
+    pairs.emplace_back(first, second);
   }
-  return wipes;
+  return pairs;
 }
 
 int cmd_parallel(const Args& args) {
   const std::int64_t n = require_pow2_n(args, 1024, "parallel");
   const std::int64_t p = args.get_int("p", 49);
-  const std::int64_t m = args.get_int("m", 0);
-  if (!is_power_of_seven(p)) {
+  const std::int64_t m =
+      read_int(args, "parallel", {"m", 0, 0, "0 = unlimited"});
+  if (!is_power_of(p, 7)) {
     usage_error("parallel: --p must be a power of 7 (CAPS splits the "
                 "machine 7-way per BFS step), got " + std::to_string(p));
-  }
-  if (m < 0) {
-    usage_error("parallel: --m must be >= 0 (0 = unlimited), got " +
-                std::to_string(m));
   }
   // n*n < p, phrased to survive huge --n: for n >= 1, p >= 1 this is
   // exactly (p - 1) / n >= n, with no overflowing square.
@@ -777,37 +822,28 @@ int cmd_parallel(const Args& args) {
                   "(--p >= 7); P=" + std::to_string(p) +
                   " keeps everything local");
     }
-    const double drop_rate = std::atof(args.get("drop-rate", "0").c_str());
-    if (drop_rate < 0.0 || drop_rate >= 1.0) {
-      usage_error("parallel: --drop-rate must be in [0, 1), got " +
-                  args.get("drop-rate", "0"));
-    }
+    const double drop_rate = read_drop_rate(args, "parallel");
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     const std::int64_t max_retransmissions =
-        args.get_int("max-retransmissions", 64);
-    if (max_retransmissions < 1) {
-      usage_error("parallel: --max-retransmissions must be >= 1, got " +
-                  std::to_string(max_retransmissions));
-    }
+        read_int(args, "parallel", {"max-retransmissions", 64, 1, ""});
     resilience::FaultSpec fault_spec;
     if (args.has("wipes")) {
       fault_spec.seed = seed;
       fault_spec.message_drop_rate = drop_rate;
-      fault_spec.wipes = parse_wipes(args.get("wipes", ""));
-      for (const resilience::WipeEvent& wipe : fault_spec.wipes) {
-        if (wipe.processor >= p) {
+      for (const auto& [processor, step] :
+           read_at_pairs(args, "parallel", "wipes",
+                         "PROC@STEP[,PROC@STEP...] (both >= 0)")) {
+        if (processor >= p) {
           usage_error("parallel: --wipes targets processor " +
-                      std::to_string(wipe.processor) + ", but --p is " +
+                      std::to_string(processor) + ", but --p is " +
                       std::to_string(p));
         }
+        fault_spec.wipes.push_back(
+            {static_cast<int>(processor), static_cast<int>(step)});
       }
     } else {
-      const int wipe_count =
-          static_cast<int>(args.get_int("wipe-count", 1));
-      if (wipe_count < 0) {
-        usage_error("parallel: --wipe-count must be >= 0, got " +
-                    std::to_string(wipe_count));
-      }
+      const auto wipe_count = static_cast<int>(
+          read_int(args, "parallel", {"wipe-count", 1, 0, ""}));
       // Draw the chaos schedule over the steps the recursion will
       // actually reach (known from a clean dry run).
       const auto clean = parallel::simulate_caps_elementwise(n, p);
@@ -922,38 +958,30 @@ int cmd_sweep(const Args& args) {
   // are usage errors, not mid-sweep failures) and every n must be a
   // power of every resolved scheme's base dim.
   for (const std::string& alg : spec.algorithms) {
-    const bilinear::SchemeTraits traits = pick_traits(alg);
-    if (traits.base < 2) {
-      usage_error("sweep: scheme '" + traits.name + "' (--alg " + alg +
-                  ") is rectangular; the recursive n x n construction "
-                  "needs a square base scheme");
-    }
+    const std::int64_t base =
+        require_square_base(pick_traits(alg), "sweep (--alg " + alg + ")");
     for (const std::size_t n : spec.n_grid) {
-      if (!is_power_of(static_cast<std::int64_t>(n),
-                       static_cast<std::int64_t>(traits.base))) {
+      if (!is_power_of(static_cast<std::int64_t>(n), base)) {
         usage_error("sweep: every --n must be a power of the scheme's "
-                    "base dim " + std::to_string(traits.base) + " (--alg " +
-                    alg + "), got " + std::to_string(n));
+                    "base dim " + std::to_string(base) + " (--alg " + alg +
+                    "), got " + std::to_string(n));
       }
     }
   }
   if (args.has("kinds")) {
     spec.kinds.clear();
+    constexpr int kKinds = static_cast<int>(sweep::TaskKind::kOptimal) + 1;
     for (const std::string& kind : split_csv(args.get("kinds", ""))) {
-      if (kind == "simulate") {
-        spec.kinds.push_back(sweep::TaskKind::kSimulate);
-      } else if (kind == "liveness") {
-        spec.kinds.push_back(sweep::TaskKind::kLiveness);
-      } else if (kind == "dominator") {
-        spec.kinds.push_back(sweep::TaskKind::kDominator);
-      } else if (kind == "boundcheck") {
-        spec.kinds.push_back(sweep::TaskKind::kBoundCheck);
-      } else if (kind == "optimal") {
-        spec.kinds.push_back(sweep::TaskKind::kOptimal);
-      } else {
+      int k = 0;
+      while (k < kKinds &&
+             kind != sweep::task_kind_name(static_cast<sweep::TaskKind>(k))) {
+        ++k;
+      }
+      if (k == kKinds) {
         FMM_LOG_ERROR("unknown sweep kind '" << kind << "'");
         return 2;
       }
+      spec.kinds.push_back(static_cast<sweep::TaskKind>(k));
     }
   }
   const std::string schedule = args.get("schedule", "dfs");
@@ -965,30 +993,14 @@ int cmd_sweep(const Args& args) {
   }
   spec.remat = args.has("remat");
   spec.base_seed = cli.seed;
-  const std::int64_t threads = args.get_int("threads", 1);
-  if (threads < 0) {
-    usage_error("sweep: --threads must be >= 0 (0 = hardware "
-                "concurrency), got " + std::to_string(threads));
-  }
-  spec.num_threads = static_cast<std::size_t>(threads);
+  spec.num_threads = static_cast<std::size_t>(read_int(
+      args, "sweep", {"threads", 1, 0, "0 = hardware concurrency"}));
   spec.keep_going = args.has("keep-going");
 
   // Resilience knobs (docs/RESILIENCE.md).
-  const std::int64_t retries = args.get_int("retries", 1);
-  if (retries < 1) {
-    usage_error("sweep: --retries (total attempts per task) must be "
-                ">= 1, got " + std::to_string(retries));
-  }
-  spec.retry.max_attempts = static_cast<int>(retries);
-  spec.retry.base_backoff_ticks = args.get_int("backoff-base", 1);
-  spec.retry.backoff_multiplier =
-      static_cast<int>(args.get_int("backoff-mult", 2));
-  spec.retry.deadline_ticks = args.get_int("deadline-ticks", 0);
-  if (spec.retry.base_backoff_ticks < 0 ||
-      spec.retry.backoff_multiplier < 1 || spec.retry.deadline_ticks < 0) {
-    usage_error("sweep: --backoff-base/--deadline-ticks must be >= 0 and "
-                "--backoff-mult >= 1");
-  }
+  spec.retry = retry_policy_from(args, "sweep", spec.retry);
+  spec.retry.deadline_ticks =
+      read_int(args, "sweep", {"deadline-ticks", 0, 0, "0 = no deadline"});
   spec.inject_failure_rate =
       std::atof(args.get("inject-failures", "0").c_str());
   if (spec.inject_failure_rate < 0.0 || spec.inject_failure_rate > 1.0) {
@@ -997,18 +1009,11 @@ int cmd_sweep(const Args& args) {
   }
   spec.inject_seed =
       static_cast<std::uint64_t>(args.get_int("inject-seed", 0));
-  spec.max_cell_bytes = args.get_int("max-cell-bytes", 0);
-  if (spec.max_cell_bytes < 0) {
-    usage_error("sweep: --max-cell-bytes must be >= 0 (0 = unlimited), "
-                "got " + std::to_string(spec.max_cell_bytes));
-  }
+  spec.max_cell_bytes =
+      read_int(args, "sweep", {"max-cell-bytes", 0, 0, "0 = unlimited"});
   spec.checkpoint_path = args.get("checkpoint", "");
-  const std::int64_t checkpoint_every = args.get_int("checkpoint-every", 1);
-  if (checkpoint_every < 1) {
-    usage_error("sweep: --checkpoint-every must be >= 1, got " +
-                std::to_string(checkpoint_every));
-  }
-  spec.checkpoint_every = static_cast<std::size_t>(checkpoint_every);
+  spec.checkpoint_every = static_cast<std::size_t>(
+      read_int(args, "sweep", {"checkpoint-every", 1, 1, ""}));
   spec.resume = args.has("resume");
   if (spec.resume && spec.checkpoint_path.empty()) {
     usage_error("sweep: --resume needs --checkpoint PATH to load from");
@@ -1018,14 +1023,9 @@ int cmd_sweep(const Args& args) {
   // the same code path `fmmio serve` and `fmmio query` answer from
   // (docs/SERVICE.md).  Cache state must not change the payload, so
   // --cache-bytes is not part of the deterministic spec.
-  const std::int64_t cache_bytes =
-      args.get_int("cache-bytes", 256ll << 20);
-  if (cache_bytes < 0) {
-    usage_error("sweep: --cache-bytes must be >= 0 (0 = no retention), "
-                "got " + std::to_string(cache_bytes));
-  }
   service::CacheConfig cache_config;
-  cache_config.memory_budget_bytes = static_cast<std::size_t>(cache_bytes);
+  cache_config.memory_budget_bytes =
+      static_cast<std::size_t>(read_int(args, "sweep", kCacheBytesFlag));
   service::ContentCache cache(cache_config);
   const std::unique_ptr<snapshot::SnapshotStore> snapshot_store =
       snapshot_store_from(args, "sweep");
@@ -1103,60 +1103,6 @@ int cmd_sweep(const Args& args) {
   return result.failed == 0 ? 0 : 1;
 }
 
-service::ServiceConfig service_config_from(const Args& args,
-                                           const char* command) {
-  service::ServiceConfig config;
-  const std::int64_t threads = args.get_int("threads", 0);
-  if (threads < 0) {
-    usage_error(std::string(command) + ": --threads must be >= 0 (0 = "
-                "hardware concurrency), got " + std::to_string(threads));
-  }
-  config.num_threads = static_cast<std::size_t>(threads);
-  const std::int64_t queue = args.get_int("queue", 256);
-  if (queue < 0) {
-    usage_error(std::string(command) + ": --queue must be >= 0, got " +
-                std::to_string(queue));
-  }
-  config.max_queue = static_cast<std::size_t>(queue);
-  const std::int64_t cache_bytes =
-      args.get_int("cache-bytes", 256ll << 20);
-  if (cache_bytes < 0) {
-    usage_error(std::string(command) + ": --cache-bytes must be >= 0 "
-                "(0 = no retention), got " + std::to_string(cache_bytes));
-  }
-  config.cache.memory_budget_bytes =
-      static_cast<std::size_t>(cache_bytes);
-  const std::int64_t shards = args.get_int("cache-shards", 8);
-  if (shards < 1) {
-    usage_error(std::string(command) + ": --cache-shards must be >= 1, "
-                "got " + std::to_string(shards));
-  }
-  config.cache.shards = static_cast<std::size_t>(shards);
-  config.deadline_ticks = args.get_int("deadline-ticks", 0);
-  if (config.deadline_ticks < 0) {
-    usage_error(std::string(command) + ": --deadline-ticks must be >= 0 "
-                "(0 = no deadline), got " +
-                std::to_string(config.deadline_ticks));
-  }
-  config.slow_ms = args.get_int("slow-ms", 100);
-  if (config.slow_ms < 0) {
-    usage_error(std::string(command) + ": --slow-ms must be >= 0 "
-                "(0 logs every request as slow), got " +
-                std::to_string(config.slow_ms));
-  }
-  const std::int64_t ring = args.get_int("telemetry-ring", 256);
-  if (ring < 1) {
-    usage_error(std::string(command) + ": --telemetry-ring must be >= 1, "
-                "got " + std::to_string(ring));
-  }
-  config.telemetry_ring = static_cast<std::size_t>(ring);
-  if (args.has("snapshot-dir")) {
-    config.snapshot_dir = require_snapshot_dir(args, command);
-    config.snapshot_budget_bytes = require_snapshot_budget(args, command);
-  }
-  return config;
-}
-
 // SIGTERM/SIGINT request a graceful drain, not an abort: the handler
 // only flips a sig_atomic_t that serve loops poll.  Installed WITHOUT
 // SA_RESTART so a read blocked on stdin (or a socket accept) fails
@@ -1225,94 +1171,28 @@ int run_service_session(const Args& args, const char* command) {
   return 0;
 }
 
-int cmd_serve(const Args& args) {
-  return run_service_session(args, "serve");
-}
-
-int cmd_worker(const Args& args) {
-  return run_service_session(args, "worker");
-}
-
-/// Parses --kill "K@J[,K@J...]" into chaos kill events (kill worker K
-/// after it has dispatched J requests).
-std::vector<fabric::KillEvent> parse_kill_events(const std::string& text) {
-  std::vector<fabric::KillEvent> kills;
-  std::istringstream stream(text);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    const auto at = token.find('@');
-    if (token.empty() || at == std::string::npos || at == 0 ||
-        at + 1 >= token.size()) {
-      usage_error("router: --kill wants K@J[,K@J...] (kill worker K "
-                  "after J dispatches), got '" + token + "'");
-    }
-    fabric::KillEvent kill;
-    try {
-      kill.worker = static_cast<std::size_t>(
-          std::stoll(token.substr(0, at)));
-      kill.after_requests = std::stoll(token.substr(at + 1));
-    } catch (const std::exception&) {
-      usage_error("router: --kill wants numeric K@J, got '" + token + "'");
-    }
-    kills.push_back(kill);
-  }
-  return kills;
-}
-
 int cmd_router(const Args& args) {
   const obs::ReportCli cli = report_cli_from(args);
   obs::Registry::instance().reset();
   install_stop_signals();
 
   fabric::FabricConfig config;
-  const std::int64_t workers = args.get_int("workers", 4);
-  if (workers < 1) {
-    usage_error("router: --workers must be >= 1, got " +
-                std::to_string(workers));
-  }
-  config.num_workers = static_cast<std::size_t>(workers);
-  const std::int64_t depth = args.get_int("queue-depth", 64);
-  if (depth < 1) {
-    usage_error("router: --queue-depth must be >= 1, got " +
-                std::to_string(depth));
-  }
-  config.worker_queue_depth = static_cast<std::size_t>(depth);
-  const std::int64_t retries = args.get_int("retries", 3);
-  if (retries < 1) {
-    usage_error("router: --retries must be >= 1 (total attempts per "
-                "request), got " + std::to_string(retries));
-  }
-  config.retry.max_attempts = static_cast<int>(retries);
-  config.retry.base_backoff_ticks = args.get_int("backoff-base", 1);
-  config.retry.backoff_multiplier =
-      static_cast<int>(args.get_int("backoff-mult", 2));
-  if (config.retry.base_backoff_ticks < 0 ||
-      config.retry.backoff_multiplier < 1) {
-    usage_error("router: --backoff-base must be >= 0 and "
-                "--backoff-mult >= 1");
-  }
-  const std::int64_t respawns = args.get_int("max-respawns", 2);
-  if (respawns < 0) {
-    usage_error("router: --max-respawns must be >= 0, got " +
-                std::to_string(respawns));
-  }
-  config.max_respawns = static_cast<int>(respawns);
-  const std::int64_t heartbeat = args.get_int("heartbeat-ms", 0);
-  if (heartbeat < 0) {
-    usage_error("router: --heartbeat-ms must be >= 0 (0 disables), got " +
-                std::to_string(heartbeat));
-  }
-  config.heartbeat_interval_ms = static_cast<int>(heartbeat);
+  config.num_workers = static_cast<std::size_t>(
+      read_int(args, "router", {"workers", 4, 1, ""}));
+  config.worker_queue_depth = static_cast<std::size_t>(
+      read_int(args, "router", {"queue-depth", 64, 1, ""}));
+  config.retry = retry_policy_from(args, "router", config.retry);
+  config.max_respawns = static_cast<int>(
+      read_int(args, "router", {"max-respawns", 2, 0, ""}));
+  config.heartbeat_interval_ms = static_cast<int>(
+      read_int(args, "router", {"heartbeat-ms", 0, 0, "0 disables"}));
   config.chaos.seed =
       static_cast<std::uint64_t>(args.get_int("chaos-seed", 1));
-  const double drop_rate = std::atof(args.get("drop-rate", "0").c_str());
-  if (drop_rate < 0.0 || drop_rate >= 1.0) {
-    usage_error("router: --drop-rate must be in [0, 1), got " +
-                args.get("drop-rate", "0"));
-  }
-  config.chaos.drop_response_rate = drop_rate;
-  if (args.has("kill")) {
-    config.chaos.kills = parse_kill_events(args.get("kill", ""));
+  config.chaos.drop_response_rate = read_drop_rate(args, "router");
+  for (const auto& [worker, after] :
+       read_at_pairs(args, "router", "kill",
+                     "K@J[,K@J...] (kill worker K after J dispatches)")) {
+    config.chaos.kills.push_back({static_cast<std::size_t>(worker), after});
   }
   config.stop_flag = &g_stop_requested;
 
@@ -1342,14 +1222,16 @@ int cmd_router(const Args& args) {
       worker_cmd = exe;
     }
     std::vector<std::string> worker_argv = {worker_cmd, "worker"};
-    for (const char* flag :
-         {"threads", "queue", "cache-bytes", "cache-shards",
-          "deadline-ticks", "snapshot-dir", "snapshot-budget"}) {
+    const auto forward = [&](const char* flag) {
       if (args.has(flag)) {
         worker_argv.push_back(std::string("--") + flag);
         worker_argv.push_back(args.get(flag, ""));
       }
+    };
+    for (const IntFlag& flag : kServiceFlags) {
+      forward(flag.name);
     }
+    forward("snapshot-dir");
     if (!args.has("threads")) {
       worker_argv.push_back("--threads");
       worker_argv.push_back("1");
@@ -1368,11 +1250,15 @@ int cmd_router(const Args& args) {
 
   if (cli.wants_report() || !cli.trace_path.empty()) {
     obs::RunReport report("fmmio.router");
-    report.set_param("workers", static_cast<std::int64_t>(workers));
+    report.set_param("workers",
+                     static_cast<std::int64_t>(config.num_workers));
     report.set_param("transport", transport_name);
-    report.set_param("queue_depth", static_cast<std::int64_t>(depth));
-    report.set_param("retries", static_cast<std::int64_t>(retries));
-    report.set_param("max_respawns", static_cast<std::int64_t>(respawns));
+    report.set_param("queue_depth",
+                     static_cast<std::int64_t>(config.worker_queue_depth));
+    report.set_param("retries",
+                     static_cast<std::int64_t>(config.retry.max_attempts));
+    report.set_param("max_respawns",
+                     static_cast<std::int64_t>(config.max_respawns));
     report.set_result("shutdown_requested", shutdown);
     report.set_result("stopped_by_signal", g_stop_requested != 0);
     router.attach_to(report);
@@ -1402,7 +1288,7 @@ std::string compose_request(const Args& args) {
                          bool quote) {
     os << (first ? "" : ", ") << "\"" << key << "\": ";
     if (quote) {
-      os << "\"" << value << "\"";
+      os << "\"" << json_escape(value) << "\"";
     } else {
       os << value;
     }
@@ -1511,71 +1397,11 @@ int cmd_query(const Args& args) {
   return response.find("\"ok\": true") != std::string::npos ? 0 : 1;
 }
 
-/// Re-serializes a parsed JsonValue onto one line — lets `tail` print
-/// daemon records as NDJSON without re-tracking the record schema here.
-void json_dump(const resilience::JsonValue& value, std::ostream& os) {
-  using resilience::JsonValue;
-  switch (value.kind()) {
-    case JsonValue::Kind::kNull:
-      os << "null";
-      break;
-    case JsonValue::Kind::kBool:
-      os << (value.as_bool() ? "true" : "false");
-      break;
-    case JsonValue::Kind::kNumber: {
-      const double d = value.as_double();
-      const auto i = static_cast<std::int64_t>(d);
-      if (static_cast<double>(i) == d) {
-        os << i;
-      } else {
-        os << d;
-      }
-      break;
-    }
-    case JsonValue::Kind::kString:
-      os << '"';
-      for (const char ch : value.as_string()) {
-        if (ch == '"' || ch == '\\') {
-          os << '\\' << ch;
-        } else if (ch == '\n') {
-          os << "\\n";
-        } else {
-          os << ch;
-        }
-      }
-      os << '"';
-      break;
-    case JsonValue::Kind::kArray: {
-      os << '[';
-      bool first = true;
-      for (const auto& item : value.items()) {
-        os << (first ? "" : ", ");
-        json_dump(item, os);
-        first = false;
-      }
-      os << ']';
-      break;
-    }
-    case JsonValue::Kind::kObject: {
-      os << '{';
-      bool first = true;
-      for (const auto& [key, member] : value.members()) {
-        os << (first ? "" : ", ") << '"' << key << "\": ";
-        json_dump(member, os);
-        first = false;
-      }
-      os << '}';
-      break;
-    }
-  }
-}
-
 /// Extracts `result` from a daemon response line, or exits loudly —
 /// shared by the metrics and tail scrape subcommands.
-resilience::JsonValue scrape_result(const std::string& response,
-                                    const char* command) {
-  const resilience::JsonValue doc = resilience::parse_json(response);
-  const resilience::JsonValue* ok = doc.find("ok");
+JsonValue scrape_result(const std::string& response, const char* command) {
+  const JsonValue doc = parse_json(response);
+  const JsonValue* ok = doc.find("ok");
   if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) {
     std::fprintf(stderr, "fmmio: %s scrape failed: %s\n", command,
                  response.c_str());
@@ -1589,7 +1415,7 @@ int cmd_metrics(const Args& args) {
 #ifdef __unix__
     const std::string response = query_over_socket(
         args.get("connect", ""), "{\"op\": \"metrics\"}");
-    const resilience::JsonValue result =
+    const JsonValue result =
         scrape_result(response, "metrics");
     std::fputs(result.at("exposition").as_string().c_str(), stdout);
     return 0;
@@ -1609,22 +1435,18 @@ int cmd_tail(const Args& args) {
     usage_error("tail: needs --connect SOCKET (a running "
                 "`fmmio serve --socket` daemon)");
   }
-  const std::int64_t limit = args.get_int("limit", 0);
-  if (limit < 0) {
-    usage_error("tail: --limit must be >= 0 (0 = everything recorded), "
-                "got " + std::to_string(limit));
-  }
+  const std::int64_t limit =
+      read_int(args, "tail", {"limit", 0, 0, "0 = everything recorded"});
   std::ostringstream request;
   request << "{\"op\": \"tail\", \"limit\": " << limit << "}";
   const std::string response =
       query_over_socket(args.get("connect", ""), request.str());
-  const resilience::JsonValue result = scrape_result(response, "tail");
+  const JsonValue result = scrape_result(response, "tail");
   // One record per line: `--slow` streams the slow-query log, default
   // streams the recent-request ring (oldest first).
   for (const auto& record :
        result.at(args.has("slow") ? "slow" : "recent").items()) {
-    json_dump(record, std::cout);
-    std::cout << "\n";
+    std::cout << record.dump() << "\n";
   }
   return 0;
 #else
@@ -1744,8 +1566,9 @@ int main(int argc, char** argv) {
     if (command == "cdag") return cmd_cdag(args);
     if (command == "parallel") return cmd_parallel(args);
     if (command == "sweep") return cmd_sweep(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "worker") return cmd_worker(args);
+    if (command == "serve" || command == "worker") {
+      return run_service_session(args, command.c_str());
+    }
     if (command == "router") return cmd_router(args);
     if (command == "query") return cmd_query(args);
     if (command == "metrics") return cmd_metrics(args);

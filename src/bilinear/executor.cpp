@@ -143,23 +143,23 @@ OpCount RecursiveExecutor::predicted_count(std::size_t d) const {
   const std::size_t base = algorithm_.n();
   if (d <= cutoff_ || d == 1 || d % base != 0) {
     OpCount leaf;
-    leaf.multiplications = ipow_checked(static_cast<std::int64_t>(d), 3);
+    leaf.multiplications = checked_pow(static_cast<std::int64_t>(d), 3);
     leaf.additions =
-        imul_checked(imul_checked(static_cast<std::int64_t>(d),
-                                  static_cast<std::int64_t>(d)),
-                     static_cast<std::int64_t>(d) - 1);
+        checked_mul(checked_mul(static_cast<std::int64_t>(d),
+                                static_cast<std::int64_t>(d)),
+                    static_cast<std::int64_t>(d) - 1);
     return leaf;
   }
   const std::size_t s = d / base;
   const OpCount child = predicted_count(s);
   OpCount result;
   const auto t = static_cast<std::int64_t>(algorithm_.num_products());
-  result.multiplications = imul_checked(t, child.multiplications);
-  result.additions = iadd_checked(
-      imul_checked(t, child.additions),
-      imul_checked(static_cast<std::int64_t>(algorithm_.base_linear_ops()),
-                   imul_checked(static_cast<std::int64_t>(s),
-                                static_cast<std::int64_t>(s))));
+  result.multiplications = checked_mul(t, child.multiplications);
+  result.additions = checked_add(
+      checked_mul(t, child.additions),
+      checked_mul(static_cast<std::int64_t>(algorithm_.base_linear_ops()),
+                  checked_mul(static_cast<std::int64_t>(s),
+                              static_cast<std::int64_t>(s))));
   return result;
 }
 

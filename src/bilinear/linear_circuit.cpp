@@ -58,8 +58,8 @@ IntMat IntMat::multiply(const IntMat& a, const IntMat& b) {
       }
       for (std::size_t j = 0; j < b.cols; ++j) {
         const std::int64_t prod =
-            imul_checked(aik, b.at(k, j));
-        const std::int64_t sum = iadd_checked(out.at(i, j), prod);
+            checked_mul(aik, b.at(k, j));
+        const std::int64_t sum = checked_add(out.at(i, j), prod);
         FMM_CHECK_MSG(sum >= INT32_MIN && sum <= INT32_MAX,
                       "IntMat entry overflow");
         out.at(i, j) = static_cast<int>(sum);
@@ -107,8 +107,8 @@ std::int64_t IntMat::determinant() const {
     for (std::size_t i = k + 1; i < n; ++i) {
       for (std::size_t j = k + 1; j < n; ++j) {
         const std::int64_t num =
-            imul_checked(m[i * n + j], m[k * n + k]) -
-            imul_checked(m[i * n + k], m[k * n + j]);
+            checked_mul(m[i * n + j], m[k * n + k]) -
+            checked_mul(m[i * n + k], m[k * n + j]);
         FMM_CHECK(num % prev == 0);
         m[i * n + j] = num / prev;
       }
@@ -200,8 +200,8 @@ std::vector<std::int64_t> LinearCircuit::evaluate_exact(
   std::vector<std::int64_t> values(inputs);
   values.reserve(num_inputs_ + ops_.size());
   for (const LinOp& op : ops_) {
-    values.push_back(iadd_checked(imul_checked(op.c1, values[op.s1]),
-                                  imul_checked(op.c2, values[op.s2])));
+    values.push_back(checked_add(checked_mul(op.c1, values[op.s1]),
+                                 checked_mul(op.c2, values[op.s2])));
   }
   std::vector<std::int64_t> out;
   out.reserve(outputs_.size());

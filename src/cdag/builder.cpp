@@ -89,7 +89,7 @@ class Builder {
       SubproblemLevel& level = cdag_.subproblem_levels[i];
       level.r = sizes[i];
       const auto depth = static_cast<int>(sizes.size() - 1 - i);
-      level.count = static_cast<std::size_t>(ipow_checked(
+      level.count = static_cast<std::size_t>(checked_pow(
           static_cast<std::int64_t>(alg_.num_products()), depth));
       staging_[i].output_pool.resize(level.count * level.outputs_per_sub());
       staging_[i].input_pool.resize(level.count * level.inputs_per_sub());
@@ -258,11 +258,11 @@ std::size_t expected_sub_output_count(
   while (ratio > 1) {
     FMM_CHECK(ratio % base == 0);
     ratio /= base;
-    count = imul_checked(count,
-                         static_cast<std::int64_t>(algorithm.num_products()));
+    count = checked_mul(count,
+                        static_cast<std::int64_t>(algorithm.num_products()));
   }
   return static_cast<std::size_t>(
-      imul_checked(count, static_cast<std::int64_t>(r * r)));
+      checked_mul(count, static_cast<std::int64_t>(r * r)));
 }
 
 }  // namespace fmm::cdag

@@ -131,7 +131,7 @@ void Cdag::validate() const {
       ++levels;
     }
     const auto expected =
-        static_cast<std::size_t>(ipow_checked(
+        static_cast<std::size_t>(checked_pow(
             static_cast<std::int64_t>(num_products), levels));
     FMM_CHECK_MSG(level.count == expected,
                   "size-" << r << " sub-problem count " << level.count

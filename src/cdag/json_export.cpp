@@ -3,6 +3,8 @@
 #include <span>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace fmm::cdag {
 
 namespace {
@@ -24,7 +26,7 @@ void append_id_array(std::ostringstream& oss,
 std::string to_json(const Cdag& cdag) {
   std::ostringstream oss;
   oss << "{\n";
-  oss << "  \"algorithm\": \"" << cdag.algorithm_name << "\",\n";
+  oss << "  \"algorithm\": \"" << json_escape(cdag.algorithm_name) << "\",\n";
   oss << "  \"n\": " << cdag.n << ",\n";
   oss << "  \"base\": " << cdag.base << ",\n";
   oss << "  \"products\": " << cdag.num_products << ",\n";

@@ -7,6 +7,16 @@
 
 namespace fmm {
 
+bool is_power_of(std::int64_t v, std::int64_t base) {
+  if (v < 1 || base < 2) {
+    return false;
+  }
+  while (v % base == 0) {
+    v /= base;
+  }
+  return v == 1;
+}
+
 int ilog2_floor(std::uint64_t x) {
   FMM_CHECK(x >= 1);
   int r = 0;
@@ -60,21 +70,9 @@ std::int64_t checked_pow(std::int64_t base, int exp) {
   return result;
 }
 
-std::int64_t iadd_checked(std::int64_t a, std::int64_t b) {
-  return checked_add(a, b);
-}
-
-std::int64_t imul_checked(std::int64_t a, std::int64_t b) {
-  return checked_mul(a, b);
-}
-
-std::int64_t ipow_checked(std::int64_t base, int exp) {
-  return checked_pow(base, exp);
-}
-
 std::int64_t pow7(int k) {
   FMM_CHECK_MSG(k >= 0 && k <= 22, "7^" << k << " exceeds int64");
-  return ipow_checked(7, k);
+  return checked_pow(7, k);
 }
 
 double fpow(double x, double e) {

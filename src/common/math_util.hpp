@@ -19,6 +19,9 @@ constexpr bool is_pow2(std::uint64_t x) noexcept {
   return x != 0 && (x & (x - 1)) == 0;
 }
 
+/// True iff v == base^k for some k >= 0 (false for v < 1 or base < 2).
+bool is_power_of(std::int64_t v, std::int64_t base);
+
 /// floor(log2(x)); requires x >= 1.
 int ilog2_floor(std::uint64_t x);
 
@@ -42,11 +45,6 @@ std::int64_t checked_pow(std::int64_t base, int exp);
 
 /// a+b as int64, throwing CheckError on overflow.
 std::int64_t checked_add(std::int64_t a, std::int64_t b);
-
-/// Legacy spellings of the checked ops above.
-std::int64_t ipow_checked(std::int64_t base, int exp);
-std::int64_t imul_checked(std::int64_t a, std::int64_t b);
-std::int64_t iadd_checked(std::int64_t a, std::int64_t b);
 
 /// 7^k as int64 with overflow check (k <= 22).
 std::int64_t pow7(int k);

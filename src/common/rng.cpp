@@ -3,18 +3,11 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace fmm {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -23,9 +16,10 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
+  // Seeded by the sequential SplitMix64 generator.
   for (auto& s : s_) {
-    s = splitmix64(sm);
+    seed += kSplitMixGamma;
+    s = splitmix64_finalize(seed);
   }
 }
 

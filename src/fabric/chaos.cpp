@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "resilience/fault.hpp"
+#include "common/hash.hpp"
 
 namespace fmm::fabric {
 
@@ -43,8 +43,8 @@ bool ChaosEngine::should_drop_response(std::uint64_t request_seq,
   if (spec_.drop_response_rate <= 0.0) {
     return false;
   }
-  return resilience::splitmix_unit(spec_.seed, request_seq,
-                                   static_cast<std::uint64_t>(attempt)) <
+  return splitmix_unit(spec_.seed, request_seq,
+                       static_cast<std::uint64_t>(attempt)) <
          spec_.drop_response_rate;
 }
 

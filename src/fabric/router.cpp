@@ -1,9 +1,9 @@
 #include "fabric/router.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <istream>
-#include <map>
 #include <mutex>
 #include <ostream>
 #include <sstream>
@@ -11,10 +11,9 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/timing.hpp"
-#include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
-#include "resilience/fault.hpp"
 #include "service/protocol.hpp"
 
 namespace fmm::fabric {
@@ -25,30 +24,12 @@ using service::Request;
 
 namespace {
 
-bool blank(const std::string& line) {
-  for (const char ch : line) {
-    if (ch != ' ' && ch != '\t' && ch != '\r') {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Responses open with {"id": X, "ok": true|false, ...}; the first
 // "ok" key is the envelope's.
 bool response_is_ok(const std::string& response) {
   const auto pos = response.find("\"ok\": ");
   return pos != std::string::npos &&
          response.compare(pos + 6, 4, "true") == 0;
-}
-
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char ch : s) {
-    h ^= ch;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 }  // namespace
@@ -78,27 +59,6 @@ struct Router::Slot {
   obs::Histogram* latency = nullptr;
 };
 
-/// Ordered emission, same pattern as QueryService::serve: responses
-/// re-sequence by admission index no matter which worker (or requeue)
-/// produced them.
-struct Router::Emitter {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::map<std::size_t, std::string> ready;
-  std::size_t next = 0;
-  std::size_t total = 0;
-  bool done_reading = false;
-  std::ostream* out = nullptr;
-
-  void push(std::size_t seq, std::string response) {
-    {
-      const std::scoped_lock lock(mutex);
-      ready.emplace(seq, std::move(response));
-    }
-    cv.notify_all();
-  }
-};
-
 Router::Router(FabricConfig config, Transport& transport)
     : config_(std::move(config)), transport_(transport) {
   FMM_CHECK_MSG(config_.num_workers >= 1,
@@ -121,14 +81,14 @@ Router::~Router() = default;
 
 std::size_t Router::pick_worker(const std::string& canonical,
                                 const std::vector<bool>& alive) {
-  const std::uint64_t key = fnv1a64(canonical);
+  const std::uint64_t key = fnv1a64(canonical, kFnvTruncatedBasis);
   std::uint64_t best_weight = 0;
   std::size_t best = alive.size();
   for (std::size_t k = 0; k < alive.size(); ++k) {
     if (!alive[k]) {
       continue;
     }
-    const std::uint64_t weight = resilience::splitmix64(key, k);
+    const std::uint64_t weight = splitmix64(key, k);
     if (best == alive.size() || weight > best_weight) {
       best_weight = weight;
       best = k;
@@ -150,14 +110,16 @@ bool Router::probe(Channel& channel) {
   return response.find("\"pong\": true") != std::string::npos;
 }
 
-int Router::alive_count() const {
-  int alive = 0;
-  for (const auto& slot : slots_) {
-    if (slot->tally.alive) {
-      ++alive;
-    }
+std::optional<std::size_t> Router::route_locked(
+    const std::string& canonical) const {
+  std::vector<bool> alive(slots_.size());
+  for (std::size_t k = 0; k < slots_.size(); ++k) {
+    alive[k] = slots_[k]->tally.alive;
   }
-  return alive;
+  if (std::find(alive.begin(), alive.end(), true) == alive.end()) {
+    return std::nullopt;
+  }
+  return pick_worker(canonical, alive);
 }
 
 bool Router::ensure_worker(std::size_t k) {
@@ -233,17 +195,10 @@ void Router::reroute(Job job, Emitter& emit) {
   bool found = false;
   {
     const std::scoped_lock lock(mutex_);
-    std::vector<bool> alive(slots_.size());
-    bool any = false;
-    for (std::size_t k = 0; k < slots_.size(); ++k) {
-      alive[k] = slots_[k]->tally.alive;
-      any = any || alive[k];
-    }
-    if (any) {
+    if (const auto target = route_locked(job.canonical)) {
       // Rendezvous over the survivors; depth limits do not apply to
       // rescue traffic (shedding happens at admission only).
-      slots_[pick_worker(job.canonical, alive)]->queue.push_back(
-          std::move(job));
+      slots_[*target]->queue.push_back(std::move(job));
       found = true;
     } else {
       ++stats_.gave_up;
@@ -391,27 +346,11 @@ bool Router::serve(std::istream& in, std::ostream& out) {
   }
   registry.gauge("fabric.dead_workers").set(stats_.dead_workers);
 
-  Emitter emit;
-  emit.out = &out;
-  std::thread emitter([&emit] {
-    std::unique_lock<std::mutex> lock(emit.mutex);
-    for (;;) {
-      emit.cv.wait(lock, [&emit] {
-        return emit.ready.count(emit.next) > 0 ||
-               (emit.done_reading && emit.next >= emit.total);
-      });
-      const auto it = emit.ready.find(emit.next);
-      if (it == emit.ready.end()) {
-        return;
-      }
-      std::string response = std::move(it->second);
-      emit.ready.erase(it);
-      ++emit.next;
-      lock.unlock();
-      *emit.out << response << '\n';
-      emit.out->flush();  // clients block on replies; never batch them
-      lock.lock();
-    }
+  // Responses re-sequence by admission index no matter which worker (or
+  // requeue) produced them.
+  Emitter emit([&out](std::string& response) {
+    out << response << '\n';
+    out.flush();  // clients block on replies; never batch them
   });
 
   for (std::size_t k = 0; k < slots_.size(); ++k) {
@@ -506,7 +445,7 @@ bool Router::serve(std::istream& in, std::ostream& out) {
   bool shutdown = false;
   std::string line;
   while (!shutdown && !stop_requested() && std::getline(in, line)) {
-    if (blank(line)) {
+    if (service::blank(line)) {
       continue;
     }
     const std::size_t index = seq++;
@@ -522,25 +461,11 @@ bool Router::serve(std::istream& in, std::ostream& out) {
                     false);
       continue;
     }
-    // Deterministic control ops answer here with the exact bytes a
-    // single-process QueryService emits; shutdown drains the fabric.
-    if (request.op == Op::kShutdown) {
-      shutdown = true;
-      deliver_local(index,
-                    service::ok_response(request, "{\"draining\": true}"),
-                    true);
-      continue;
-    }
-    if (request.op == Op::kPing) {
-      deliver_local(index,
-                    service::ok_response(request, "{\"pong\": true}"),
-                    true);
-      continue;
-    }
-    if (request.op == Op::kVersion) {
-      deliver_local(index,
-                    service::ok_response(request, obs::build_info_json()),
-                    true);
+    // Control ops answer here with the exact bytes a single-process
+    // QueryService emits; shutdown drains the fabric.
+    if (auto response = service::control_response(request)) {
+      shutdown = request.op == Op::kShutdown;
+      deliver_local(index, std::move(*response), true);
       continue;
     }
     // Everything else — compute ops and the point-in-time ops — routes
@@ -562,20 +487,15 @@ bool Router::serve(std::istream& in, std::ostream& out) {
     std::size_t depth = 0;
     {
       const std::scoped_lock lock(mutex_);
-      std::vector<bool> alive(slots_.size());
-      bool any = false;
-      for (std::size_t k = 0; k < slots_.size(); ++k) {
-        alive[k] = slots_[k]->tally.alive;
-        any = any || alive[k];
-      }
-      if (!any) {
+      const auto routed = route_locked(job.canonical);
+      if (!routed) {
         no_workers = true;
         ++jobs_admitted_;
         ++stats_.routed;
         ++stats_.gave_up;
         ++stats_.unroutable;
       } else {
-        target = pick_worker(job.canonical, alive);
+        target = *routed;
         depth = slots_[target]->queue.size();
         if (depth >= config_.worker_queue_depth) {
           shed = true;
@@ -637,13 +557,7 @@ bool Router::serve(std::istream& in, std::ostream& out) {
     hb_cv.notify_all();
     heartbeat.join();
   }
-  {
-    const std::scoped_lock lock(emit.mutex);
-    emit.done_reading = true;
-    emit.total = seq;
-  }
-  emit.cv.notify_all();
-  emitter.join();
+  emit.finish(seq);
   out.flush();
 
   // Graceful worker teardown: close each channel so workers drain and

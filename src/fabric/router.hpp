@@ -47,6 +47,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,7 @@
 #include "fabric/transport.hpp"
 #include "obs/run_report.hpp"
 #include "resilience/retry.hpp"
+#include "service/emitter.hpp"
 
 namespace fmm::fabric {
 
@@ -135,8 +137,8 @@ class Router {
 
  private:
   struct Slot;
-  struct Emitter;
   struct Job;
+  using Emitter = service::OrderedEmitter<std::string>;
 
   bool ensure_worker(std::size_t k);
   bool probe(Channel& channel);
@@ -145,7 +147,9 @@ class Router {
   void reroute(Job job, Emitter& emit);
   void deliver_routed(std::size_t seq, std::string response, bool response_ok,
                       Emitter& emit);
-  int alive_count() const;
+  /// Rendezvous choice among the alive slots; nullopt when none is
+  /// alive.  Caller holds mutex_.
+  std::optional<std::size_t> route_locked(const std::string& canonical) const;
 
   FabricConfig config_;
   Transport& transport_;

@@ -1,7 +1,5 @@
 #include "graph/vertex_cut.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 #include "graph/maxflow.hpp"
 
@@ -18,17 +16,13 @@ namespace {
 /// super-sink (2N+1).  This makes cut vertices = saturated split arcs and
 /// allows cutting at sources/targets themselves, matching the dominator
 /// semantics of Definition 2.3.
-///
-/// Templated over the graph representation; only num_vertices() and
-/// out_neighbors(v) are required.
-template <typename Graph>
 struct SplitNetwork {
   MaxFlow flow;
   std::size_t super_source;
   std::size_t super_sink;
   std::vector<std::size_t> split_edge_id;  // per original vertex
 
-  SplitNetwork(const Graph& g, const std::vector<VertexId>& sources,
+  SplitNetwork(const CsrGraph& g, const std::vector<VertexId>& sources,
                const std::vector<VertexId>& targets,
                const std::vector<VertexId>& forbidden)
       : flow(2 * g.num_vertices() + 2),
@@ -60,10 +54,11 @@ struct SplitNetwork {
   }
 };
 
-template <typename Graph>
-VertexCutResult min_vertex_cut_impl(const Graph& g,
-                                    const std::vector<VertexId>& sources,
-                                    const std::vector<VertexId>& targets) {
+}  // namespace
+
+VertexCutResult min_vertex_cut(const CsrGraph& g,
+                               const std::vector<VertexId>& sources,
+                               const std::vector<VertexId>& targets) {
   SplitNetwork net(g, sources, targets, {});
   const std::int64_t value = net.flow.run(net.super_source, net.super_sink);
   FMM_CHECK_MSG(value < MaxFlow::kInfinity,
@@ -84,34 +79,29 @@ VertexCutResult min_vertex_cut_impl(const Graph& g,
   return result;
 }
 
-template <typename Graph>
-std::size_t max_vertex_disjoint_paths_impl(
-    const Graph& g, const std::vector<VertexId>& sources,
-    const std::vector<VertexId>& targets,
-    const std::vector<VertexId>& forbidden) {
+std::size_t max_vertex_disjoint_paths(const CsrGraph& g,
+                                      const std::vector<VertexId>& sources,
+                                      const std::vector<VertexId>& targets,
+                                      const std::vector<VertexId>& forbidden) {
   SplitNetwork net(g, sources, targets, forbidden);
   const std::int64_t value = net.flow.run(net.super_source, net.super_sink);
   return static_cast<std::size_t>(value);
 }
 
-template <typename Graph>
-bool is_dominator_set_impl(const Graph& g,
-                           const std::vector<VertexId>& sources,
-                           const std::vector<VertexId>& targets,
-                           const std::vector<VertexId>& candidate) {
+bool is_dominator_set(const CsrGraph& g, const std::vector<VertexId>& sources,
+                      const std::vector<VertexId>& targets,
+                      const std::vector<VertexId>& candidate) {
   // Γ dominates iff no source->target path avoids Γ, i.e. iff the maximum
   // number of Γ-avoiding paths is zero.
-  return max_vertex_disjoint_paths_impl(g, sources, targets, candidate) == 0;
+  return max_vertex_disjoint_paths(g, sources, targets, candidate) == 0;
 }
 
-template <typename Graph>
-std::size_t brute_force_min_vertex_cut_impl(
-    const Graph& g, const std::vector<VertexId>& sources,
-    const std::vector<VertexId>& targets) {
+std::size_t brute_force_min_vertex_cut(const CsrGraph& g,
+                                       const std::vector<VertexId>& sources,
+                                       const std::vector<VertexId>& targets) {
   const std::size_t n = g.num_vertices();
   FMM_CHECK_MSG(n <= 24, "brute force limited to 24 vertices");
   std::size_t best = n + 1;
-  std::vector<VertexId> best_set;
   for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
     const auto popcount = static_cast<std::size_t>(__builtin_popcount(mask));
     if (popcount >= best) {
@@ -123,65 +113,12 @@ std::size_t brute_force_min_vertex_cut_impl(
         candidate.push_back(v);
       }
     }
-    if (is_dominator_set_impl(g, sources, targets, candidate)) {
+    if (is_dominator_set(g, sources, targets, candidate)) {
       best = popcount;
-      best_set = std::move(candidate);
     }
   }
   FMM_CHECK_MSG(best <= n, "no dominator found (should be impossible)");
   return best;
-}
-
-}  // namespace
-
-VertexCutResult min_vertex_cut(const Digraph& g,
-                               const std::vector<VertexId>& sources,
-                               const std::vector<VertexId>& targets) {
-  return min_vertex_cut_impl(g, sources, targets);
-}
-
-VertexCutResult min_vertex_cut(const CsrGraph& g,
-                               const std::vector<VertexId>& sources,
-                               const std::vector<VertexId>& targets) {
-  return min_vertex_cut_impl(g, sources, targets);
-}
-
-std::size_t max_vertex_disjoint_paths(const Digraph& g,
-                                      const std::vector<VertexId>& sources,
-                                      const std::vector<VertexId>& targets,
-                                      const std::vector<VertexId>& forbidden) {
-  return max_vertex_disjoint_paths_impl(g, sources, targets, forbidden);
-}
-
-std::size_t max_vertex_disjoint_paths(const CsrGraph& g,
-                                      const std::vector<VertexId>& sources,
-                                      const std::vector<VertexId>& targets,
-                                      const std::vector<VertexId>& forbidden) {
-  return max_vertex_disjoint_paths_impl(g, sources, targets, forbidden);
-}
-
-bool is_dominator_set(const Digraph& g, const std::vector<VertexId>& sources,
-                      const std::vector<VertexId>& targets,
-                      const std::vector<VertexId>& candidate) {
-  return is_dominator_set_impl(g, sources, targets, candidate);
-}
-
-bool is_dominator_set(const CsrGraph& g, const std::vector<VertexId>& sources,
-                      const std::vector<VertexId>& targets,
-                      const std::vector<VertexId>& candidate) {
-  return is_dominator_set_impl(g, sources, targets, candidate);
-}
-
-std::size_t brute_force_min_vertex_cut(const Digraph& g,
-                                       const std::vector<VertexId>& sources,
-                                       const std::vector<VertexId>& targets) {
-  return brute_force_min_vertex_cut_impl(g, sources, targets);
-}
-
-std::size_t brute_force_min_vertex_cut(const CsrGraph& g,
-                                       const std::vector<VertexId>& sources,
-                                       const std::vector<VertexId>& targets) {
-  return brute_force_min_vertex_cut_impl(g, sources, targets);
 }
 
 }  // namespace fmm::graph

@@ -85,9 +85,9 @@ std::int64_t classical_flops(std::size_t n, std::size_t m, std::size_t p) {
   const auto ni = static_cast<std::int64_t>(n);
   const auto mi = static_cast<std::int64_t>(m);
   const auto pi = static_cast<std::int64_t>(p);
-  const std::int64_t mults = imul_checked(imul_checked(ni, mi), pi);
-  const std::int64_t adds = imul_checked(imul_checked(ni, pi), mi - 1);
-  return iadd_checked(mults, adds);
+  const std::int64_t mults = checked_mul(checked_mul(ni, mi), pi);
+  const std::int64_t adds = checked_mul(checked_mul(ni, pi), mi - 1);
+  return checked_add(mults, adds);
 }
 
 }  // namespace fmm::linalg

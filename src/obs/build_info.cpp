@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/json.hpp"
+
 // Compile definitions supplied by src/obs/CMakeLists.txt.  Fallbacks keep
 // the file compilable outside CMake (e.g. IDE syntax-only builds).
 #ifndef FMM_BUILD_GIT
@@ -21,33 +23,6 @@
 #endif
 
 namespace fmm::obs {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const BuildInfo& build_info() {
   static const BuildInfo info = [] {

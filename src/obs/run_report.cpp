@@ -1,53 +1,18 @@
 #include "obs/run_report.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string_view>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace fmm::obs {
-
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
-
-void write_double(std::ostream& os, double value) {
-  // JSON has no inf/nan literals; report them as null.
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  os << buf;
-}
-
-}  // namespace
 
 RunReport::RunReport(std::string name) : name_(std::move(name)) {}
 
@@ -152,9 +117,7 @@ std::string RunReport::to_json() const {
   const auto write_scalar = [&oss](const Scalar& s) {
     switch (s.kind) {
       case Scalar::Kind::kString:
-        oss << '"';
-        json_escape(oss, s.str);
-        oss << '"';
+        oss << '"' << json_escape(s.str) << '"';
         break;
       case Scalar::Kind::kInt: oss << s.i; break;
       case Scalar::Kind::kDouble: write_double(oss, s.d); break;
@@ -166,9 +129,7 @@ std::string RunReport::to_json() const {
     oss << "  \"" << key << "\": {";
     bool first = true;
     for (const auto& [k, v] : section) {
-      oss << (first ? "\n" : ",\n") << "    \"";
-      json_escape(oss, k);
-      oss << "\": ";
+      oss << (first ? "\n" : ",\n") << "    \"" << json_escape(k) << "\": ";
       write_scalar(v);
       first = false;
     }
@@ -178,9 +139,7 @@ std::string RunReport::to_json() const {
   oss << "{\n";
   oss << "  \"schema\": \"" << kRunReportSchema << "\",\n";
   oss << "  \"schema_version\": " << kRunReportSchemaVersion << ",\n";
-  oss << "  \"name\": \"";
-  json_escape(oss, name_);
-  oss << "\",\n";
+  oss << "  \"name\": \"" << json_escape(name_) << "\",\n";
   // meta.trace makes truncated traces detectable from the report alone:
   // a nonzero dropped_events means the trace buffer overflowed and the
   // Chrome trace (if written) is missing instants.
@@ -195,9 +154,8 @@ std::string RunReport::to_json() const {
   oss << "  \"bounds\": [";
   for (std::size_t i = 0; i < bounds_.size(); ++i) {
     const BoundCheck& bc = bounds_[i];
-    oss << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"";
-    json_escape(oss, bc.name);
-    oss << "\", \"bound\": ";
+    oss << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
+        << json_escape(bc.name) << "\", \"bound\": ";
     write_double(oss, bc.bound);
     oss << ", \"measured\": ";
     write_double(oss, bc.measured);
@@ -210,9 +168,8 @@ std::string RunReport::to_json() const {
   oss << ",\n";
   oss << "  \"metrics\": {";
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
-    oss << (i == 0 ? "\n" : ",\n") << "    \"";
-    json_escape(oss, metrics_[i].first);
-    oss << "\": " << metrics_[i].second;
+    oss << (i == 0 ? "\n" : ",\n") << "    \""
+        << json_escape(metrics_[i].first) << "\": " << metrics_[i].second;
   }
   oss << (metrics_.empty() ? "" : "\n  ") << "}";
   if (!extra_.empty()) {

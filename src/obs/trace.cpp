@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace fmm::obs {
@@ -21,25 +22,6 @@ std::uint32_t current_tid() {
   thread_local const std::uint32_t tid =
       next.fetch_add(1, std::memory_order_relaxed);
   return tid;
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -140,12 +122,9 @@ std::string Tracer::to_json() const {
         oss << ",";
       }
       first = false;
-      oss << "\n{\"name\":\"";
-      json_escape(oss, e.name);
-      oss << "\",\"cat\":\"";
-      json_escape(oss, e.category);
-      oss << "\",\"ph\":\"" << e.phase << "\",\"pid\":1,\"tid\":" << e.tid
-          << ",\"ts\":";
+      oss << "\n{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\""
+          << json_escape(e.category) << "\",\"ph\":\"" << e.phase
+          << "\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":";
       char ts[64];
       std::snprintf(ts, sizeof(ts), "%.3f", e.ts_us);
       oss << ts;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 
 namespace fmm::pebble {
@@ -26,17 +27,13 @@ struct State {
 };
 
 std::uint64_t mix64(std::uint64_t x) {
-  // SplitMix64 finalizer.
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return splitmix64_finalize(x + kSplitMixGamma);
 }
 
 struct StateHash {
   std::size_t operator()(const State& s) const {
     return static_cast<std::size_t>(
-        mix64(s.red) ^ mix64(s.blue + 0x9e3779b97f4a7c15ULL) ^
+        mix64(s.red) ^ mix64(s.blue + kSplitMixGamma) ^
         mix64(s.computed + 0x3c6ef372fe94f82aULL));
   }
 };

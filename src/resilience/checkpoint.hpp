@@ -14,65 +14,18 @@
 //     refuses resumption under a different spec, where restored rows
 //     would silently disagree with the enumerated grid.
 //
-// The bundled JSON parser is deliberately minimal (objects, arrays,
-// strings, numbers, bools, null) but keeps NUMBER TOKENS RAW: task seeds
-// are full-range uint64 values that a double-typed parser would corrupt,
-// and byte-identical resume depends on exact round-trips.
+// Lines are parsed with common/json.hpp, whose parser keeps number tokens
+// raw: task seeds are full-range uint64 values, and byte-identical resume
+// depends on exact round-trips.
 #pragma once
 
-#include <cstdint>
 #include <fstream>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace fmm::resilience {
-
-/// Parsed JSON value.  Numbers keep their source token (`raw`);
-/// as_i64/as_u64/as_double convert on demand.
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind() const { return kind_; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-
-  bool as_bool() const;
-  std::int64_t as_i64() const;
-  std::uint64_t as_u64() const;
-  double as_double() const;
-  const std::string& as_string() const;
-  const std::vector<JsonValue>& items() const;
-
-  /// Object member lookup; nullptr when absent (throws if not an object).
-  const JsonValue* find(const std::string& key) const;
-  /// Object member lookup; throws CheckError when absent.
-  const JsonValue& at(const std::string& key) const;
-  /// All object members in source order (throws if not an object) —
-  /// lets strict consumers reject unknown fields.
-  const std::vector<std::pair<std::string, JsonValue>>& members() const;
-
- private:
-  friend class JsonParser;
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  std::string scalar_;              // raw number token, or string value
-  std::vector<JsonValue> items_;    // array elements
-  std::vector<std::pair<std::string, JsonValue>> members_;  // object
-};
-
-/// Parses one JSON document; throws CheckError on malformed input or
-/// trailing garbage.
-JsonValue parse_json(std::string_view text);
-
-/// FNV-1a 64-bit hash rendered as 16 hex digits — the spec fingerprint
-/// stored in checkpoint headers.
-std::string fingerprint64(std::string_view text);
 
 /// Append-mode checkpoint writer.  Construction truncates `path` and
 /// writes the header line; append_row buffers rows and flushes every

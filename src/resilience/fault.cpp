@@ -4,25 +4,9 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace fmm::resilience {
-
-std::uint64_t splitmix64(std::uint64_t seed, std::uint64_t a,
-                         std::uint64_t b) {
-  // One SplitMix64 finalization per key component: decorrelated streams
-  // for (seed, a, b) without any sequential state.
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (a + 1) +
-                    0xbf58476d1ce4e5b9ULL * (b + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-double splitmix_unit(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-  // Top 53 bits -> [0, 1), the standard uniform-double construction.
-  return static_cast<double>(splitmix64(seed, a, b) >> 11) *
-         0x1.0p-53;
-}
 
 FaultSpec FaultSpec::random_schedule(std::uint64_t seed, int procs,
                                      int max_step, int wipe_count,

@@ -76,16 +76,6 @@ struct FaultEvent {
   std::int64_t recovered_words = 0;
 };
 
-/// SplitMix64 mix of (seed, a, b) — the keyed hash behind every
-/// fault-injection decision.  Stateless: decision k of stream (seed, a)
-/// never depends on how many other streams were consumed.
-std::uint64_t splitmix64(std::uint64_t seed, std::uint64_t a,
-                         std::uint64_t b = 0);
-
-/// Uniform double in [0, 1) from the mix above.
-double splitmix_unit(std::uint64_t seed, std::uint64_t a,
-                     std::uint64_t b = 0);
-
 /// Per-run fault decision engine.  All methods are deterministic in
 /// (spec, call arguments); the injector carries no hidden RNG state
 /// beyond the per-transfer counter the caller advances.

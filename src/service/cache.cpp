@@ -3,10 +3,10 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/timing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "resilience/checkpoint.hpp"
 
 namespace fmm::service {
 
@@ -77,22 +77,18 @@ ContentCache::ContentCache(CacheConfig config) : config_(config) {
 
 std::string ContentCache::cdag_key(const std::string& algorithm,
                                    std::size_t n) {
-  return "cdag/" + resilience::fingerprint64(algorithm + "|" +
+  return "cdag/" + fingerprint64(algorithm + "|" +
                                              std::to_string(n));
 }
 
 std::string ContentCache::result_key(const std::string& canonical_request) {
-  return "result/" + resilience::fingerprint64(canonical_request);
+  return "result/" + fingerprint64(canonical_request);
 }
 
 ContentCache::Shard& ContentCache::shard_for(const std::string& key) {
   // The key's tail is already an FNV-1a hex fingerprint, so a cheap
   // polynomial re-hash spreads shards evenly.
-  std::size_t h = 1469598103934665603ull;
-  for (const char ch : key) {
-    h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
-  }
-  return *shards_[h % shards_.size()];
+  return *shards_[fnv1a64(key, kFnvTruncatedBasis) % shards_.size()];
 }
 
 void ContentCache::touch_locked(Shard& shard,

@@ -1,50 +1,25 @@
 #include "service/protocol.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/check.hpp"
-#include "resilience/checkpoint.hpp"
+#include "common/json.hpp"
+#include "obs/build_info.hpp"
 
 namespace fmm::service {
 
 namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
 
 [[noreturn]] void usage(const std::string& message) {
   throw ProtocolError("usage_error: " + message);
 }
 
 Op op_from_name(const std::string& name) {
-  if (name == "ping") return Op::kPing;
-  if (name == "version") return Op::kVersion;
-  if (name == "stats") return Op::kStats;
-  if (name == "bound") return Op::kBound;
-  if (name == "simulate") return Op::kSimulate;
-  if (name == "liveness") return Op::kLiveness;
-  if (name == "optimal") return Op::kOptimal;
-  if (name == "cdag") return Op::kCdag;
-  if (name == "metrics") return Op::kMetrics;
-  if (name == "tail") return Op::kTail;
-  if (name == "shutdown") return Op::kShutdown;
+  for (int op = 0; op <= static_cast<int>(Op::kShutdown); ++op) {
+    if (name == op_name(static_cast<Op>(op))) {
+      return static_cast<Op>(op);
+    }
+  }
   usage("unknown op '" + name +
         "'; expected ping, version, stats, bound, simulate, liveness, "
         "optimal, cdag, metrics, tail or shutdown");
@@ -80,7 +55,7 @@ bool field_allowed(Op op, const std::string& field) {
   return false;
 }
 
-std::int64_t integer_field(const resilience::JsonValue& value,
+std::int64_t integer_field(const JsonValue& value,
                            const char* field) {
   if (!value.is_number()) {
     usage(std::string(field) + " must be an integer");
@@ -117,16 +92,16 @@ const char* op_name(Op op) {
 }
 
 Request parse_request(const std::string& line) {
-  resilience::JsonValue doc;
+  JsonValue doc;
   try {
-    doc = resilience::parse_json(line);
+    doc = parse_json(line);
   } catch (const CheckError& e) {
     usage(std::string("request is not valid JSON (") + e.what() + ")");
   }
   if (!doc.is_object()) {
     usage("request must be a JSON object");
   }
-  const resilience::JsonValue* op_value = doc.find("op");
+  const JsonValue* op_value = doc.find("op");
   if (op_value == nullptr || !op_value->is_string()) {
     usage("request needs a string 'op' field");
   }
@@ -254,9 +229,7 @@ std::string canonical_request(const Request& request) {
   std::ostringstream os;
   os << "{\"op\": \"" << op_name(request.op) << "\"";
   const auto emit_algorithm = [&] {
-    os << ", \"algorithm\": \"";
-    json_escape(os, request.algorithm);
-    os << "\"";
+    os << ", \"algorithm\": \"" << json_escape(request.algorithm) << "\"";
   };
   switch (request.op) {
     case Op::kBound:
@@ -298,22 +271,7 @@ std::string canonical_request(const Request& request) {
 }
 
 bool op_is_cacheable(Op op) {
-  switch (op) {
-    case Op::kBound:
-    case Op::kSimulate:
-    case Op::kLiveness:
-    case Op::kOptimal:
-    case Op::kCdag:
-      return true;
-    case Op::kPing:
-    case Op::kVersion:
-    case Op::kStats:
-    case Op::kMetrics:
-    case Op::kTail:
-    case Op::kShutdown:
-      return false;
-  }
-  return false;
+  return op == Op::kBound || op_needs_cdag(op);
 }
 
 bool op_needs_cdag(Op op) {
@@ -343,10 +301,21 @@ std::string error_response(bool has_id, std::int64_t id,
   } else {
     os << "null";
   }
-  os << ", \"ok\": false, \"error\": \"";
-  json_escape(os, message);
-  os << "\"}";
+  os << ", \"ok\": false, \"error\": \"" << json_escape(message) << "\"}";
   return os.str();
+}
+
+std::optional<std::string> control_response(const Request& request) {
+  switch (request.op) {
+    case Op::kPing: return ok_response(request, "{\"pong\": true}");
+    case Op::kVersion: return ok_response(request, obs::build_info_json());
+    case Op::kShutdown: return ok_response(request, "{\"draining\": true}");
+    default: return std::nullopt;
+  }
+}
+
+bool blank(const std::string& line) {
+  return line.find_first_not_of(" \t\r") == std::string::npos;
 }
 
 }  // namespace fmm::service

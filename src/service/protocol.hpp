@@ -57,6 +57,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -65,6 +66,7 @@ namespace fmm::service {
 inline constexpr const char* kServiceSchema = "fmm.service";
 inline constexpr int kServiceSchemaVersion = 1;
 
+/// Contiguous from kPing to kShutdown (op_from_name walks the range).
 enum class Op {
   kPing,
   kVersion,
@@ -134,5 +136,14 @@ std::string ok_response(const Request& request, const std::string& result);
 /// prefix ("usage_error: ...").  When has_id is false, id renders null.
 std::string error_response(bool has_id, std::int64_t id,
                            const std::string& message);
+
+/// The response to ping, version or shutdown — the ops whose answer needs
+/// no service state, so a QueryService and a fabric router answer them
+/// with the same bytes.  nullopt for every other op.
+std::optional<std::string> control_response(const Request& request);
+
+/// True for lines an NDJSON session skips: empty, or only spaces, tabs
+/// and carriage returns.
+bool blank(const std::string& line);
 
 }  // namespace fmm::service

@@ -1,25 +1,22 @@
 #include "service/service.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <condition_variable>
-#include <cstdio>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "bounds/formulas.hpp"
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/math_util.hpp"
-#include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pebble/optimal.hpp"
+#include "service/emitter.hpp"
 
 #ifdef __unix__
 #include <sys/socket.h>
@@ -33,55 +30,6 @@
 namespace fmm::service {
 
 namespace {
-
-void write_double(std::ostream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  os << buf;
-}
-
-bool blank(const std::string& line) {
-  for (const char ch : line) {
-    if (ch != ' ' && ch != '\t' && ch != '\r') {
-      return false;
-    }
-  }
-  return true;
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
-
-/// True iff n == base^k for some k >= 0 (base >= 2).
-bool is_power_of_base(std::size_t n, std::size_t base) {
-  if (n < 1 || base < 2) {
-    return false;
-  }
-  while (n % base == 0) {
-    n /= base;
-  }
-  return n == 1;
-}
 
 /// The canonical algorithm key of a request: when a "file:<path>" (or
 /// alias) key denotes the very same scheme as its declared name —
@@ -231,15 +179,9 @@ std::int64_t QueryService::estimated_cost_ticks(
   }
 }
 
-std::string QueryService::control_response(const Request& request) {
+std::string QueryService::state_response(const Request& request) {
   std::string result;
   switch (request.op) {
-    case Op::kPing:
-      result = "{\"pong\": true}";
-      break;
-    case Op::kVersion:
-      result = obs::build_info_json();
-      break;
     case Op::kStats: {
       const ServiceStats totals = stats();
       const CacheStats cache_stats = cache_.stats();
@@ -271,9 +213,9 @@ std::string QueryService::control_response(const Request& request) {
     }
     case Op::kMetrics: {
       std::ostringstream os;
-      os << "{\"format\": \"prometheus-0.0.4\", \"exposition\": \"";
-      json_escape(os, obs::Registry::instance().prometheus_text());
-      os << "\"}";
+      os << "{\"format\": \"prometheus-0.0.4\", \"exposition\": \""
+         << json_escape(obs::Registry::instance().prometheus_text())
+         << "\"}";
       result = os.str();
       break;
     }
@@ -305,7 +247,7 @@ std::string QueryService::control_response(const Request& request) {
       break;
     }
     default:
-      FMM_CHECK_MSG(false, "not a control op");
+      FMM_CHECK_MSG(false, "not a point-in-time op");
   }
   record_response(op_name(request.op), true);
   return ok_response(request, result);
@@ -314,13 +256,15 @@ std::string QueryService::control_response(const Request& request) {
 std::optional<std::string> QueryService::pre_compute_response(
     const Request& request, bool* is_shutdown,
     obs::RequestTelemetry* telemetry) {
-  if (request.op == Op::kShutdown) {
-    *is_shutdown = true;
+  if (auto response = control_response(request)) {
+    if (request.op == Op::kShutdown) {
+      *is_shutdown = true;
+    }
     record_response(op_name(request.op), true);
-    return ok_response(request, "{\"draining\": true}");
+    return response;
   }
   if (!op_is_cacheable(request.op)) {
-    return control_response(request);
+    return state_response(request);
   }
   // Scheme-dependent validation: resolve the algorithm (catalog name or
   // file:<path>, Brent-verified on first load) and check n against the
@@ -335,7 +279,8 @@ std::optional<std::string> QueryService::pre_compute_response(
                   traits.name +
                   "' is rectangular; the recursive n x n construction "
                   "needs a square base scheme";
-      } else if (!is_power_of_base(request.n, traits.base)) {
+      } else if (!is_power_of(static_cast<std::int64_t>(request.n),
+                              static_cast<std::int64_t>(traits.base))) {
         problem = std::string(op_name(request.op)) +
                   ": n must be a power of the scheme's base dim " +
                   std::to_string(traits.base) + ", got " +
@@ -402,17 +347,21 @@ std::string QueryService::compute_result(const Request& request) {
       return os.str();
     }
     case Op::kSimulate:
-    case Op::kLiveness: {
+    case Op::kLiveness:
+    case Op::kOptimal: {
       // The result IS a one-cell sweep task row: serve, `fmmio sweep`
       // and `fmmio simulate` answer through the same run_task path, so
-      // the byte-identity contract is sweep's existing determinism.
+      // the byte-identity contract is sweep's existing determinism (an
+      // optimal row, or its structured `infeasible` skip, is the
+      // matching `fmmio sweep --kinds optimal` row).  Optimal requests
+      // carry no schedule or policy, so theirs stay the defaults.
       sweep::SweepSpec spec;
       spec.algorithms = {request.algorithm};
       spec.n_grid = {request.n};
       spec.m_grid = {request.m};
-      spec.kinds = {request.op == Op::kLiveness
-                        ? sweep::TaskKind::kLiveness
-                        : sweep::TaskKind::kSimulate};
+      spec.kinds = {request.op == Op::kLiveness  ? sweep::TaskKind::kLiveness
+                    : request.op == Op::kOptimal ? sweep::TaskKind::kOptimal
+                                                 : sweep::TaskKind::kSimulate};
       spec.schedule = request.schedule == "bfs"
                           ? sweep::SchedulePolicy::kBfs
                       : request.schedule == "random"
@@ -433,32 +382,11 @@ std::string QueryService::compute_result(const Request& request) {
           sweep::run_task(cells[0], *cdag, spec);
       return sweep::task_row_json(row);
     }
-    case Op::kOptimal: {
-      // Same one-cell sweep path as simulate/liveness: the exact
-      // minimum-I/O row (or its structured `infeasible` skip) is byte
-      // identical to the matching `fmmio sweep --kinds optimal` row.
-      sweep::SweepSpec spec;
-      spec.algorithms = {request.algorithm};
-      spec.n_grid = {request.n};
-      spec.m_grid = {request.m};
-      spec.kinds = {sweep::TaskKind::kOptimal};
-      spec.remat = request.remat;
-      spec.base_seed = request.seed;
-      const std::vector<sweep::TaskCell> cells =
-          sweep::enumerate_tasks(spec);
-      FMM_CHECK_MSG(cells.size() == 1, "one-cell spec enumerated "
-                                           << cells.size() << " cells");
-      const std::shared_ptr<const cdag::Cdag> cdag =
-          cdag_source_.get_cdag(request.algorithm, request.n);
-      const sweep::TaskResult row =
-          sweep::run_task(cells[0], *cdag, spec);
-      return sweep::task_row_json(row);
-    }
     case Op::kCdag: {
       const std::shared_ptr<const cdag::Cdag> cdag =
           cdag_source_.get_cdag(request.algorithm, request.n);
       std::ostringstream os;
-      os << "{\"algorithm\": \"" << cdag->algorithm_name << "\""
+      os << "{\"algorithm\": \"" << json_escape(cdag->algorithm_name) << "\""
          << ", \"n\": " << cdag->n
          << ", \"vertices\": " << cdag->graph.num_vertices()
          << ", \"edges\": " << cdag->graph.num_edges()
@@ -555,33 +483,35 @@ std::string QueryService::compute_response(
   return response;
 }
 
-std::string QueryService::handle_line(const std::string& line) {
+std::optional<std::string> QueryService::admit(
+    const std::string& line, Request* request, bool* is_shutdown,
+    obs::RequestTelemetry* telemetry) {
   record_request();
-  obs::RequestTelemetry rec;
-  rec.bytes_in = static_cast<std::int64_t>(line.size());
-  const Stopwatch total;
-  Request request;
+  telemetry->bytes_in = static_cast<std::int64_t>(line.size());
   try {
     const ScopedNsAccumulator parse_timer(
-        &rec.phase(obs::Phase::kParse));
-    request = parse_request(line);
+        &telemetry->phase(obs::Phase::kParse));
+    *request = parse_request(line);
   } catch (const ProtocolError& e) {
     record_response("invalid", false);
-    rec.op = "invalid";
-    rec.ok = false;
-    std::string response = error_response(false, 0, e.what());
-    rec.bytes_out = static_cast<std::int64_t>(response.size());
-    rec.total_ns = total.nanoseconds();
-    telemetry_.record(rec);
-    return response;
+    telemetry->op = "invalid";
+    telemetry->ok = false;
+    return error_response(false, 0, e.what());
   }
-  rec.op = op_name(request.op);
-  rec.has_id = request.has_id;
-  rec.id = request.id;
+  telemetry->op = op_name(request->op);
+  telemetry->has_id = request->has_id;
+  telemetry->id = request->id;
+  return pre_compute_response(*request, is_shutdown, telemetry);
+}
+
+std::string QueryService::handle_line(const std::string& line) {
+  obs::RequestTelemetry rec;
+  const Stopwatch total;
+  Request request;
   bool is_shutdown = false;
   std::string response;
-  if (auto pre = pre_compute_response(request, &is_shutdown, &rec)) {
-    response = std::move(*pre);
+  if (auto early = admit(line, &request, &is_shutdown, &rec)) {
+    response = std::move(*early);
   } else {
     response = compute_response(request, &rec);
   }
@@ -594,68 +524,29 @@ std::string QueryService::handle_line(const std::string& line) {
 bool QueryService::serve(std::istream& in, std::ostream& out) {
   FMM_TRACE_SPAN("service.serve", "service");
 
-  // Ordered emission: every admitted line gets a sequence number; a
-  // dedicated emitter writes ready responses strictly in that order, so
-  // concurrent compute on the pool never reorders the reply stream.
-  // The emitter also finalizes each request's telemetry record (emit
-  // phase + bytes out) AFTER the response bytes are rendered and
-  // written — telemetry can never reach canonical response bytes.
+  // Ordered emission: every admitted line gets a sequence number and the
+  // emitter writes responses strictly in that order.  The write callback
+  // also finalizes each request's telemetry record (emit phase + bytes
+  // out) AFTER the response bytes are rendered and written — telemetry
+  // can never reach canonical response bytes.
   struct Pending {
     std::string response;
     obs::RequestTelemetry telemetry;
   };
-  struct Emitter {
-    std::mutex mutex;
-    std::condition_variable ready_cv;
-    std::map<std::size_t, Pending> ready;
-    std::size_t next = 0;
-    std::size_t total = 0;
-    bool done_reading = false;
-  } emit;
-  std::thread emitter([&] {
-    std::unique_lock<std::mutex> lock(emit.mutex);
-    for (;;) {
-      emit.ready_cv.wait(lock, [&] {
-        return emit.ready.count(emit.next) > 0 ||
-               (emit.done_reading && emit.next >= emit.total);
-      });
-      const auto it = emit.ready.find(emit.next);
-      if (it == emit.ready.end()) {
-        return;  // done_reading and everything emitted
-      }
-      Pending pending = std::move(it->second);
-      emit.ready.erase(it);
-      ++emit.next;
-      lock.unlock();
-      {
-        const ScopedNsAccumulator emit_timer(
-            &pending.telemetry.phase(obs::Phase::kEmit));
-        out << pending.response << '\n';
-        out.flush();  // clients block on replies; never batch them
-      }
-      pending.telemetry.bytes_out =
-          static_cast<std::int64_t>(pending.response.size()) + 1;
-      pending.telemetry.total_ns +=
-          pending.telemetry.phase(obs::Phase::kEmit);
-      telemetry_.record(pending.telemetry);
-      lock.lock();
-    }
-  });
-  const auto deliver = [&emit](std::size_t seq, std::string response,
-                               obs::RequestTelemetry telemetry) {
+  OrderedEmitter<Pending> emit([this, &out](Pending& pending) {
     {
-      const std::scoped_lock lock(emit.mutex);
-      emit.ready.emplace(
-          seq, Pending{std::move(response), telemetry});
+      const ScopedNsAccumulator emit_timer(
+          &pending.telemetry.phase(obs::Phase::kEmit));
+      out << pending.response << '\n';
+      out.flush();  // clients block on replies; never batch them
     }
-    emit.ready_cv.notify_all();
-  };
-
+    pending.telemetry.bytes_out =
+        static_cast<std::int64_t>(pending.response.size()) + 1;
+    pending.telemetry.total_ns += pending.telemetry.phase(obs::Phase::kEmit);
+    telemetry_.record(pending.telemetry);
+  });
   auto& queue_depth_gauge =
       obs::Registry::instance().gauge("service.queue_depth");
-  const auto stop_requested = [this] {
-    return config_.stop_flag != nullptr && *config_.stop_flag != 0;
-  };
   std::size_t seq = 0;
   bool shutdown = false;
   std::string line;
@@ -667,29 +558,12 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
       continue;
     }
     const std::size_t index = seq++;
-    record_request();
     obs::RequestTelemetry rec;
-    rec.bytes_in = static_cast<std::int64_t>(line.size());
     const Stopwatch admitted;
     Request request;
-    try {
-      const ScopedNsAccumulator parse_timer(
-          &rec.phase(obs::Phase::kParse));
-      request = parse_request(line);
-    } catch (const ProtocolError& e) {
-      record_response("invalid", false);
-      rec.op = "invalid";
-      rec.ok = false;
+    if (auto response = admit(line, &request, &shutdown, &rec)) {
       rec.total_ns = admitted.nanoseconds();
-      deliver(index, error_response(false, 0, e.what()), rec);
-      continue;
-    }
-    rec.op = op_name(request.op);
-    rec.has_id = request.has_id;
-    rec.id = request.id;
-    if (auto response = pre_compute_response(request, &shutdown, &rec)) {
-      rec.total_ns = admitted.nanoseconds();
-      deliver(index, std::move(*response), rec);
+      emit.push(index, {std::move(*response), rec});
       continue;
     }
     // Bounded admission: explicit backpressure beats an unbounded queue
@@ -703,17 +577,16 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
       record_response(op_name(request.op), false);
       rec.ok = false;
       rec.total_ns = admitted.nanoseconds();
-      deliver(index,
-              error_response(request.has_id, request.id,
-                             "rejected: queue_full"),
-              rec);
+      emit.push(index, {error_response(request.has_id, request.id,
+                                       "rejected: queue_full"),
+                        rec});
       continue;
     }
     queue_depth_gauge.record_max(
         in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1);
-    // deliver is captured by reference: serve() joins the pool
+    // emit is captured by reference: serve() joins the pool
     // (wait_idle) before it goes out of scope.
-    pool_.submit([this, &deliver, request, index, rec,
+    pool_.submit([this, &emit, request, index, rec,
                   queued = Stopwatch()]() mutable {
       rec.phase(obs::Phase::kQueueWait) = queued.nanoseconds();
       const Stopwatch run;
@@ -722,20 +595,14 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
                      rec.phase(obs::Phase::kQueueWait) +
                      run.nanoseconds();
       in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      deliver(index, std::move(response), rec);
+      emit.push(index, {std::move(response), rec});
     });
   }
 
   // Graceful drain: no new admissions past this point; every admitted
   // request finishes on the pool and reaches the client before return.
   pool_.wait_idle();
-  {
-    const std::scoped_lock lock(emit.mutex);
-    emit.done_reading = true;
-    emit.total = seq;
-  }
-  emit.ready_cv.notify_all();
-  emitter.join();
+  emit.finish(seq);
   out.flush();
 
   auto& registry = obs::Registry::instance();
@@ -945,9 +812,6 @@ bool QueryService::serve_unix_socket(const std::string& path) {
     FMM_CHECK_MSG(false, "service: cannot bind/listen on " << path);
   }
   FMM_LOG_INFO("service: listening on " << path);
-  const auto stop_requested = [this] {
-    return config_.stop_flag != nullptr && *config_.stop_flag != 0;
-  };
   bool shutdown = false;
   while (!shutdown && !stop_requested()) {
     // A signal arriving mid-accept fails it with EINTR (no SA_RESTART);

@@ -190,15 +190,19 @@ class QueryService {
     std::int64_t errors = 0;
   };
 
+  /// True once config_.stop_flag is raised (e.g. by SIGTERM).
+  bool stop_requested() const {
+    return config_.stop_flag != nullptr && *config_.stop_flag != 0;
+  }
   /// Tally one admitted request line (before any response exists).
   void record_request();
   /// Tally one rendered response for `op` ("invalid" for parse
   /// failures).
   void record_response(const std::string& op, bool is_ok);
 
-  /// ping/version/stats/metrics/tail — cheap, inline, exempt from
-  /// determinism.
-  std::string control_response(const Request& request);
+  /// stats/metrics/tail — point-in-time views of this service, cheap,
+  /// inline, exempt from determinism.  Tallies the response.
+  std::string state_response(const Request& request);
   /// bound/simulate/liveness/cdag through the result cache; catches
   /// everything into internal_error responses.  Tallies the response.
   /// Fills `telemetry`'s cache verdict and cache-lookup/cdag-build/
@@ -212,8 +216,17 @@ class QueryService {
   /// closed-form ops, which cost 1 tick).
   std::int64_t estimated_cost_ticks(
       const Request& request, const bilinear::SchemeTraits& traits) const;
-  /// Everything except pool-dispatched compute: shutdown, control ops
-  /// and virtual-clock deadline rejection.  Returns the tallied
+  /// The front of every request, shared by handle_line and serve:
+  /// tallies the line, parses it into `request` (timing the parse into
+  /// `telemetry`, which also gets the op and id), then runs
+  /// pre_compute_response.  A line that does not parse is answered here
+  /// with its tallied usage_error.  nullopt when the request needs
+  /// compute_response.
+  std::optional<std::string> admit(const std::string& line,
+                                   Request* request, bool* is_shutdown,
+                                   obs::RequestTelemetry* telemetry);
+  /// Everything except pool-dispatched compute: control and
+  /// point-in-time ops and virtual-clock deadline rejection.  Returns the tallied
   /// response, or nullopt when the request needs compute_response.
   /// Sets *is_shutdown for the shutdown op; marks `telemetry` not-ok
   /// on deadline rejection.

@@ -14,14 +14,13 @@
 
 #include "common/check.hpp"
 #include "common/frozen_array.hpp"
+#include "common/hash.hpp"
 #include "graph/csr.hpp"
 
 namespace fmm::snapshot {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 constexpr std::size_t kLanes = 8;
 
 enum SectionKind : std::uint32_t {
@@ -99,7 +98,7 @@ std::uint64_t snap_checksum(const void* data, std::size_t size) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t lanes[kLanes];
   for (std::size_t j = 0; j < kLanes; ++j) {
-    lanes[j] = kFnvBasis ^ (j + 1);
+    lanes[j] = kFnvTruncatedBasis ^ (j + 1);
   }
   constexpr std::size_t kBlock = kLanes * sizeof(std::uint64_t);
   std::size_t i = 0;
@@ -113,7 +112,7 @@ std::uint64_t snap_checksum(const void* data, std::size_t size) {
   for (; i < size; ++i) {
     lanes[0] = (lanes[0] ^ p[i]) * kFnvPrime;
   }
-  std::uint64_t h = kFnvBasis;
+  std::uint64_t h = kFnvTruncatedBasis;
   for (std::size_t j = 0; j < kLanes; ++j) {
     h = (h ^ lanes[j]) * kFnvPrime;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,6 +15,8 @@
 #include "bounds/formulas.hpp"
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
+#include "common/json.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "common/timing.hpp"
@@ -36,35 +37,6 @@ namespace {
 inline constexpr const char* kCheckpointSchema = "fmm.sweep.checkpoint";
 inline constexpr int kCheckpointSchemaVersion = 1;
 
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
-
-void write_double(std::ostream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  os << buf;
-}
-
 /// The deterministic spec echo (excludes num_threads, keep_going and the
 /// checkpoint knobs — those must not change the payload).  Also the
 /// preimage of spec_fingerprint().
@@ -81,9 +53,7 @@ std::string spec_to_json(const SweepSpec& spec) {
 
   oss << "{\"algorithms\": ";
   string_array(spec.algorithms, [&oss](const std::string& s) {
-    oss << '"';
-    json_escape(oss, s);
-    oss << '"';
+    oss << '"' << json_escape(s) << '"';
   });
   oss << ", \"n_grid\": ";
   string_array(spec.n_grid, [&oss](std::size_t n) { oss << n; });
@@ -198,8 +168,8 @@ bool cell_over_budget(const bilinear::BilinearAlgorithm& alg,
 
 /// Reads a JSON number field that write_double may have rendered as
 /// null (non-finite) — restored as NaN so re-rendering gives null again.
-double double_or_nan(const resilience::JsonValue& value) {
-  if (value.kind() == resilience::JsonValue::Kind::kNull) {
+double double_or_nan(const JsonValue& value) {
+  if (value.kind() == JsonValue::Kind::kNull) {
     return std::nan("");
   }
   return value.as_double();
@@ -239,10 +209,7 @@ const char* schedule_policy_name(SchedulePolicy policy) {
 
 std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t task_index) {
   // SplitMix64 over a golden-ratio stride keyed by (base_seed, index).
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL * (task_index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return splitmix64_finalize(base_seed + kSplitMixGamma * (task_index + 1));
 }
 
 bilinear::BilinearAlgorithm resolve_algorithm(const std::string& name) {
@@ -460,14 +427,12 @@ TaskResult run_task_with_retry(const TaskCell& cell, const cdag::Cdag& cdag,
 std::string task_row_json(const TaskResult& task) {
   std::ostringstream oss;
   oss << "{\"index\": " << task.cell.index << ", \"kind\": \""
-      << task_kind_name(task.cell.kind) << "\", \"algorithm\": \"";
-  json_escape(oss, task.cell.algorithm);
-  oss << "\", \"n\": " << task.cell.n << ", \"m\": " << task.cell.m
-      << ", \"seed\": " << task.cell.seed;
+      << task_kind_name(task.cell.kind) << "\", \"algorithm\": \""
+      << json_escape(task.cell.algorithm) << "\", \"n\": " << task.cell.n
+      << ", \"m\": " << task.cell.m << ", \"seed\": " << task.cell.seed;
   if (!task.scheme_fingerprint.empty()) {
-    oss << ", \"scheme\": \"";
-    json_escape(oss, task.scheme_name);
-    oss << "\", \"scheme_fingerprint\": \"" << task.scheme_fingerprint
+    oss << ", \"scheme\": \"" << json_escape(task.scheme_name)
+        << "\", \"scheme_fingerprint\": \"" << task.scheme_fingerprint
         << "\", \"omega0\": ";
     write_double(oss, task.omega0);
   }
@@ -485,14 +450,10 @@ std::string task_row_json(const TaskResult& task) {
     oss << ", \"skipped\": true";
   }
   if (!task.skip_reason.empty()) {
-    oss << ", \"skip_reason\": \"";
-    json_escape(oss, task.skip_reason);
-    oss << '"';
+    oss << ", \"skip_reason\": \"" << json_escape(task.skip_reason) << '"';
   }
   if (!task.error.empty()) {
-    oss << ", \"error\": \"";
-    json_escape(oss, task.error);
-    oss << '"';
+    oss << ", \"error\": \"" << json_escape(task.error) << '"';
   }
   if (task.ok && !task.skipped) {
     switch (task.cell.kind) {
@@ -526,9 +487,8 @@ std::string task_row_json(const TaskResult& task) {
       case TaskKind::kOptimal:
         oss << ", \"min_io\": " << task.min_io
             << ", \"states_explored\": " << task.states_explored
-            << ", \"optimality\": \"";
-        json_escape(oss, task.optimality);
-        oss << "\", \"lower_bound\": ";
+            << ", \"optimality\": \"" << json_escape(task.optimality)
+            << "\", \"lower_bound\": ";
         write_double(oss, task.lower_bound);
         oss << ", \"bound_holds\": "
             << (task.bound_holds ? "true" : "false");
@@ -540,7 +500,7 @@ std::string task_row_json(const TaskResult& task) {
 }
 
 std::string spec_fingerprint(const SweepSpec& spec) {
-  return resilience::fingerprint64(spec_to_json(spec));
+  return fingerprint64(spec_to_json(spec));
 }
 
 void write_sweep_checkpoint(const std::string& path, const SweepSpec& spec,
@@ -578,7 +538,7 @@ std::vector<TaskResult> load_sweep_checkpoint(const std::string& path,
   std::vector<TaskResult> rows;
   std::vector<char> seen(cells.size(), 0);
   for (std::size_t i = 0; i < file.rows.size(); ++i) {
-    const resilience::JsonValue& row = file.rows[i];
+    const JsonValue& row = file.rows[i];
     const std::size_t index =
         static_cast<std::size_t>(row.at("index").as_u64());
     FMM_CHECK_MSG(index < cells.size(),

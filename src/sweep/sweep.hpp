@@ -65,6 +65,8 @@ inline constexpr int kSweepSchemaVersion = 1;
 inline constexpr double kBoundSlack = 8.0;
 
 /// What one grid cell runs.
+/// Contiguous from kSimulate to kOptimal (fmmio walks the range to parse
+/// --kinds by task_kind_name).
 enum class TaskKind {
   kSimulate,    // pebble::simulate (or simulate_with_recomputation)
   kLiveness,    // zero-spill working-set profile of the schedule

@@ -1,57 +1,78 @@
-// Unit tests for src/graph digraph machinery and the immutable CSR
-// representation (GraphBuilder / CsrGraph / conversions).
+// Unit tests for the immutable CSR graph (GraphBuilder / CsrGraph).  The
+// `Digraph` suite pins the directed-graph contract the CDAG code relies
+// on (degrees, sources/sinks, order, acyclicity, reachability, DOT); the
+// `CsrGraph` and `GraphBuilder` suites pin the frozen layout and freeze().
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "graph/csr.hpp"
-#include "graph/digraph.hpp"
 
 namespace fmm::graph {
 namespace {
 
-Digraph diamond() {
-  // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 3);
-  g.add_edge(2, 3);
-  return g;
+/// Freezes an `n`-vertex DAG from `edges`, added in the given order.
+CsrGraph dag(std::size_t n,
+             const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  GraphBuilder builder(n);
+  for (const auto& [u, v] : edges) {
+    builder.add_edge(u, v);
+  }
+  return builder.freeze();
 }
 
+CsrGraph csr_diamond() { return dag(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}}); }
+
+/// Two components, 0 -> 1 -> 2 and 3 -> 4, plus the isolated vertex 5.
+CsrGraph two_chains() { return dag(6, {{0, 1}, {1, 2}, {3, 4}}); }
+
 TEST(Digraph, Degrees) {
-  const Digraph g = diamond();
+  const CsrGraph g = csr_diamond();
   EXPECT_EQ(g.num_vertices(), 4u);
   EXPECT_EQ(g.num_edges(), 4u);
   EXPECT_EQ(g.out_degree(0), 2u);
   EXPECT_EQ(g.in_degree(3), 2u);
   EXPECT_EQ(g.in_degree(0), 0u);
+  EXPECT_EQ(g.out_degree(3), 0u);
+  std::size_t out_sum = 0;
+  std::size_t in_sum = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    out_sum += g.out_degree(v);
+    in_sum += g.in_degree(v);
+  }
+  EXPECT_EQ(out_sum, g.num_edges());
+  EXPECT_EQ(in_sum, g.num_edges());
 }
 
 TEST(Digraph, AddVerticesReturnsFirstId) {
-  Digraph g;
-  EXPECT_EQ(g.add_vertices(3), 0u);
-  EXPECT_EQ(g.add_vertices(2), 3u);
+  GraphBuilder builder;
+  EXPECT_EQ(builder.add_vertices(3), 0u);
+  EXPECT_EQ(builder.add_vertices(2), 3u);
+  builder.add_edge(0, 4);  // edges may span the two batches
+  const CsrGraph g = builder.freeze();
   EXPECT_EQ(g.num_vertices(), 5u);
+  EXPECT_EQ(g.num_edges(), 1u);
 }
 
 TEST(Digraph, EdgeOutOfRangeThrows) {
-  Digraph g(2);
-  EXPECT_THROW(g.add_edge(0, 2), CheckError);
+  GraphBuilder builder(2);
+  EXPECT_THROW(builder.add_edge(2, 1), CheckError);  // source out of range
+  EXPECT_THROW(builder.add_edge(0, 2), CheckError);  // target out of range
+  builder.add_vertices(1);
+  EXPECT_NO_THROW(builder.add_edge(0, 2));
 }
 
 TEST(Digraph, SourcesAndSinks) {
-  const Digraph g = diamond();
-  EXPECT_EQ(g.sources(), (std::vector<VertexId>{0}));
-  EXPECT_EQ(g.sinks(), (std::vector<VertexId>{3}));
+  // An isolated vertex is both a source and a sink.
+  const CsrGraph g = two_chains();
+  EXPECT_EQ(g.sources(), (std::vector<VertexId>{0, 3, 5}));
+  EXPECT_EQ(g.sinks(), (std::vector<VertexId>{2, 4, 5}));
 }
 
 TEST(Digraph, TopologicalOrderRespectsEdges) {
-  const Digraph g = diamond();
+  const CsrGraph g = csr_diamond();
   const auto order = g.topological_order();
   ASSERT_EQ(order.size(), 4u);
   std::vector<std::size_t> pos(4);
@@ -65,95 +86,89 @@ TEST(Digraph, TopologicalOrderRespectsEdges) {
 }
 
 TEST(Digraph, CycleDetection) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  EXPECT_FALSE(g.is_dag());
-  EXPECT_THROW(g.topological_order(), CheckError);
+  // A cycle cannot be frozen: its closing edge always has u > v.
+  GraphBuilder builder(3);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 0);
+  EXPECT_THROW(builder.freeze(), CheckError);
 }
 
 TEST(Digraph, SelfLoopIsCycle) {
-  Digraph g(1);
-  g.add_edge(0, 0);
-  EXPECT_FALSE(g.is_dag());
+  GraphBuilder builder(3);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 1);
+  builder.add_edge(1, 2);
+  EXPECT_THROW(builder.freeze(), CheckError);
 }
 
 TEST(Digraph, DagIsDag) {
-  EXPECT_TRUE(diamond().is_dag());
+  // Every graph freeze() accepts is a DAG, including the densest one.
+  EXPECT_TRUE(csr_diamond().is_dag());
+  GraphBuilder complete(6);
+  for (VertexId u = 0; u < 6; ++u) {
+    for (VertexId v = u + 1; v < 6; ++v) {
+      complete.add_edge(u, v);
+    }
+  }
+  const CsrGraph g = complete.freeze();
+  EXPECT_EQ(g.num_edges(), 15u);
+  EXPECT_TRUE(g.is_dag());
 }
 
 TEST(Digraph, ReachableFrom) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  const auto reach = g.reachable_from({0});
-  EXPECT_TRUE(reach[0]);
-  EXPECT_TRUE(reach[1]);
-  EXPECT_TRUE(reach[2]);
-  EXPECT_FALSE(reach[3]);
-  EXPECT_FALSE(reach[4]);
+  EXPECT_EQ(two_chains().reachable_from({0}),
+            (std::vector<bool>{true, true, true, false, false, false}));
 }
 
 TEST(Digraph, ReachableFromMultipleSources) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  const auto reach = g.reachable_from({0, 2});
-  EXPECT_TRUE(reach[1]);
-  EXPECT_TRUE(reach[3]);
+  // Multiple starts union their closures.
+  const CsrGraph g = two_chains();
+  EXPECT_EQ(g.reachable_from({0, 3}),
+            (std::vector<bool>{true, true, true, true, true, false}));
+  EXPECT_EQ(g.reachable_from({1, 3}),
+            (std::vector<bool>{false, true, true, true, true, false}));
 }
 
 TEST(Digraph, ReachingTo) {
-  const Digraph g = diamond();
-  const auto reaching = g.reaching_to({3});
-  EXPECT_TRUE(reaching[0]);
-  EXPECT_TRUE(reaching[1]);
-  EXPECT_TRUE(reaching[2]);
-  EXPECT_TRUE(reaching[3]);
-  const auto reaching1 = g.reaching_to({1});
-  EXPECT_TRUE(reaching1[0]);
-  EXPECT_FALSE(reaching1[2]);
+  const CsrGraph g = csr_diamond();
+  EXPECT_EQ(g.reaching_to({3}), std::vector<bool>(4, true));
+  EXPECT_EQ(g.reaching_to({1}), (std::vector<bool>{true, true, false, false}));
+  EXPECT_EQ(two_chains().reaching_to({2, 4}),
+            (std::vector<bool>{true, true, true, true, true, false}));
 }
 
 TEST(Digraph, ReachabilityOutOfRangeThrows) {
-  const Digraph g = diamond();
-  EXPECT_THROW(g.reachable_from({9}), CheckError);
+  const CsrGraph g = csr_diamond();
+  EXPECT_THROW(g.reaching_to({9}), CheckError);
+  EXPECT_THROW(g.reachable_from({0, 4}), CheckError);
 }
 
 TEST(Digraph, DotOutputContainsEdges) {
-  const Digraph g = diamond();
-  const std::string dot = g.to_dot({"in", "l", "r", "out"});
-  EXPECT_NE(dot.find("v0 -> v1"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"in\""), std::string::npos);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
+  const std::string dot = csr_diamond().to_dot({"in", "l", "r", "out"});
+  EXPECT_EQ(dot.rfind("digraph", 0), 0u);
+  for (const char* edge : {"v0 -> v1", "v0 -> v2", "v1 -> v3", "v2 -> v3"}) {
+    EXPECT_NE(dot.find(edge), std::string::npos) << edge;
+  }
+  EXPECT_NE(dot.find("label=\"out\""), std::string::npos);
 }
 
 TEST(Digraph, EmptyGraphTopoOrder) {
-  Digraph g;
+  const CsrGraph g = GraphBuilder().freeze();
   EXPECT_TRUE(g.topological_order().empty());
   EXPECT_TRUE(g.is_dag());
 }
 
 TEST(Digraph, LinearChainOrder) {
-  Digraph g(64);
+  GraphBuilder chain(64);
   for (VertexId v = 0; v + 1 < 64; ++v) {
-    g.add_edge(v, v + 1);
+    chain.add_edge(v, v + 1);
   }
-  const auto order = g.topological_order();
+  const auto order = chain.freeze().topological_order();
+  ASSERT_EQ(order.size(), 64u);
   for (VertexId v = 0; v < 64; ++v) {
     EXPECT_EQ(order[v], v);
   }
-}
-
-CsrGraph csr_diamond() {
-  GraphBuilder builder(4);
-  builder.add_edge(0, 1);
-  builder.add_edge(0, 2);
-  builder.add_edge(1, 3);
-  builder.add_edge(2, 3);
-  return builder.freeze();
 }
 
 TEST(CsrGraph, FreezeBasicStructure) {
@@ -166,6 +181,8 @@ TEST(CsrGraph, FreezeBasicStructure) {
   EXPECT_EQ(g.sources(), (std::vector<VertexId>{0}));
   EXPECT_EQ(g.sinks(), (std::vector<VertexId>{3}));
   EXPECT_TRUE(g.is_dag());
+  // Both directions: V+1 offsets and E edge ids, 4 bytes each.
+  EXPECT_EQ(g.memory_bytes(), (2 * 5 + 2 * 4) * sizeof(std::uint32_t));
 }
 
 TEST(CsrGraph, EmptyGraph) {
@@ -188,8 +205,6 @@ TEST(GraphBuilder, EdgeOutOfRangeThrows) {
 }
 
 TEST(GraphBuilder, FreezeRejectsParallelEdges) {
-  // Regression: the legacy Digraph silently accepts duplicate edges
-  // (see EdgeCases.DigraphParallelEdges); freeze() must not.
   GraphBuilder builder(3);
   builder.add_edge(0, 1);
   builder.add_edge(1, 2);
@@ -221,15 +236,9 @@ TEST(GraphBuilder, FreezeConsumesBuilder) {
 
 TEST(CsrGraph, NeighborOrderEqualsInsertionOrder) {
   // Bit-identical pebble simulation depends on this: the LRU clock ticks
-  // in neighbor-iteration order, which must match the legacy Digraph's
-  // (insertion order), not sorted order.
-  GraphBuilder builder(5);
-  builder.add_edge(0, 4);
-  builder.add_edge(2, 4);
-  builder.add_edge(1, 4);
-  builder.add_edge(0, 3);
-  builder.add_edge(0, 2);
-  const CsrGraph g = builder.freeze();
+  // in neighbor-iteration order, which must be insertion order, not
+  // sorted order.
+  const CsrGraph g = dag(5, {{0, 4}, {2, 4}, {1, 4}, {0, 3}, {0, 2}});
   const auto ins = g.in_neighbors(4);
   ASSERT_EQ(ins.size(), 3u);
   EXPECT_EQ(ins[0], 0u);
@@ -244,28 +253,17 @@ TEST(CsrGraph, NeighborOrderEqualsInsertionOrder) {
 
 TEST(CsrGraph, TopologicalOrderIsIdentity) {
   // freeze() validates u < v per edge, so ids are already topologically
-  // sorted and topological_order() returns the identity permutation —
-  // which is also a valid order for the equivalent Digraph.
-  GraphBuilder builder(6);
-  Digraph d(6);
+  // sorted and topological_order() returns the identity permutation.
   const std::vector<std::pair<VertexId, VertexId>> edges = {
       {0, 2}, {1, 2}, {2, 4}, {3, 4}, {2, 5}, {4, 5}};
-  for (const auto& [u, v] : edges) {
-    builder.add_edge(u, v);
-    d.add_edge(u, v);
-  }
-  const CsrGraph g = builder.freeze();
-  const auto order = g.topological_order();
+  const auto order = dag(6, edges).topological_order();
   ASSERT_EQ(order.size(), 6u);
   for (VertexId v = 0; v < 6; ++v) {
     EXPECT_EQ(order[v], v);
   }
-  // Digraph's Kahn pass yields a (possibly different) valid order over
-  // the same vertex set.
-  auto kahn = d.topological_order();
-  EXPECT_EQ(kahn.size(), 6u);
-  std::sort(kahn.begin(), kahn.end());
-  EXPECT_EQ(kahn, order);
+  for (const auto& [u, v] : edges) {
+    EXPECT_LT(order[u], order[v]);
+  }
 }
 
 TEST(CsrGraph, ReachabilityBothDirections) {
@@ -283,44 +281,6 @@ TEST(CsrGraph, ReachabilityBothDirections) {
   EXPECT_THROW(g.reachable_from({9}), CheckError);
 }
 
-TEST(CsrGraph, RoundtripConversionsPreserveEverything) {
-  GraphBuilder builder(5);
-  builder.add_edge(0, 4);
-  builder.add_edge(2, 4);
-  builder.add_edge(1, 3);
-  builder.add_edge(0, 3);
-  builder.add_edge(3, 4);
-  const CsrGraph g = builder.freeze();
-  const Digraph d = digraph_from_csr(g);
-  EXPECT_EQ(d.num_vertices(), g.num_vertices());
-  EXPECT_EQ(d.num_edges(), g.num_edges());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto outs = g.out_neighbors(v);
-    EXPECT_TRUE(std::equal(outs.begin(), outs.end(),
-                           d.out_neighbors(v).begin(),
-                           d.out_neighbors(v).end()));
-    const auto ins = g.in_neighbors(v);
-    EXPECT_TRUE(std::equal(ins.begin(), ins.end(),
-                           d.in_neighbors(v).begin(),
-                           d.in_neighbors(v).end()));
-  }
-  EXPECT_EQ(csr_from_digraph(d), g);
-}
-
-TEST(CsrGraph, ConversionRejectsInvalidDigraph) {
-  {
-    Digraph d(2);
-    d.add_edge(0, 1);
-    d.add_edge(0, 1);  // legal in Digraph, rejected by conversion
-    EXPECT_THROW(csr_from_digraph(d), CheckError);
-  }
-  {
-    Digraph d(3);
-    d.add_edge(2, 1);  // not topologically appended
-    EXPECT_THROW(csr_from_digraph(d), CheckError);
-  }
-}
-
 TEST(CsrGraph, DotOutputAndGuard) {
   const CsrGraph g = csr_diamond();
   const std::string dot = g.to_dot({"in", "l", "r", "out"});
@@ -332,18 +292,6 @@ TEST(CsrGraph, DotOutputAndGuard) {
   EXPECT_THROW(huge.to_dot(), CheckError);
   EXPECT_NE(huge.to_dot({}, /*allow_large=*/true).find("digraph"),
             std::string::npos);
-}
-
-TEST(CsrGraph, MemoryBytesSmallerThanDigraph) {
-  GraphBuilder builder(256);
-  Digraph d(256);
-  for (VertexId v = 0; v + 1 < 256; ++v) {
-    builder.add_edge(v, v + 1);
-    d.add_edge(v, v + 1);
-  }
-  const CsrGraph g = builder.freeze();
-  EXPECT_GT(g.memory_bytes(), 0u);
-  EXPECT_LT(g.memory_bytes(), d.memory_bytes());
 }
 
 }  // namespace

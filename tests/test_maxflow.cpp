@@ -1,6 +1,9 @@
 // Unit tests for Dinic max-flow and vertex-cut (dominator) computation.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "graph/maxflow.hpp"
@@ -82,66 +85,62 @@ TEST(MaxFlow, RunTwiceThrows) {
   EXPECT_THROW(f.run(0, 1), CheckError);
 }
 
+/// Freezes an `n`-vertex DAG from `edges` (each u < v).
+CsrGraph dag(std::size_t n,
+             const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  GraphBuilder builder(n);
+  for (const auto& [u, v] : edges) {
+    builder.add_edge(u, v);
+  }
+  return builder.freeze();
+}
+
+/// A random `n`-vertex DAG: each u < v edge present with probability p.
+CsrGraph random_dag(std::size_t n, double p, Rng& rng) {
+  GraphBuilder builder(n);
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      if (rng.bernoulli(p)) {
+        builder.add_edge(u, v);
+      }
+    }
+  }
+  return builder.freeze();
+}
+
 TEST(VertexCut, DiamondNeedsOneOrTwo) {
   // 0 -> {1,2} -> 3: cutting 0 (or 3) suffices: min vertex cut = 1.
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 3);
-  g.add_edge(2, 3);
+  const CsrGraph g = dag(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   const auto cut = min_vertex_cut(g, {0}, {3});
   EXPECT_EQ(cut.cut_size, 1u);
 }
 
 TEST(VertexCut, TwoDisjointPathsNeedTwo) {
   // 0->2->4, 1->3->4 with two sources; targets {4}: cutting 4 suffices.
-  Digraph g(5);
-  g.add_edge(0, 2);
-  g.add_edge(2, 4);
-  g.add_edge(1, 3);
-  g.add_edge(3, 4);
+  const CsrGraph g = dag(5, {{0, 2}, {2, 4}, {1, 3}, {3, 4}});
   EXPECT_EQ(min_vertex_cut(g, {0, 1}, {4}).cut_size, 1u);
   // Two separate targets -> need 2 vertices.
-  Digraph h(6);
-  h.add_edge(0, 2);
-  h.add_edge(2, 4);
-  h.add_edge(1, 3);
-  h.add_edge(3, 5);
+  const CsrGraph h = dag(6, {{0, 2}, {2, 4}, {1, 3}, {3, 5}});
   EXPECT_EQ(min_vertex_cut(h, {0, 1}, {4, 5}).cut_size, 2u);
 }
 
 TEST(VertexCut, CutVerticesAreValidDominator) {
-  Digraph g(7);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(2, 4);
-  g.add_edge(3, 5);
-  g.add_edge(4, 5);
-  g.add_edge(4, 6);
+  const CsrGraph g =
+      dag(7, {{0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 5}, {4, 5}, {4, 6}});
   const auto cut = min_vertex_cut(g, {0, 1}, {5, 6});
   EXPECT_EQ(cut.cut_size, 1u);  // vertex 2 dominates everything
   EXPECT_TRUE(is_dominator_set(g, {0, 1}, {5, 6}, cut.cut_vertices));
 }
 
 TEST(VertexCut, SourceEqualsTargetCostsOne) {
-  Digraph g(2);
-  g.add_edge(0, 1);
+  const CsrGraph g = dag(2, {{0, 1}});
   EXPECT_EQ(min_vertex_cut(g, {0}, {0}).cut_size, 1u);
 }
 
 TEST(VertexCut, MatchesBruteForceOnRandomDags) {
   Rng rng(2024);
   for (int trial = 0; trial < 25; ++trial) {
-    const std::size_t n = 8;
-    Digraph g(n);
-    for (VertexId u = 0; u < n; ++u) {
-      for (VertexId v = u + 1; v < n; ++v) {
-        if (rng.bernoulli(0.3)) {
-          g.add_edge(u, v);
-        }
-      }
-    }
+    const CsrGraph g = random_dag(8, 0.3, rng);
     const std::vector<VertexId> sources{0, 1};
     const std::vector<VertexId> targets{6, 7};
     const auto fast = min_vertex_cut(g, sources, targets);
@@ -154,15 +153,7 @@ TEST(VertexCut, MatchesBruteForceOnRandomDags) {
 TEST(DisjointPaths, MengerDuality) {
   Rng rng(555);
   for (int trial = 0; trial < 25; ++trial) {
-    const std::size_t n = 10;
-    Digraph g(n);
-    for (VertexId u = 0; u < n; ++u) {
-      for (VertexId v = u + 1; v < n; ++v) {
-        if (rng.bernoulli(0.25)) {
-          g.add_edge(u, v);
-        }
-      }
-    }
+    const CsrGraph g = random_dag(10, 0.25, rng);
     const std::vector<VertexId> sources{0, 1, 2};
     const std::vector<VertexId> targets{7, 8, 9};
     EXPECT_EQ(max_vertex_disjoint_paths(g, sources, targets),
@@ -172,13 +163,8 @@ TEST(DisjointPaths, MengerDuality) {
 }
 
 TEST(DisjointPaths, ForbiddenVerticesReducePaths) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 4);
-  g.add_edge(0, 2);
-  g.add_edge(2, 4);
-  g.add_edge(0, 3);
-  g.add_edge(3, 4);
+  const CsrGraph g =
+      dag(5, {{0, 1}, {1, 4}, {0, 2}, {2, 4}, {0, 3}, {3, 4}});
   // Only one path can use vertex 4, so 1 path regardless.
   EXPECT_EQ(max_vertex_disjoint_paths(g, {0}, {4}), 1u);
   // Forbidding the middle vertices kills specific routes.
@@ -188,21 +174,21 @@ TEST(DisjointPaths, ForbiddenVerticesReducePaths) {
 TEST(DisjointPaths, WideGraphManyPaths) {
   // k parallel 2-hop paths.
   const std::size_t k = 6;
-  Digraph g(2 + 2 * k);
+  GraphBuilder builder(2 + 2 * k);
   std::vector<VertexId> sources, targets;
   for (std::size_t i = 0; i < k; ++i) {
     const VertexId s = static_cast<VertexId>(2 * i);
     const VertexId t = static_cast<VertexId>(2 * i + 1);
-    g.add_edge(s, t);
+    builder.add_edge(s, t);
     sources.push_back(s);
     targets.push_back(t);
   }
+  const CsrGraph g = builder.freeze();
   EXPECT_EQ(max_vertex_disjoint_paths(g, sources, targets), k);
 }
 
 TEST(Dominator, EmptySetDominatesNothing) {
-  Digraph g(2);
-  g.add_edge(0, 1);
+  const CsrGraph g = dag(2, {{0, 1}});
   EXPECT_FALSE(is_dominator_set(g, {0}, {1}, {}));
   EXPECT_TRUE(is_dominator_set(g, {0}, {1}, {0}));
   EXPECT_TRUE(is_dominator_set(g, {0}, {1}, {1}));

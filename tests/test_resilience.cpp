@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
+#include "common/json.hpp"
 #include "common/math_util.hpp"
 #include "parallel/distsim.hpp"
 #include "resilience/checkpoint.hpp"
@@ -26,11 +28,11 @@ using namespace fmm;
 // Fault model
 
 TEST(ResilienceFault, SplitmixIsDeterministicAndKeyed) {
-  EXPECT_EQ(resilience::splitmix64(1, 2, 3), resilience::splitmix64(1, 2, 3));
-  EXPECT_NE(resilience::splitmix64(1, 2, 3), resilience::splitmix64(2, 2, 3));
-  EXPECT_NE(resilience::splitmix64(1, 2, 3), resilience::splitmix64(1, 3, 2));
+  EXPECT_EQ(splitmix64(1, 2, 3), splitmix64(1, 2, 3));
+  EXPECT_NE(splitmix64(1, 2, 3), splitmix64(2, 2, 3));
+  EXPECT_NE(splitmix64(1, 2, 3), splitmix64(1, 3, 2));
   for (std::uint64_t a = 0; a < 100; ++a) {
-    const double u = resilience::splitmix_unit(42, a);
+    const double u = splitmix_unit(42, a);
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
@@ -155,7 +157,7 @@ TEST(ResilienceFault, EventsJsonIsSortedByStepThenProcessor) {
   events.push_back({0, 3, 5});
   events.push_back({0, 1, 7});
   const std::string json = resilience::fault_events_to_json(events);
-  const auto parsed = resilience::parse_json(json);
+  const auto parsed = parse_json(json);
   ASSERT_EQ(parsed.items().size(), 3u);
   EXPECT_EQ(parsed.items()[0].at("step").as_i64(), 0);
   EXPECT_EQ(parsed.items()[0].at("processor").as_i64(), 1);
@@ -429,7 +431,7 @@ TEST(ResilienceSweep, BudgetDegradesOversizedCellsToSkippedRows) {
     }
   }
   // The aggregates re-derive from the rows.
-  const auto section = resilience::parse_json(result.resilience_json());
+  const auto section = parse_json(result.resilience_json());
   EXPECT_EQ(section.at("budget_skipped").as_i64(), 2);
 }
 
@@ -453,7 +455,7 @@ std::string temp_path(const std::string& name) {
 }
 
 TEST(ResilienceCheckpoint, JsonParserRoundTripsUint64Seeds) {
-  const auto doc = resilience::parse_json(
+  const auto doc = parse_json(
       "{\"seed\": 18446744073709551615, \"neg\": -7, \"pi\": 3.25, "
       "\"s\": \"a\\\"b\\nc\", \"flag\": true, \"none\": null, "
       "\"arr\": [1, 2]}");
@@ -462,12 +464,12 @@ TEST(ResilienceCheckpoint, JsonParserRoundTripsUint64Seeds) {
   EXPECT_DOUBLE_EQ(doc.at("pi").as_double(), 3.25);
   EXPECT_EQ(doc.at("s").as_string(), "a\"b\nc");
   EXPECT_TRUE(doc.at("flag").as_bool());
-  EXPECT_EQ(doc.at("none").kind(), resilience::JsonValue::Kind::kNull);
+  EXPECT_EQ(doc.at("none").kind(), JsonValue::Kind::kNull);
   EXPECT_EQ(doc.at("arr").items().size(), 2u);
   EXPECT_EQ(doc.find("missing"), nullptr);
   EXPECT_THROW(doc.at("missing"), CheckError);
-  EXPECT_THROW(resilience::parse_json("{\"x\": }"), CheckError);
-  EXPECT_THROW(resilience::parse_json("{} trailing"), CheckError);
+  EXPECT_THROW(parse_json("{\"x\": }"), CheckError);
+  EXPECT_THROW(parse_json("{} trailing"), CheckError);
 }
 
 TEST(ResilienceCheckpoint, TornTailIsDroppedMidFileCorruptionRefused) {

@@ -119,6 +119,24 @@ TEST(SchemeFile, JsonRoundTripPreservesFingerprint) {
   EXPECT_EQ(scheme_to_json(reparsed), scheme_to_json(scheme));
 }
 
+TEST(SchemeFile, ExportLoadRoundTripEscapesTheName) {
+  // Names are free text: quotes, backslashes and control bytes must
+  // survive export -> load, and the fingerprint must not change.
+  for (const std::string name : {"str\"assen\\x", "tab\tand\x01ctl"}) {
+    Scheme scheme = scheme_from_algorithm(strassen());
+    scheme.name = name;
+    const std::string path = testing::TempDir() + "escaped_scheme.json";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << scheme_to_json(scheme);
+    }
+    const Scheme loaded = load_scheme_file(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.name, name);
+    EXPECT_EQ(scheme_fingerprint(loaded), scheme_fingerprint(scheme));
+  }
+}
+
 TEST(SchemeFile, RationalCoefficientsParse) {
   Scheme scheme = scheme_from_algorithm(strassen());
   scheme.u.at(0, 0) = rat_make(1, 2);  // no longer valid; parsing only

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -16,7 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "bilinear/catalog.hpp"
+#include "bilinear/scheme.hpp"
 #include "cdag/builder.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "service/cache.hpp"
@@ -215,6 +220,32 @@ TEST(QueryService, UsageErrorsAreOneLine) {
   EXPECT_EQ(stats.responded, stats.requests);
 }
 
+TEST(QueryService, CdagResponseEscapesSchemeName) {
+  // A file-loaded scheme may carry any name; the cdag op must still
+  // answer with a parseable line that echoes the name exactly.  The file
+  // spells the name `str"assen\x` with its JSON escapes written out.
+  bilinear::Scheme scheme = bilinear::scheme_from_algorithm(
+      bilinear::strassen());
+  scheme.name = "plain";
+  std::string text = bilinear::scheme_to_json(scheme);
+  text.replace(text.find("\"plain\""), 7, R"("str\"assen\\x")");
+  const std::string path = testing::TempDir() + "cdag_escaped_scheme.json";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  ServiceConfig config;
+  config.num_threads = 1;
+  QueryService service(config);
+  const std::string response = service.handle_line(
+      "{\"op\": \"cdag\", \"algorithm\": \"file:" + path +
+      "\", \"n\": 2}");
+  std::remove(path.c_str());
+  const JsonValue doc = parse_json(response);
+  ASSERT_TRUE(doc.at("ok").as_bool()) << response;
+  EXPECT_EQ(doc.at("result").at("algorithm").as_string(), "str\"assen\\x");
+}
+
 TEST(QueryService, ByteIdenticalAcrossCacheStatesAndThreadCounts) {
   const std::vector<std::string> requests = {
       "{\"op\": \"bound\", \"n\": 1024, \"m\": 64, \"p\": 49}",
@@ -380,14 +411,20 @@ TEST(QueryService, StatsAndReportSectionStayConsistent) {
   ServiceConfig config;
   config.num_threads = 2;
   service::QueryService service(config);
-  std::istringstream in(
+  // The repeated bound request goes in a second stream: serve() drains
+  // before it returns, so the repeat finds the first result cached.  Two
+  // identical requests in flight at once may both miss, because result
+  // payloads are not single-flighted (docs/SERVICE.md).
+  std::istringstream first(
       "{\"op\": \"ping\"}\n"
       "{\"op\": \"bound\", \"n\": 64, \"m\": 8}\n"
+      "garbage\n");
+  std::istringstream second(
       "{\"op\": \"bound\", \"n\": 64, \"m\": 8}\n"
-      "garbage\n"
       "{\"op\": \"stats\"}\n");
   std::ostringstream out;
-  service.serve(in, out);
+  service.serve(first, out);
+  service.serve(second, out);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests, 5);
   EXPECT_EQ(stats.responded, 5);

@@ -28,6 +28,10 @@ byte-identical to the storeless run; finally a cold `fmmio router
 --transport process --snapshot-dir` (fork/exec workers mounting the
 pre-warmed store) must also be byte-identical.
 
+Finally a `fmmio router --transport process` given service flags must
+hand them to its fork/exec workers: its `tail` answer reports the
+--slow-ms and --telemetry-ring it was started with.
+
 Exit code 0 iff every assertion holds.
 """
 import json
@@ -196,6 +200,24 @@ def main(argv):
               f"single-process output:\n--- serve ---\n{single.stdout}"
               f"--- router ---\n{fabric_snap.stdout}")
 
+    # Process workers are configured by the router's service flags, not
+    # by worker defaults (slow_ms 100, ring 256).
+    tail = run([fmmio, "router", "--workers", "1", "--transport",
+                "process", "--slow-ms", "5", "--telemetry-ring", "8"],
+               '{"id": 1, "op": "tail"}\n')
+    check(tail.returncode == 0,
+          f"tail router exited {tail.returncode}; stderr:\n{tail.stderr}")
+    try:
+        result = json.loads(tail.stdout)["result"]
+        check(result["slow_threshold_ms"] == 5,
+              "process worker ignored --slow-ms 5: slow_threshold_ms = "
+              f"{result['slow_threshold_ms']}")
+        check(result["ring_capacity"] == 8,
+              "process worker ignored --telemetry-ring 8: ring_capacity = "
+              f"{result['ring_capacity']}")
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        check(False, f"tail response unreadable ({exc}): {tail.stdout}")
+
     for msg in failures:
         print(f"fabric_smoke: {msg}", file=sys.stderr)
     if not failures:
@@ -203,7 +225,8 @@ def main(argv):
               "workers with injected kill byte-identical to "
               "single-process serve; shared snapshot store served "
               "2 cold serves + a process-transport router with zero "
-              "warm rebuilds)")
+              "warm rebuilds; process workers honour the router's "
+              "service flags)")
     return 1 if failures else 0
 
 
