@@ -510,7 +510,7 @@ int cmd_simulate(const Args& args) {
   const auto n =
       static_cast<std::size_t>(require_base_n(args, 16, "simulate", traits));
   const std::int64_t m =
-      read_int(args, "simulate", {"m", 64, 1, "fast memory words"});
+      read_int(args, "simulate", {"m", 64, 2, "fast memory words"});
   const std::string schedule_kind = args.get("schedule", "dfs");
   if (schedule_kind != "dfs" && schedule_kind != "bfs" &&
       schedule_kind != "random") {

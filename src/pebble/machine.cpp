@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
+#include <utility>
 
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
@@ -12,186 +12,270 @@ namespace fmm::pebble {
 
 namespace {
 
-constexpr std::size_t kNoNextUse = std::numeric_limits<std::size_t>::max();
+using graph::VertexId;
 
-/// Fast-memory state with an ordered eviction index.
-///
-/// LRU keeps residents ordered by last-touch time (evict smallest);
-/// Belady keeps them ordered by next-use time (evict largest, i.e. the
-/// farthest next use; values never used again sort last).  Pinned
-/// residents (the current step's working set) are skipped during victim
-/// selection.
+/// Belady key of a value never used again; also the reference-string cap.
+constexpr std::uint32_t kNever = std::numeric_limits<std::uint32_t>::max();
+
+/// Per-vertex state bits, one byte per vertex.
+enum : std::uint8_t {
+  kInSlow = 1 << 0,     // a copy lives in slow memory
+  kResident = 1 << 1,   // in fast memory
+  kDirty = 1 << 2,      // resident copy newer than slow memory
+  kPinned = 1 << 3,     // operand of the step in progress
+  kOutput = 1 << 4,     // must end in slow memory
+  kDroppable = 1 << 5,  // dropped, not stored, when evicted dirty
+  kComputed = 1 << 6,   // computed at least once
+};
+
+/// Fast memory on flat per-vertex arrays; machine.hpp states the eviction
+/// order and the costs.  LRU residents sit on an intrusive list in touch
+/// order (head = least recent, sentinel at index V); Belady residents in
+/// an indexed max-heap keyed by (next use, id).
 class Cache {
  public:
   Cache(const cdag::Cdag& cdag, const SimOptions& options)
       : cdag_(cdag), options_(options),
-        in_slow_(cdag.graph.num_vertices(), false),
-        resident_(cdag.graph.num_vertices(), false),
-        dirty_(cdag.graph.num_vertices(), false),
-        pinned_(cdag.graph.num_vertices(), 0),
-        key_(cdag.graph.num_vertices(), 0),
-        next_use_(cdag.graph.num_vertices(), kNoNextUse),
-        is_output_(cdag.graph.num_vertices(), false),
-        droppable_(cdag.graph.num_vertices(), false),
-        consumers_left_(cdag.graph.num_vertices(), 0) {
-    for (graph::VertexId v = 0; v < cdag.graph.num_vertices(); ++v) {
+        belady_(options.replacement == ReplacementPolicy::kBelady),
+        sentinel_(static_cast<VertexId>(cdag.graph.num_vertices())),
+        flags_(sentinel_, 0), consumers_left_(sentinel_, 0) {
+    FMM_CHECK_MSG(options.cache_size >= 2,
+                  "fast memory of size " << options.cache_size
+                      << " is too small: a step holds at least one operand "
+                         "and its result, so M must be >= 2");
+    for (const auto* inputs : {&cdag.inputs_a, &cdag.inputs_b}) {
+      for (const VertexId v : *inputs) {
+        flags_[v] |= kInSlow;
+      }
+    }
+    for (const VertexId v : cdag.outputs) {
+      flags_[v] |= kOutput;
+    }
+    // Dirty non-outputs dropped on eviction instead of stored: none under
+    // kWritebackLive, all under kDropIntermediates, and under
+    // kDropRecomputable those whose operands are all inputs, which live
+    // permanently in slow memory (cheap to rematerialize).
+    const auto is_input = [&](VertexId u) {
+      return cdag.roles[u] == cdag::Role::kInputA ||
+             cdag.roles[u] == cdag::Role::kInputB;
+    };
+    for (VertexId v = 0; v < sentinel_; ++v) {
       consumers_left_[v] =
           static_cast<std::uint32_t>(cdag.graph.out_degree(v));
-    }
-    for (const graph::VertexId v : cdag.inputs_a) {
-      in_slow_[v] = true;
-    }
-    for (const graph::VertexId v : cdag.inputs_b) {
-      in_slow_[v] = true;
-    }
-    for (const graph::VertexId v : cdag.outputs) {
-      is_output_[v] = true;
-    }
-    // kDropRecomputable: a value is cheap to rematerialize iff all of its
-    // operands live permanently in slow memory (they are inputs).
-    for (graph::VertexId v = 0; v < cdag.graph.num_vertices(); ++v) {
-      if (is_output_[v] || cdag.graph.in_degree(v) == 0) {
-        continue;
+      const auto preds = cdag.graph.in_neighbors(v);
+      if ((flags_[v] & kOutput) == 0 &&
+          (options.writeback == WritebackPolicy::kDropIntermediates ||
+           (options.writeback == WritebackPolicy::kDropRecomputable &&
+            !preds.empty() &&
+            std::all_of(preds.begin(), preds.end(), is_input)))) {
+        flags_[v] |= kDroppable;
       }
-      bool all_inputs = true;
-      for (const graph::VertexId u : cdag.graph.in_neighbors(v)) {
-        if (cdag.roles[u] != cdag::Role::kInputA &&
-            cdag.roles[u] != cdag::Role::kInputB) {
-          all_inputs = false;
-          break;
-        }
+    }
+    if (belady_) {
+      next_use_.assign(sentinel_, kNever);
+      heap_pos_.assign(sentinel_, 0);
+      heap_.reserve(static_cast<std::size_t>(
+          std::min<std::int64_t>(options.cache_size, sentinel_)));
+    } else {
+      links_.resize(static_cast<std::size_t>(sentinel_) + 1);
+      links_[sentinel_] = {sentinel_, sentinel_};
+    }
+  }
+
+  /// Precomputes a static schedule's reference string, per step the
+  /// operands then the computed vertex: each vertex's remaining-use count
+  /// (liveness for kWritebackLive) and, for Belady, every reference's
+  /// next occurrence in one backward pass.  simulate() only; the
+  /// recomputation runner's schedule is dynamic.
+  void plan(const std::vector<VertexId>& schedule) {
+    uses_left_.assign(sentinel_, 0);
+    std::uint64_t refs = 0;
+    for (const VertexId v : schedule) {
+      const auto preds = cdag_.graph.in_neighbors(v);
+      for (const VertexId u : preds) {
+        ++uses_left_[u];
       }
-      droppable_[v] = all_inputs;
+      ++uses_left_[v];
+      refs += preds.size() + 1;
+    }
+    FMM_CHECK_MSG(refs < kNever, "reference string of "
+                                     << refs << " references ("
+                                     << schedule.size()
+                                     << " steps) exceeds 32-bit positions");
+    if (!belady_) {
+      return;
+    }
+    next_.resize(refs);
+    auto pos = static_cast<std::uint32_t>(refs);
+    const auto visit = [&](VertexId x) {
+      next_[--pos] = next_use_[x];
+      next_use_[x] = pos;
+    };
+    for (auto it = schedule.rbegin(); it != schedule.rend(); ++it) {
+      visit(*it);
+      const auto preds = cdag_.graph.in_neighbors(*it);
+      std::for_each(preds.rbegin(), preds.rend(), visit);
     }
   }
 
-  bool droppable(graph::VertexId v) const { return droppable_[v]; }
-
-  std::int64_t evictions() const { return evictions_; }
-  std::int64_t drops() const { return drops_; }
-
-  /// Called when consumer `v` is computed for the FIRST time: each of
-  /// its operands has one fewer outstanding consumer.  This gives an
-  /// exact dynamic liveness signal usable even when the schedule is
-  /// generated on the fly (recomputation mode), and is deterministic
-  /// across dynamic generation and static replay.
-  void retire_consumer_of(graph::VertexId u) {
-    FMM_CHECK(consumers_left_[u] > 0);
-    --consumers_left_[u];
+  bool available(VertexId v) const {
+    return (flags_[v] & (kResident | kInSlow)) != 0;
   }
+  bool computed(VertexId v) const { return (flags_[v] & kComputed) != 0; }
+  std::int64_t computations() const { return result_.computations; }
 
-  bool provisionally_dead(graph::VertexId v) const {
-    return consumers_left_[v] == 0;
-  }
-
-  bool resident(graph::VertexId v) const { return resident_[v]; }
-  bool in_slow(graph::VertexId v) const { return in_slow_[v]; }
-
-  void set_next_use(graph::VertexId v, std::size_t at) {
-    next_use_[v] = at;
-    if (options_.replacement == ReplacementPolicy::kBelady && resident_[v]) {
-      index_.erase({key_[v], v});
-      key_[v] = at;
-      index_.insert({key_[v], v});
+  /// Executes one computation of `v`: loads and pins its operands, places
+  /// the result in fast memory, then releases the operands.
+  void step(VertexId v) {
+    result_.summary.compute_order.push_back(v);
+    result_.summary.io_before.push_back(result_.total_io());
+    const auto preds = cdag_.graph.in_neighbors(v);
+    for (const VertexId u : preds) {
+      if ((flags_[u] & kResident) == 0) {
+        FMM_CHECK_MSG(flags_[u] & kInSlow,
+                      "operand " << u << " of vertex " << v
+                                 << " is neither resident nor in slow "
+                                    "memory: illegal schedule (missing "
+                                    "recomputation?)");
+        load(u);
+      }
+      touch(u);
+      flags_[u] |= kPinned;
     }
-  }
-
-  void touch(graph::VertexId v) {
-    ++clock_;
-    if (options_.replacement == ReplacementPolicy::kLru && resident_[v]) {
-      index_.erase({key_[v], v});
-      key_[v] = clock_;
-      index_.insert({key_[v], v});
+    if ((flags_[v] & kResident) == 0) {
+      insert(v, kDirty);
     }
-  }
-
-  void pin(graph::VertexId v) { ++pinned_[v]; }
-  void unpin(graph::VertexId v) {
-    FMM_CHECK(pinned_[v] > 0);
-    --pinned_[v];
-  }
-
-  /// Inserts `v` into fast memory (must not be resident), evicting per
-  /// policy as needed.
-  void insert(graph::VertexId v, bool dirty, SimResult& result) {
-    FMM_CHECK(!resident_[v]);
-    while (occupancy_ >= options_.cache_size) {
-      evict_one(result);
+    touch(v);
+    // Uses are consumed only after the step, so pinned operands keep
+    // this step's positions as their Belady keys: the smallest of any
+    // resident's (evict_one relies on that).
+    for (const VertexId u : preds) {
+      consume_use(u);
+      FMM_CHECK(flags_[u] & kPinned);
+      flags_[u] &= ~kPinned;
     }
-    resident_[v] = true;
-    dirty_[v] = dirty;
-    ++occupancy_;
-    ++clock_;
-    key_[v] = options_.replacement == ReplacementPolicy::kLru ? clock_
-                                                              : next_use_[v];
-    index_.insert({key_[v], v});
+    consume_use(v);
+    ++result_.computations;
+    if ((flags_[v] & kComputed) != 0) {
+      ++result_.recomputations;
+      FMM_TRACE_INSTANT("recompute", "pebble");
+    } else {
+      // First computation: each operand has one fewer outstanding
+      // consumer.  This liveness signal is exact even when the schedule
+      // is generated on the fly, and identical in static replay.
+      for (const VertexId u : preds) {
+        FMM_CHECK(consumers_left_[u] > 0);
+        --consumers_left_[u];
+      }
+    }
+    flags_[v] |= kComputed;
   }
 
-  void load(graph::VertexId v, SimResult& result) {
-    FMM_CHECK_MSG(in_slow_[v], "load of value not in slow memory");
-    insert(v, /*dirty=*/false, result);
-    ++result.loads;
-  }
-
-  /// Flushes outputs at the end of the run.
-  void flush_outputs(SimResult& result) {
-    for (const graph::VertexId v : cdag_.outputs) {
-      if (!in_slow_[v]) {
-        FMM_CHECK_MSG(resident_[v],
+  /// Stores outputs still dirty, totals the run and flushes its tallies
+  /// into the metrics registry (one add per counter per run).
+  SimResult finish() {
+    for (const VertexId v : cdag_.outputs) {
+      if ((flags_[v] & kInSlow) == 0) {
+        FMM_CHECK_MSG(flags_[v] & kResident,
                       "output " << v << " lost (dropped and not recomputed)");
-        ++result.stores;
-        in_slow_[v] = true;
-        dirty_[v] = false;
+        ++result_.stores;
+        flags_[v] = (flags_[v] | kInSlow) & ~kDirty;
       }
     }
+    result_.summary.total_io = result_.total_io();
+    result_.weighted_io = options_.read_cost * result_.loads +
+                          options_.write_cost * result_.stores;
+    auto& registry = obs::Registry::instance();
+    registry.counter("pebble.loads").add(result_.loads);
+    registry.counter("pebble.stores").add(result_.stores);
+    registry.counter("pebble.evictions").add(evictions_);
+    registry.counter("pebble.drops").add(drops_);
+    registry.counter("pebble.computations").add(result_.computations);
+    registry.counter("pebble.recomputations").add(result_.recomputations);
+    registry.counter("pebble.simulations").increment();
+    return std::move(result_);
   }
 
  private:
-  void evict_one(SimResult& result) {
-    graph::VertexId victim = graph::kNoVertex;
-    if (options_.replacement == ReplacementPolicy::kLru) {
-      // Oldest touch first.
-      for (auto it = index_.begin(); it != index_.end(); ++it) {
-        if (pinned_[it->second] == 0) {
-          victim = it->second;
-          break;
-        }
-      }
+  struct Link {
+    VertexId prev, next;
+  };
+
+  void load(VertexId v) {
+    FMM_CHECK_MSG(flags_[v] & kInSlow, "load of value not in slow memory");
+    insert(v, 0);
+    ++result_.loads;
+  }
+
+  /// Inserts `v` (must not be resident), evicting per policy as needed.
+  void insert(VertexId v, std::uint8_t dirty) {
+    FMM_CHECK((flags_[v] & kResident) == 0);
+    while (occupancy_ >= options_.cache_size) {
+      evict_one();
+    }
+    flags_[v] |= kResident | dirty;
+    ++occupancy_;
+    if (belady_) {
+      heap_.push_back(belady_key(v));
+      sift_up(heap_.size() - 1);
     } else {
-      // Farthest next use first.
-      for (auto it = index_.rbegin(); it != index_.rend(); ++it) {
-        if (pinned_[it->second] == 0) {
-          victim = it->second;
-          break;
-        }
+      append(v);
+    }
+  }
+
+  /// LRU: moves a resident `v` to the most-recent end.  O(1).
+  void touch(VertexId v) {
+    if (!belady_ && links_[sentinel_].prev != v) {
+      unlink(v);
+      append(v);
+    }
+  }
+
+  /// Retires the reference of `v` at position time_ of the planned
+  /// reference string; a no-op for the recomputation runner.
+  void consume_use(VertexId v) {
+    if (uses_left_.empty()) {
+      return;
+    }
+    FMM_CHECK(uses_left_[v] > 0);
+    --uses_left_[v];
+    if (belady_) {
+      next_use_[v] = next_[time_++];  // keys only grow: sift toward the top
+      if ((flags_[v] & kResident) != 0) {
+        heap_[heap_pos_[v]] = belady_key(v);
+        sift_up(heap_pos_[v]);
       }
     }
-    FMM_CHECK_MSG(victim != graph::kNoVertex,
-                  "fast memory of size " << options_.cache_size
-                                         << " fully pinned: M too small");
+  }
 
-    if (dirty_[victim]) {
-      const bool keep = [&] {
-        if (is_output_[victim]) {
-          return true;  // outputs must survive to slow memory
-        }
-        switch (options_.writeback) {
-          case WritebackPolicy::kWritebackLive:
-            return next_use_[victim] != kNoNextUse;
-          case WritebackPolicy::kDropIntermediates:
-            return false;
-          case WritebackPolicy::kDropRecomputable:
-            // Drop cheap-to-rematerialize values outright; write back
-            // other dirty values only while consumers remain (exact
-            // dynamic liveness — identical in dynamic generation and
-            // static replay, so schedules stay reproducible).
-            return !droppable_[victim] && !provisionally_dead(victim);
-        }
-        return true;
-      }();
-      if (keep) {
-        ++result.stores;
-        in_slow_[victim] = true;
+  void evict_one() {
+    // LRU: least recent first, walking past the pinned operands at the
+    // tail.  Belady: farthest next use first; every unpinned key exceeds
+    // every pinned one, so a pinned top means all residents are pinned.
+    VertexId victim = belady_ ? static_cast<VertexId>(heap_.front())
+                              : links_[sentinel_].next;
+    while (!belady_ && victim != sentinel_ && (flags_[victim] & kPinned)) {
+      victim = links_[victim].next;
+    }
+    const VertexId stepping = result_.summary.compute_order.back();
+    FMM_CHECK_MSG(victim != sentinel_ && (flags_[victim] & kPinned) == 0,
+                  "fast memory of size "
+                      << options_.cache_size << " fully pinned at step "
+                      << result_.computations << " (vertex " << stepping
+                      << " with " << cdag_.graph.in_degree(stepping)
+                      << " operands): M too small");
+
+    const std::uint8_t flags = flags_[victim];
+    if ((flags & kDirty) != 0) {
+      // Outputs must survive to slow memory; other values are stored while
+      // live unless droppable.  The drop policies read exact dynamic
+      // liveness (consumers not yet computed), so static replay agrees.
+      const bool live = options_.writeback == WritebackPolicy::kWritebackLive
+                            ? uses_left_[victim] > 0
+                            : consumers_left_[victim] > 0;
+      if ((flags & kOutput) != 0 || ((flags & kDroppable) == 0 && live)) {
+        ++result_.stores;
+        flags_[victim] |= kInSlow;
       } else {
         // Value dropped — recomputation will be required if reused.
         ++drops_;
@@ -200,41 +284,112 @@ class Cache {
     }
     ++evictions_;
     FMM_TRACE_INSTANT("evict", "pebble");
-    index_.erase({key_[victim], victim});
-    resident_[victim] = false;
-    dirty_[victim] = false;
+    if (belady_) {
+      heap_.front() = heap_.back();
+      heap_.pop_back();
+      sift_down(0);  // M >= 2 residents were present: the heap is not empty
+    } else {
+      unlink(victim);
+    }
+    flags_[victim] &= ~(kResident | kDirty);
     --occupancy_;
+  }
+
+  void append(VertexId v) {
+    const VertexId tail = links_[sentinel_].prev;
+    links_[v] = {tail, sentinel_};
+    links_[tail].next = v;
+    links_[sentinel_].prev = v;
+  }
+
+  void unlink(VertexId v) {
+    links_[links_[v].prev].next = links_[v].next;
+    links_[links_[v].next].prev = links_[v].prev;
+  }
+
+  /// Belady order as one integer: larger next use first, ties to the
+  /// larger id.
+  std::uint64_t belady_key(VertexId v) const {
+    return std::uint64_t{next_use_[v]} << 32 | v;
+  }
+
+  void place(std::size_t i, std::uint64_t key) {
+    heap_[i] = key;
+    heap_pos_[static_cast<VertexId>(key)] = static_cast<std::uint32_t>(i);
+  }
+
+  void sift_up(std::size_t i) {
+    const std::uint64_t key = heap_[i];
+    for (; i > 0 && key > heap_[(i - 1) / 2]; i = (i - 1) / 2) {
+      place(i, heap_[(i - 1) / 2]);
+    }
+    place(i, key);
+  }
+
+  void sift_down(std::size_t i) {
+    const std::uint64_t key = heap_[i];
+    for (std::size_t child; (child = 2 * i + 1) < heap_.size(); i = child) {
+      if (child + 1 < heap_.size() && heap_[child + 1] > heap_[child]) {
+        ++child;
+      }
+      if (heap_[child] <= key) {
+        break;
+      }
+      place(i, heap_[child]);
+    }
+    place(i, key);
   }
 
   const cdag::Cdag& cdag_;
   const SimOptions& options_;
-  std::vector<bool> in_slow_;
-  std::vector<bool> resident_;
-  std::vector<bool> dirty_;
-  std::vector<std::uint32_t> pinned_;
-  std::vector<std::uint64_t> key_;
-  std::vector<std::size_t> next_use_;
-  std::vector<bool> is_output_;
-  std::vector<bool> droppable_;
+  const bool belady_;
+  const VertexId sentinel_;  // == V; the LRU list's sentinel index
+  std::vector<std::uint8_t> flags_;
   std::vector<std::uint32_t> consumers_left_;
-  std::set<std::pair<std::uint64_t, graph::VertexId>> index_;
+  std::vector<std::uint32_t> uses_left_;  // planned references remaining
+  std::vector<Link> links_;               // LRU: V + 1 entries
+  std::vector<std::uint32_t> next_use_;   // Belady: per-vertex key
+  std::vector<std::uint32_t> next_;       // Belady: per-reference next
+  std::vector<std::uint64_t> heap_;       // Belady: resident keys, max top
+  std::vector<std::uint32_t> heap_pos_;   // Belady: index into heap_
+  std::uint32_t time_ = 0;                // Belady: references consumed
   std::int64_t occupancy_ = 0;
-  std::uint64_t clock_ = 0;
   std::int64_t evictions_ = 0;
   std::int64_t drops_ = 0;
+  SimResult result_;
 };
 
-/// Flushes one execution's tallies into the global metrics registry.
-/// Hot loops only touch locals; the registry sees one add per run.
-void flush_machine_metrics(const SimResult& result, const Cache& cache) {
-  auto& registry = obs::Registry::instance();
-  registry.counter("pebble.loads").add(result.loads);
-  registry.counter("pebble.stores").add(result.stores);
-  registry.counter("pebble.evictions").add(cache.evictions());
-  registry.counter("pebble.drops").add(cache.drops());
-  registry.counter("pebble.computations").add(result.computations);
-  registry.counter("pebble.recomputations").add(result.recomputations);
-  registry.counter("pebble.simulations").increment();
+/// The maximal-recomputation regime's dynamic schedule: computes `v`
+/// after recomputing, recursively, every operand no longer available.
+void compute_with_recomputation(Cache& cache, const cdag::Cdag& cdag,
+                                VertexId v, int depth,
+                                std::int64_t max_computations) {
+  FMM_CHECK_MSG(depth < 256, "recomputation recursion too deep");
+  FMM_CHECK_MSG(cache.computations() < max_computations,
+                "recomputation thrash: exceeded "
+                    << max_computations
+                    << " computations; increase M or the limit");
+  const auto preds = cdag.graph.in_neighbors(v);
+  // Bring every operand back into existence first (recursively); then
+  // re-check, since a later recomputation may have evicted an earlier
+  // operand again.
+  for (int round = 0; round < 64; ++round) {
+    bool all_available = true;
+    for (const VertexId u : preds) {
+      if (!cache.available(u)) {
+        compute_with_recomputation(cache, cdag, u, depth + 1,
+                                   max_computations);
+        all_available = false;  // re-verify from the top
+      }
+    }
+    if (all_available) {
+      break;
+    }
+    FMM_CHECK_MSG(round + 1 < 64,
+                  "operands of vertex " << v
+                                        << " keep thrashing: M too small");
+  }
+  cache.step(v);
 }
 
 }  // namespace
@@ -242,185 +397,18 @@ void flush_machine_metrics(const SimResult& result, const Cache& cache) {
 SimResult simulate(const cdag::Cdag& cdag,
                    const std::vector<graph::VertexId>& schedule,
                    const SimOptions& options) {
-  FMM_CHECK(options.cache_size >= 2);
   FMM_TRACE_SPAN("pebble.simulate", "pebble");
-  SimResult result;
   Cache cache(cdag, options);
-
-  // Precompute the reference string's next-use chains (for Belady and for
-  // liveness-aware write-back): per step, accesses are the operands then
-  // the computed vertex.
-  std::vector<std::size_t> head(cdag.graph.num_vertices(), 0);
-  std::vector<std::vector<std::size_t>> uses(cdag.graph.num_vertices());
-  {
-    std::size_t time = 0;
-    for (const graph::VertexId v : schedule) {
-      for (const graph::VertexId u : cdag.graph.in_neighbors(v)) {
-        uses[u].push_back(time++);
-      }
-      uses[v].push_back(time++);
-    }
-    for (graph::VertexId v = 0; v < cdag.graph.num_vertices(); ++v) {
-      cache.set_next_use(v, uses[v].empty() ? kNoNextUse : uses[v].front());
-    }
+  cache.plan(schedule);
+  for (const VertexId v : schedule) {
+    cache.step(v);
   }
-  auto consume_use = [&](graph::VertexId v) {
-    std::size_t& h = head[v];
-    FMM_CHECK(h < uses[v].size());
-    ++h;
-    cache.set_next_use(v, h < uses[v].size() ? uses[v][h] : kNoNextUse);
-  };
-
-  std::vector<bool> computed_once(cdag.graph.num_vertices(), false);
-  result.summary.compute_order.reserve(schedule.size());
-  result.summary.io_before.reserve(schedule.size());
-
-  for (const graph::VertexId v : schedule) {
-    result.summary.compute_order.push_back(v);
-    result.summary.io_before.push_back(result.total_io());
-
-    const auto& preds = cdag.graph.in_neighbors(v);
-    for (const graph::VertexId u : preds) {
-      if (!cache.resident(u)) {
-        FMM_CHECK_MSG(cache.in_slow(u),
-                      "operand " << u << " of vertex " << v
-                                 << " is neither resident nor in slow "
-                                    "memory: illegal schedule (missing "
-                                    "recomputation?)");
-        cache.load(u, result);
-      }
-      cache.touch(u);
-      cache.pin(u);
-    }
-    if (!cache.resident(v)) {
-      cache.insert(v, /*dirty=*/true, result);
-    }
-    cache.touch(v);
-    for (const graph::VertexId u : preds) {
-      consume_use(u);
-      cache.unpin(u);
-    }
-    consume_use(v);
-
-    ++result.computations;
-    if (computed_once[v]) {
-      ++result.recomputations;
-      FMM_TRACE_INSTANT("recompute", "pebble");
-    } else {
-      for (const graph::VertexId u : preds) {
-        cache.retire_consumer_of(u);
-      }
-    }
-    computed_once[v] = true;
-  }
-
-  for (const graph::VertexId v : cdag.outputs) {
-    FMM_CHECK_MSG(computed_once[v],
+  for (const VertexId v : cdag.outputs) {
+    FMM_CHECK_MSG(cache.computed(v),
                   "schedule never computes output vertex " << v);
   }
-
-  cache.flush_outputs(result);
-  result.summary.total_io = result.total_io();
-  result.weighted_io =
-      options.read_cost * result.loads + options.write_cost * result.stores;
-  flush_machine_metrics(result, cache);
-  return result;
+  return cache.finish();
 }
-
-namespace {
-
-/// Dynamic-schedule executor for the maximal-recomputation regime.
-class RecomputeRunner {
- public:
-  RecomputeRunner(const cdag::Cdag& cdag, const SimOptions& options,
-                  std::int64_t max_computations)
-      : cdag_(cdag), options_(options), max_computations_(max_computations),
-        cache_(cdag, options) {}
-
-  SimResult run(const std::vector<graph::VertexId>& base_order) {
-    FMM_TRACE_SPAN("pebble.simulate_with_recomputation", "pebble");
-    for (const graph::VertexId v : base_order) {
-      if (!computed_once_[v]) {
-        compute(v, /*depth=*/0);
-      }
-    }
-    // Outputs are written back on eviction (never dropped), so they are
-    // all available here; flush_outputs stores any still dirty.
-    cache_.flush_outputs(result_);
-    result_.summary.total_io = result_.total_io();
-    result_.weighted_io = options_.read_cost * result_.loads +
-                          options_.write_cost * result_.stores;
-    flush_machine_metrics(result_, cache_);
-    return std::move(result_);
-  }
-
- private:
-  void compute(graph::VertexId v, int depth) {
-    FMM_CHECK_MSG(depth < 256, "recomputation recursion too deep");
-    FMM_CHECK_MSG(result_.computations < max_computations_,
-                  "recomputation thrash: exceeded "
-                      << max_computations_
-                      << " computations; increase M or the limit");
-    const auto& preds = cdag_.graph.in_neighbors(v);
-    // Bring every operand back into existence first (recursively); then
-    // re-check, since a later recomputation may have evicted an earlier
-    // operand again.
-    for (int round = 0; round < 64; ++round) {
-      bool all_available = true;
-      for (const graph::VertexId u : preds) {
-        if (!cache_.resident(u) && !cache_.in_slow(u)) {
-          compute(u, depth + 1);
-          all_available = false;  // re-verify from the top
-        }
-      }
-      if (all_available) {
-        break;
-      }
-      FMM_CHECK_MSG(round + 1 < 64,
-                    "operands of vertex " << v
-                                          << " keep thrashing: M too small");
-    }
-
-    // Execute the step exactly as simulate() would.
-    result_.summary.compute_order.push_back(v);
-    result_.summary.io_before.push_back(result_.total_io());
-    for (const graph::VertexId u : preds) {
-      if (!cache_.resident(u)) {
-        FMM_CHECK(cache_.in_slow(u));
-        cache_.load(u, result_);
-      }
-      cache_.touch(u);
-      cache_.pin(u);
-    }
-    if (!cache_.resident(v)) {
-      cache_.insert(v, /*dirty=*/true, result_);
-    }
-    cache_.touch(v);
-    for (const graph::VertexId u : preds) {
-      cache_.unpin(u);
-    }
-    ++result_.computations;
-    if (computed_once_[v]) {
-      ++result_.recomputations;
-      FMM_TRACE_INSTANT("recompute", "pebble");
-    } else {
-      for (const graph::VertexId u : preds) {
-        cache_.retire_consumer_of(u);
-      }
-    }
-    computed_once_[v] = true;
-  }
-
-  const cdag::Cdag& cdag_;
-  const SimOptions& options_;
-  std::int64_t max_computations_;
-  Cache cache_;
-  SimResult result_;
-  std::vector<bool> computed_once_ =
-      std::vector<bool>(cdag_.graph.num_vertices(), false);
-};
-
-}  // namespace
 
 SimResult simulate_with_recomputation(
     const cdag::Cdag& cdag, const std::vector<graph::VertexId>& base_order,
@@ -430,7 +418,17 @@ SimResult simulate_with_recomputation(
   FMM_CHECK_MSG(options.writeback == WritebackPolicy::kDropIntermediates ||
                     options.writeback == WritebackPolicy::kDropRecomputable,
                 "recomputation mode requires a dropping write-back policy");
-  return RecomputeRunner(cdag, options, max_computations).run(base_order);
+  Cache cache(cdag, options);
+  FMM_TRACE_SPAN("pebble.simulate_with_recomputation", "pebble");
+  for (const VertexId v : base_order) {
+    if (!cache.computed(v)) {
+      compute_with_recomputation(cache, cdag, v, /*depth=*/0,
+                                 max_computations);
+    }
+  }
+  // Outputs are written back on eviction (never dropped), so they are
+  // all available here; finish() stores any still dirty.
+  return cache.finish();
 }
 
 std::int64_t trivial_io_floor(const cdag::Cdag& cdag) {

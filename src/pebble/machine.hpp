@@ -24,6 +24,21 @@
 namespace fmm::pebble {
 
 /// Which resident value to evict when fast memory is full.
+///
+/// The eviction order is part of the results' bit-identity contract:
+///   - A step references its operands in in-neighbor order, then the
+///     computed vertex.  The operands are pinned for the step and are
+///     never evicted; when every resident is pinned the run throws,
+///     naming M, the step index, the vertex and its operand count.
+///   - kLru evicts the least recently touched unpinned value.
+///   - kBelady evicts the resident with the largest (next use, id).
+///     Values never referenced again go first; ties go to the larger id.
+///     A reference's next use advances only after its step.
+///
+/// Costs: a touch is O(1) for kLru (intrusive list) and O(log M) for
+/// kBelady (indexed heap).  Memory is O(V) for kLru and O(V + refs) for
+/// kBelady, where refs, the reference string's length, is the sum of
+/// (in-degree + 1) over the schedule and must stay below 2^32 - 1.
 enum class ReplacementPolicy {
   kLru,     // least-recently-used
   kBelady,  // farthest-next-use (offline optimal for hits; classic MIN)
@@ -70,9 +85,9 @@ struct SimResult {
   std::int64_t total_io() const { return loads + stores; }
 };
 
-/// Executes `schedule` on the machine.  Throws CheckError if the schedule
-/// is illegal: an operand is neither in fast memory, nor in slow memory
-/// (input or previously stored), at the moment it is needed.
+/// Executes `schedule` on the machine.  Throws CheckError if M < 2, or if
+/// the schedule is illegal: an operand is neither in fast memory, nor in
+/// slow memory (input or previously stored), at the moment it is needed.
 SimResult simulate(const cdag::Cdag& cdag,
                    const std::vector<graph::VertexId>& schedule,
                    const SimOptions& options);
@@ -86,9 +101,9 @@ SimResult simulate(const cdag::Cdag& cdag,
 /// by simulate() for cross-validation.
 ///
 /// Requires LRU replacement (the dynamic schedule precludes Belady
-/// lookahead).  Throws CheckError if the run exceeds `max_computations`
-/// (cache thrash: M too small for this regime) or if M is too small to
-/// hold a single step's working set.
+/// lookahead) and, like simulate(), M >= 2.  Throws CheckError if the run
+/// exceeds `max_computations` (cache thrash: M too small for this regime)
+/// or if M is too small to hold a single step's working set.
 SimResult simulate_with_recomputation(
     const cdag::Cdag& cdag, const std::vector<graph::VertexId>& base_order,
     const SimOptions& options, std::int64_t max_computations = 1 << 26);

@@ -2,6 +2,9 @@
 // schedule generators, and the recomputation runner.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bilinear/catalog.hpp"
 #include "bounds/formulas.hpp"
 #include "cdag/builder.hpp"
@@ -170,11 +173,49 @@ TEST(Machine, WeightedIoRespectsCosts) {
   EXPECT_GT(result.weighted_io, result.total_io());
 }
 
+/// The CheckError message `run` throws, or "" when it returns normally.
+template <typename Run>
+std::string check_error(Run&& run) {
+  try {
+    run();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The fully-pinned diagnostic for the first step of `order` at M = 2.
+std::string fully_pinned_at_first_step(
+    const cdag::Cdag& cdag, const std::vector<graph::VertexId>& order) {
+  return "fast memory of size 2 fully pinned at step 0 (vertex " +
+         std::to_string(order[0]) + " with " +
+         std::to_string(cdag.graph.in_degree(order[0])) + " operands)";
+}
+
 TEST(Machine, TooSmallCacheThrows) {
   const cdag::Cdag cdag = strassen_cdag(2);
+  const auto schedule = dfs_schedule(cdag);
   SimOptions options;
   options.cache_size = 1;
-  EXPECT_THROW(simulate(cdag, dfs_schedule(cdag), options), CheckError);
+  EXPECT_THROW(simulate(cdag, schedule, options), CheckError);
+  const std::string what =
+      check_error([&] { simulate(cdag, schedule, options); });
+  EXPECT_NE(what.find("fast memory of size 1 is too small"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("M must be >= 2"), std::string::npos) << what;
+  // M = 2 passes the precondition, but the first step's two operands
+  // fill fast memory: the error names M, the step, the vertex and its
+  // operand count, under either replacement policy.
+  options.cache_size = 2;
+  for (const auto policy :
+       {ReplacementPolicy::kLru, ReplacementPolicy::kBelady}) {
+    options.replacement = policy;
+    const std::string pinned =
+        check_error([&] { simulate(cdag, schedule, options); });
+    EXPECT_NE(pinned.find(fully_pinned_at_first_step(cdag, schedule)),
+              std::string::npos)
+        << pinned;
+  }
 }
 
 TEST(Machine, MissingOutputDetected) {
@@ -265,6 +306,30 @@ TEST(Recompute, IoStillAboveBound) {
     EXPECT_GE(static_cast<double>(result.total_io()), bound / 8.0)
         << "M=" << m;
   }
+}
+
+TEST(Recompute, TooSmallCacheThrows) {
+  // The recomputation runner shares simulate()'s precondition and its
+  // fully-pinned diagnostic.
+  const cdag::Cdag cdag = strassen_cdag(2);
+  const auto order = dfs_schedule(cdag);
+  SimOptions options;
+  options.writeback = WritebackPolicy::kDropRecomputable;
+  for (const std::int64_t m : {0, 1}) {
+    options.cache_size = m;
+    const std::string what = check_error(
+        [&] { simulate_with_recomputation(cdag, order, options); });
+    EXPECT_NE(what.find("fast memory of size " + std::to_string(m) +
+                        " is too small"),
+              std::string::npos)
+        << what;
+  }
+  options.cache_size = 2;
+  const std::string pinned =
+      check_error([&] { simulate_with_recomputation(cdag, order, options); });
+  EXPECT_NE(pinned.find(fully_pinned_at_first_step(cdag, order)),
+            std::string::npos)
+      << pinned;
 }
 
 TEST(Recompute, RequiresLruAndDrop) {
