@@ -1,6 +1,8 @@
 #include "cdag/builder.hpp"
 
-#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "common/check.hpp"
@@ -15,6 +17,29 @@ namespace {
 using bilinear::BilinearAlgorithm;
 using graph::VertexId;
 
+/// The nonzero columns of each row of a coefficient matrix, flat:
+/// row i's are items[offsets[i] .. offsets[i + 1]), ascending.
+struct RowSupport {
+  explicit RowSupport(const bilinear::IntMat& coeff) {
+    offsets.push_back(0);
+    for (std::size_t i = 0; i < coeff.rows; ++i) {
+      for (std::size_t j = 0; j < coeff.cols; ++j) {
+        if (coeff.at(i, j) != 0) {
+          items.push_back(j);
+        }
+      }
+      offsets.push_back(items.size());
+    }
+  }
+
+  std::span<const std::size_t> row(std::size_t i) const {
+    return {items.data() + offsets[i], items.data() + offsets[i + 1]};
+  }
+
+  std::vector<std::size_t> offsets;
+  std::vector<std::size_t> items;
+};
+
 class Builder {
  public:
   Builder(const BilinearAlgorithm& algorithm, std::size_t n)
@@ -22,11 +47,11 @@ class Builder {
     FMM_CHECK_MSG(alg_.is_square(), "CDAG builder requires a square base");
     const std::size_t base = alg_.n();
     FMM_CHECK(base >= 2);
-    std::size_t d = n_;
-    while (d > 1) {
-      FMM_CHECK_MSG(d % base == 0,
-                    "n=" << n_ << " is not a power of base " << base);
-      d /= base;
+    FMM_CHECK_MSG(is_power_of(static_cast<std::int64_t>(n_),
+                              static_cast<std::int64_t>(base)),
+                  "n=" << n_ << " is not a power of base " << base);
+    for (std::size_t d = n_; d > 1; d /= base) {
+      ++depth_;
     }
   }
 
@@ -37,12 +62,22 @@ class Builder {
     cdag_.num_products = alg_.num_products();
     cdag_.algorithm_name = alg_.name();
 
+    const auto [vertices, edges] = checked_size();
     prepare_levels();
+    cdag_.roles.reserve(vertices);
+    gb_.reserve_edges(edges);
 
-    cdag_.inputs_a = add_vertices(n_ * n_, Role::kInputA);
-    cdag_.inputs_b = add_vertices(n_ * n_, Role::kInputB);
+    const std::size_t n2 = n_ * n_;
+    const VertexId a = add_vertices(n2, Role::kInputA);
+    const VertexId b = add_vertices(n2, Role::kInputB);
+    cdag_.inputs_a.resize(n2);
+    std::iota(cdag_.inputs_a.begin(), cdag_.inputs_a.end(), a);
+    cdag_.inputs_b.resize(n2);
+    std::iota(cdag_.inputs_b.begin(), cdag_.inputs_b.end(), b);
 
-    cdag_.outputs = build_product(n_, cdag_.inputs_a, cdag_.inputs_b);
+    build_product(depth_, a, b);
+    FMM_CHECK(gb_.num_vertices() == vertices && gb_.num_edges() == edges);
+    cdag_.outputs = staging_[depth_].output_pool;
     for (const VertexId v : cdag_.outputs) {
       cdag_.roles[v] = Role::kOutput;
     }
@@ -70,27 +105,54 @@ class Builder {
   }
 
  private:
-  /// Lays out one SubproblemLevel per size r (ascending powers of the
-  /// base up to n), each with t^{log_b(n/r)} sub-problems (Lemma 2.2),
-  /// and preallocates the flat pools.  The recursion then fills slots via
-  /// per-level cursors: same-size calls are siblings (never interleaved),
-  /// so the k-th entry at size r is also the k-th exit, and one cursor
-  /// captured at entry addresses both the input and output pools.
-  void prepare_levels() {
-    const std::size_t base = alg_.n();
-    std::vector<std::size_t> sizes;
-    for (std::size_t r = 1; r <= n_; r *= base) {
-      sizes.push_back(r);
+  /// |V| and |E| of H^{n x n} from the recurrence over sizes s = b^k
+  ///   V(1) = 1,  V(s) = t V(s/b) + 2 t (s/b)^2 + s^2,
+  ///   E(1) = 2,  E(s) = t E(s/b) + (nnz U + nnz V + nnz W) (s/b)^2,
+  /// plus the 2 n^2 inputs, checked against the 32-bit id and CSR offset
+  /// ranges before anything is allocated.
+  std::pair<std::size_t, std::size_t> checked_size() const {
+    const auto base = static_cast<std::int64_t>(alg_.n());
+    const auto t = static_cast<std::int64_t>(alg_.num_products());
+    const auto coeffs = static_cast<std::int64_t>(
+        alg_.u().nnz() + alg_.v().nnz() + alg_.w().nnz());
+    std::int64_t s = 1;
+    std::int64_t vertices = 1;
+    std::int64_t edges = 2;
+    for (std::size_t k = 0; k < depth_; ++k) {
+      const std::int64_t sub2 = checked_mul(s, s);
+      s = checked_mul(s, base);
+      vertices = checked_add(checked_mul(t, vertices),
+                             checked_add(checked_mul(2 * t, sub2),
+                                         checked_mul(s, s)));
+      edges = checked_add(checked_mul(t, edges), checked_mul(coeffs, sub2));
     }
-    cdag_.subproblem_levels.resize(sizes.size());
-    staging_.resize(sizes.size());
-    cursors_.assign(sizes.size(), 0);
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
+    vertices = checked_add(vertices, checked_mul(2, checked_mul(s, s)));
+    FMM_CHECK_MSG(vertices < graph::kNoVertex,
+                  "vertex count " << vertices << " overflows VertexId");
+    FMM_CHECK_MSG(edges <= UINT32_MAX,
+                  "edge count " << edges << " overflows CSR offsets");
+    return {static_cast<std::size_t>(vertices),
+            static_cast<std::size_t>(edges)};
+  }
+
+  /// Lays out one SubproblemLevel per size r = b^i (i = 0 .. depth), each
+  /// with t^{depth - i} sub-problems (Lemma 2.2), and preallocates the
+  /// flat pools.  The recursion then fills slots via per-level cursors:
+  /// same-size calls are siblings (never interleaved), so the k-th entry
+  /// at size r is also the k-th exit, one cursor captured at entry
+  /// addresses both the input and output pools, and the t children of
+  /// one call occupy consecutive slots of the level below.
+  void prepare_levels() {
+    cdag_.subproblem_levels.resize(depth_ + 1);
+    staging_.resize(depth_ + 1);
+    cursors_.assign(depth_ + 1, 0);
+    std::size_t r = 1;
+    for (std::size_t i = 0; i <= depth_; ++i, r *= alg_.n()) {
       SubproblemLevel& level = cdag_.subproblem_levels[i];
-      level.r = sizes[i];
-      const auto depth = static_cast<int>(sizes.size() - 1 - i);
-      level.count = static_cast<std::size_t>(checked_pow(
-          static_cast<std::int64_t>(alg_.num_products()), depth));
+      level.r = r;
+      level.count = static_cast<std::size_t>(
+          checked_pow(static_cast<std::int64_t>(alg_.num_products()),
+                      static_cast<int>(depth_ - i)));
       staging_[i].output_pool.resize(level.count * level.outputs_per_sub());
       staging_[i].input_pool.resize(level.count * level.inputs_per_sub());
       staging_[i].span_begin.resize(level.count);
@@ -98,26 +160,13 @@ class Builder {
     }
   }
 
-  /// Index into subproblem_levels for size s (levels hold ascending
-  /// powers of the base, so this is log_base(s)).
-  std::size_t level_index(std::size_t s) const {
-    const std::size_t base = alg_.n();
-    std::size_t idx = 0;
-    while (s > 1) {
-      s /= base;
-      ++idx;
-    }
-    return idx;
+  VertexId add_vertices(std::size_t count, Role role) {
+    cdag_.roles.resize(cdag_.roles.size() + count, role);
+    return gb_.add_vertices(count);
   }
 
-  std::vector<VertexId> add_vertices(std::size_t count, Role role) {
-    const VertexId first = gb_.add_vertices(count);
-    cdag_.roles.resize(cdag_.roles.size() + count, role);
-    std::vector<VertexId> ids(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      ids[i] = first + static_cast<VertexId>(i);
-    }
-    return ids;
+  VertexId next_id() const {
+    return static_cast<VertexId>(gb_.num_vertices());
   }
 
   /// Element index of block (bi, bj), element (ei, ej) in an s x s
@@ -128,101 +177,84 @@ class Builder {
     return (bi * sub + ei) * s + (bj * sub + ej);
   }
 
-  /// Encodes one operand side: for each product r, creates sub^2 vertices,
-  /// each combining the support blocks of row r of `coeff`.
-  std::vector<std::vector<VertexId>> encode(
-      const bilinear::IntMat& coeff, const std::vector<VertexId>& elems,
-      std::size_t s, Role role) {
+  /// Encodes one operand side, the s x s row-major id range starting at
+  /// `elems`: t blocks of sub^2 vertices, vertex (ei, ej) of block r
+  /// summing element (ei, ej) of the support blocks q of row r of
+  /// `rows`, q ascending.  Returns the first id of block 0.
+  VertexId encode(const RowSupport& rows, VertexId elems, std::size_t s,
+                  Role role) {
     const std::size_t base = alg_.n();
     const std::size_t sub = s / base;
-    std::vector<std::vector<VertexId>> encoded(alg_.num_products());
+    const VertexId first = add_vertices(alg_.num_products() * sub * sub, role);
+    VertexId target = first;
     for (std::size_t r = 0; r < alg_.num_products(); ++r) {
-      encoded[r] = add_vertices(sub * sub, role);
-      for (std::size_t q = 0; q < base * base; ++q) {
-        if (coeff.at(r, q) == 0) {
-          continue;
-        }
-        const std::size_t bi = q / base;
-        const std::size_t bj = q % base;
-        for (std::size_t ei = 0; ei < sub; ++ei) {
-          for (std::size_t ej = 0; ej < sub; ++ej) {
-            gb_.add_edge(elems[blocked_index(s, sub, bi, bj, ei, ej)],
-                         encoded[r][ei * sub + ej]);
+      for (std::size_t ei = 0; ei < sub; ++ei) {
+        for (std::size_t ej = 0; ej < sub; ++ej, ++target) {
+          for (const std::size_t q : rows.row(r)) {
+            gb_.add_edge(static_cast<VertexId>(
+                             elems + blocked_index(s, sub, q / base,
+                                                   q % base, ei, ej)),
+                         target);
           }
         }
       }
     }
-    return encoded;
+    return first;
   }
 
-  std::vector<VertexId> build_product(std::size_t s,
-                                      const std::vector<VertexId>& a,
-                                      const std::vector<VertexId>& b) {
-    FMM_CHECK(a.size() == s * s && b.size() == s * s);
-    const SubproblemLevel& level = cdag_.subproblem_levels[level_index(s)];
-    LevelStaging& pools = staging_[level_index(s)];
-    const std::size_t idx = cursors_[level_index(s)]++;
-    FMM_CHECK(idx < level.count);
-    std::copy(a.begin(), a.end(),
-              pools.input_pool.begin() +
-                  static_cast<std::ptrdiff_t>(idx * level.inputs_per_sub()));
-    std::copy(b.begin(), b.end(),
-              pools.input_pool.begin() +
-                  static_cast<std::ptrdiff_t>(idx * level.inputs_per_sub() +
-                                              s * s));
+  /// Builds the sub-CDAG of one product at level `li` (size s) on the
+  /// operand id ranges [a, a + s^2) and [b, b + s^2), writing its outputs
+  /// into its slot of the level's output pool.
+  void build_product(std::size_t li, VertexId a, VertexId b) {
+    const std::size_t s = cdag_.subproblem_levels[li].r;
+    const std::size_t s2 = s * s;
+    LevelStaging& pools = staging_[li];
+    const std::size_t idx = cursors_[li]++;
+    VertexId* const inputs = pools.input_pool.data() + idx * 2 * s2;
+    std::iota(inputs, inputs + s2, a);
+    std::iota(inputs + s2, inputs + 2 * s2, b);
+    VertexId* const outputs = pools.output_pool.data() + idx * s2;
+    pools.span_begin[idx] = next_id();
     if (s == 1) {
-      const auto begin = static_cast<VertexId>(gb_.num_vertices());
-      const std::vector<VertexId> v = add_vertices(1, Role::kProduct);
-      gb_.add_edge(a[0], v[0]);
-      gb_.add_edge(b[0], v[0]);
-      pools.output_pool[idx] = v[0];
-      pools.span_begin[idx] = begin;
-      pools.span_end[idx] = static_cast<VertexId>(gb_.num_vertices());
-      return v;
+      outputs[0] = add_vertices(1, Role::kProduct);
+      gb_.add_edge(a, outputs[0]);
+      gb_.add_edge(b, outputs[0]);
+      pools.span_end[idx] = next_id();
+      return;
     }
 
     const std::size_t base = alg_.n();
     const std::size_t sub = s / base;
-    const auto span_begin = static_cast<VertexId>(gb_.num_vertices());
-
-    const auto a_tilde = encode(alg_.u(), a, s, Role::kEncodeA);
-    const auto b_tilde = encode(alg_.v(), b, s, Role::kEncodeB);
-
-    std::vector<std::vector<VertexId>> products(alg_.num_products());
+    const std::size_t sub2 = sub * sub;
+    const VertexId a_tilde = encode(u_rows_, a, s, Role::kEncodeA);
+    const VertexId b_tilde = encode(v_rows_, b, s, Role::kEncodeB);
+    const std::size_t first_child = cursors_[li - 1];
     for (std::size_t r = 0; r < alg_.num_products(); ++r) {
-      products[r] = build_product(sub, a_tilde[r], b_tilde[r]);
+      build_product(li - 1, static_cast<VertexId>(a_tilde + r * sub2),
+                    static_cast<VertexId>(b_tilde + r * sub2));
     }
 
-    // Decode: output element (i, j) of quadrant q combines products'
-    // outputs at the same element position.
-    std::vector<VertexId> outputs(s * s, graph::kNoVertex);
+    // Decode: element e of quadrant q combines element e of the outputs
+    // of the products in row q of W (r ascending), read from the
+    // children's slots in the level below.
+    const VertexId* const products =
+        staging_[li - 1].output_pool.data() + first_child * sub2;
     for (std::size_t q = 0; q < base * base; ++q) {
-      const std::size_t bi = q / base;
-      const std::size_t bj = q % base;
-      const std::vector<VertexId> block = add_vertices(sub * sub,
-                                                       Role::kDecode);
-      for (std::size_t r = 0; r < alg_.num_products(); ++r) {
-        if (alg_.w().at(q, r) == 0) {
-          continue;
-        }
-        for (std::size_t e = 0; e < sub * sub; ++e) {
-          gb_.add_edge(products[r][e], block[e]);
+      const VertexId block = add_vertices(sub2, Role::kDecode);
+      for (std::size_t e = 0; e < sub2; ++e) {
+        for (const std::size_t r : w_rows_.row(q)) {
+          gb_.add_edge(products[r * sub2 + e],
+                       static_cast<VertexId>(block + e));
         }
       }
       for (std::size_t ei = 0; ei < sub; ++ei) {
         for (std::size_t ej = 0; ej < sub; ++ej) {
-          outputs[blocked_index(s, sub, bi, bj, ei, ej)] =
-              block[ei * sub + ej];
+          outputs[blocked_index(s, sub, q / base, q % base, ei, ej)] =
+              static_cast<VertexId>(block + ei * sub + ej);
         }
       }
     }
-
-    std::copy(outputs.begin(), outputs.end(),
-              pools.output_pool.begin() +
-                  static_cast<std::ptrdiff_t>(idx * level.outputs_per_sub()));
-    pools.span_begin[idx] = span_begin;
-    pools.span_end[idx] = static_cast<VertexId>(gb_.num_vertices());
-    return outputs;
+    pools.span_end[idx] = next_id();
   }
 
   /// Mutable pool staging for one level; frozen into the level's
@@ -236,6 +268,11 @@ class Builder {
 
   const BilinearAlgorithm& alg_;
   std::size_t n_;
+  /// log_base(n): levels are indexed 0 (size 1) .. depth_ (size n).
+  std::size_t depth_ = 0;
+  RowSupport u_rows_{alg_.u()};
+  RowSupport v_rows_{alg_.v()};
+  RowSupport w_rows_{alg_.w()};
   graph::GraphBuilder gb_;
   std::vector<std::size_t> cursors_;
   std::vector<LevelStaging> staging_;
@@ -251,13 +288,13 @@ Cdag build_cdag(const bilinear::BilinearAlgorithm& algorithm, std::size_t n) {
 std::size_t expected_sub_output_count(
     const bilinear::BilinearAlgorithm& algorithm, std::size_t n,
     std::size_t r) {
-  FMM_CHECK(algorithm.is_square() && n % r == 0);
-  const std::size_t base = algorithm.n();
-  std::size_t ratio = n / r;
+  FMM_CHECK_MSG(algorithm.is_square(), "CDAG builder requires a square base");
+  FMM_CHECK_MSG(r >= 1 && n % r == 0 &&
+                    is_power_of(static_cast<std::int64_t>(n / r),
+                                static_cast<std::int64_t>(algorithm.n())),
+                "r=" << r << " is not a sub-problem size of n=" << n);
   std::int64_t count = 1;
-  while (ratio > 1) {
-    FMM_CHECK(ratio % base == 0);
-    ratio /= base;
+  for (std::size_t ratio = n / r; ratio > 1; ratio /= algorithm.n()) {
     count = checked_mul(count,
                         static_cast<std::int64_t>(algorithm.num_products()));
   }

@@ -9,7 +9,10 @@
 namespace fmm::cdag {
 
 /// Builds H^{n x n} for the given square-base algorithm, expanded to
-/// scalar granularity.  `n` must be a power of the base size.
+/// scalar granularity.  `n` must be a power of the base size (n = 0 is
+/// not).  |V| and |E| come first from their closed-form recurrence; a
+/// size whose vertex ids or edge count overflow 32 bits is refused with a
+/// CheckError before anything is allocated.
 ///
 /// Structure per recursion level (size s -> s/b):
 ///   - one EncodeA vertex per element of each of the t encoded A-operands
@@ -21,9 +24,31 @@ namespace fmm::cdag {
 ///   - one Decode vertex per element of each output quadrant.
 /// Every r x r sub-problem's r^2 output vertices are registered in the
 /// size-r Cdag::subproblem_levels entry.
+///
+/// Numbering and adjacency order (pinned byte for byte by
+/// tests/test_cdag_golden.cpp):
+///   - vertices are numbered in recursive execution order, which
+///     dfs_schedule relies on;
+///   - every operand is a contiguous row-major id range (the inputs, and
+///     each product's (s/b)^2 encoder block), so a recursive call takes
+///     its two operands as two first ids;
+///   - each vertex's in-edges are added together, in a fixed order: an
+///     encoder vertex's by block q ascending, a decoder vertex's by
+///     product r ascending, a product's a then b;
+///   - every vertex's out-edges are added in ascending target order.
+/// Those two per-vertex orders fix the bytes of freeze()'s stable
+/// counting sort, whatever the global interleaving of the edges.
+///
+/// Memory: a build allocates O(levels) arrays — the graph, the roles, the
+/// id lists and each level's four pools — and no vector per call.  A
+/// sub-problem writes its outputs into its slot of the level's output
+/// pool, and the parent's decoder reads them from there.  Builds share no
+/// state, so they may run concurrently.
 Cdag build_cdag(const bilinear::BilinearAlgorithm& algorithm, std::size_t n);
 
 /// |V_out(SUB_H^{r x r})| predicted by Lemma 2.2: (n/r)^{log_b t} * r^2.
+/// Throws CheckError unless n/r is a power of the base (r = 0 and n = 0
+/// included).
 std::size_t expected_sub_output_count(
     const bilinear::BilinearAlgorithm& algorithm, std::size_t n,
     std::size_t r);

@@ -245,12 +245,10 @@ VertexId GraphBuilder::add_vertices(std::size_t count) {
   return first;
 }
 
-void GraphBuilder::add_edge(VertexId u, VertexId v) {
+void GraphBuilder::check_edge_range(VertexId u, VertexId v) const {
   FMM_CHECK_MSG(u < num_vertices_ && v < num_vertices_,
                 "edge (" << u << "," << v << ") out of range "
                          << num_vertices_);
-  edge_src_.push_back(u);
-  edge_dst_.push_back(v);
 }
 
 CsrGraph GraphBuilder::freeze() {

@@ -156,8 +156,22 @@ class GraphBuilder {
   VertexId add_vertex() { return add_vertices(1); }
 
   /// Records edge u -> v.  Bounds-checked immediately; ordering and
-  /// duplicate validation happen at freeze().
-  void add_edge(VertexId u, VertexId v);
+  /// duplicate validation happen at freeze().  Inline: a CDAG build
+  /// stages millions of edges through it.
+  void add_edge(VertexId u, VertexId v) {
+    if (u >= num_vertices_ || v >= num_vertices_) [[unlikely]] {
+      check_edge_range(u, v);
+    }
+    edge_src_.push_back(u);
+    edge_dst_.push_back(v);
+  }
+
+  /// Preallocates staging for `count` edges, so a caller that knows its
+  /// exact edge count stages them without regrowth copies.
+  void reserve_edges(std::size_t count) {
+    edge_src_.reserve(count);
+    edge_dst_.reserve(count);
+  }
 
   std::size_t num_vertices() const { return num_vertices_; }
   std::size_t num_edges() const { return edge_src_.size(); }
@@ -170,6 +184,9 @@ class GraphBuilder {
   CsrGraph freeze();
 
  private:
+  /// Throws CheckError if u -> v is out of range (add_edge's cold path).
+  void check_edge_range(VertexId u, VertexId v) const;
+
   std::size_t num_vertices_ = 0;
   std::vector<VertexId> edge_src_;
   std::vector<VertexId> edge_dst_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 
 #include "bilinear/catalog.hpp"
 #include "cdag/builder.hpp"
@@ -15,6 +16,17 @@ namespace {
 
 using bilinear::strassen;
 using bilinear::winograd;
+
+/// The message of the CheckError `fn` throws; "" if it returns.
+template <typename Fn>
+std::string check_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(Builder, BaseCaseStructure) {
   // H^{2x2} is Figure 1 of the paper: 4+4 inputs, 7+7 encoder vertices,
@@ -63,6 +75,15 @@ TEST(Builder, ExpectedSubOutputCountFormula) {
   EXPECT_EQ(expected_sub_output_count(alg, 16, 4), 49u * 16u);
   const auto classic = bilinear::classic(2, 2, 2);
   EXPECT_EQ(expected_sub_output_count(classic, 8, 2), 64u * 4u);
+  // Sizes that are not sub-problem sizes of n are refused with a message.
+  EXPECT_NE(check_error_of([&] { expected_sub_output_count(alg, 4, 0); })
+                .find("r=0 is not a sub-problem size of n=4"),
+            std::string::npos);
+  EXPECT_NE(check_error_of([&] { expected_sub_output_count(alg, 0, 1); })
+                .find("r=1 is not a sub-problem size of n=0"),
+            std::string::npos);
+  EXPECT_THROW(expected_sub_output_count(alg, 4, 8), CheckError);
+  EXPECT_THROW(expected_sub_output_count(alg, 8, 3), CheckError);
 }
 
 TEST(Builder, SubproblemCountsMatchLemma22) {
@@ -193,6 +214,21 @@ TEST(Builder, DotOutputNonEmpty) {
 TEST(Builder, RejectsNonPowerSizes) {
   EXPECT_THROW(build_cdag(strassen(), 6), CheckError);
   EXPECT_THROW(build_cdag(strassen(), 3), CheckError);
+  EXPECT_NE(check_error_of([] { build_cdag(strassen(), 0); })
+                .find("n=0 is not a power of base 2"),
+            std::string::npos);
+}
+
+TEST(Builder, RejectsSizesBeyondIdRange) {
+  // Strassen n = 2048 has 1.38e10 vertices (~74 GB of sub-problem pools);
+  // Winograd n = 1024 fits 32-bit vertex ids but has 4.50e9 edges.  Both
+  // are refused from the closed-form counts before anything is allocated.
+  EXPECT_NE(check_error_of([] { build_cdag(strassen(), 2048); })
+                .find("vertex count 13824509985 overflows VertexId"),
+            std::string::npos);
+  EXPECT_NE(check_error_of([] { build_cdag(winograd(), 1024); })
+                .find("overflows CSR offsets"),
+            std::string::npos);
 }
 
 TEST(Builder, RejectsRectangularBase) {

@@ -193,6 +193,26 @@ TEST(SweepDeterminism, UnknownAlgorithmFailsUpFront) {
   EXPECT_THROW(run_sweep(spec), CheckError);
 }
 
+TEST(SweepDeterminism, ZeroSizeFailsWithBuildError) {
+  SweepSpec spec;
+  spec.algorithms = {"strassen"};
+  spec.n_grid = {0};
+  spec.m_grid = {16};
+  spec.kinds = {TaskKind::kSimulate};
+  spec.num_threads = 2;
+  try {
+    run_sweep(spec);
+    FAIL() << "expected the n=0 cell to fail the sweep";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sweep: CDAG build failed for strassen n=0: "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("n=0 is not a power of base 2"), std::string::npos)
+        << what;
+  }
+}
+
 SweepSpec optimal_spec() {
   // n=2 full Strassen CDAG (33 vertices) at M values where both the
   // search stays exact within the default budget AND the simulator
