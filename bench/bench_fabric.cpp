@@ -27,13 +27,13 @@
 // overrides the destination.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "fabric/router.hpp"
 #include "fabric/transport.hpp"
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
       bench_out = argv[i + 1];
     }
   }
-  obs::enable_tracing_if_available();
+  obs::Tracer::instance().enable(true);
   obs::Registry::instance().reset();
 
   std::printf("=== F1: fabric (router + 4 workers, chaos kill) vs "
@@ -229,12 +229,7 @@ int main(int argc, char** argv) {
     os << "  \"requeues\": " << stats.requeues << ",\n";
     os << "  \"respawns\": " << stats.respawns << "\n";
     os << "}\n";
-    std::ofstream out(bench_out);
-    out << os.str();
-    if (!out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", bench_out.c_str());
-      return 1;
-    }
+    write_file_checked(bench_out, os.str());
     std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
   }
 

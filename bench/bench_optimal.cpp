@@ -20,7 +20,6 @@
 // section (extra.sweep) to the run report, which the ctest schema
 // fixture validates end to end.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -30,6 +29,7 @@
 #include "bilinear/scheme.hpp"
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
 #include "obs/build_info.hpp"
@@ -227,12 +227,7 @@ int main(int argc, char** argv) {
     }
     os << "  ]\n";
     os << "}\n";
-    std::ofstream out(bench_out);
-    out << os.str();
-    if (!out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", bench_out.c_str());
-      return 1;
-    }
+    write_file_checked(bench_out, os.str());
     std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
   }
 

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace fmm;
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
-  obs::enable_tracing_if_available();
+  obs::Tracer::instance().enable(true);
   obs::Registry::instance().reset();
 
   obs::RunReport report("bench_parallel_io");

@@ -7,8 +7,8 @@
 // grows like (n/sqrt(M))^{3 - log2 7}.
 //
 // `bench_seq_io --out report.json` additionally writes a versioned JSON
-// run report (see docs/OBSERVABILITY.md); with tracing compiled in it
-// also writes report.trace.json in Chrome trace-event format.
+// run report (see docs/OBSERVABILITY.md) and report.trace.json, its
+// spans in Chrome trace-event format.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   using namespace fmm;
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
-  obs::enable_tracing_if_available();
+  obs::Tracer::instance().enable(true);
   obs::Registry::instance().reset();  // report covers this run only
 
   obs::RunReport report("bench_seq_io");
@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
   };
 
   {
-    const ScopedTimer phase_timer("bench_seq_io.sweep");
     const Stopwatch watch;
     for (const std::size_t n : {8u, 16u, 32u}) {
       for (const std::int64_t m : {16, 64, 256}) {
@@ -99,7 +98,6 @@ int main(int argc, char** argv) {
 
   // Classic contrast measured against ITS OWN (exponent 3) bound.
   {
-    const ScopedTimer phase_timer("bench_seq_io.classic_contrast");
     const Stopwatch watch;
     for (const std::size_t n : {8u, 16u, 32u}) {
       const cdag::Cdag cdag =
@@ -134,7 +132,6 @@ int main(int argc, char** argv) {
   Table slope({"Algorithm", "M", "IO(16)", "IO(32)", "slope",
                "expected"});
   {
-    const ScopedTimer phase_timer("bench_seq_io.exponent_check");
     const Stopwatch watch;
     for (const auto& [alg, expected] :
          std::vector<std::pair<bilinear::BilinearAlgorithm, double>>{

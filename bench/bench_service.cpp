@@ -25,12 +25,12 @@
 // diff against.  --bench-out PATH overrides the destination.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "obs/build_info.hpp"
 #include "obs/histogram.hpp"
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
       bench_out = argv[i + 1];
     }
   }
-  obs::enable_tracing_if_available();
+  obs::Tracer::instance().enable(true);
   obs::Registry::instance().reset();
 
   std::printf("=== Q1: query service cold vs warm throughput ===\n\n");
@@ -215,12 +215,7 @@ int main(int argc, char** argv) {
     os << "    \"warm\": " << latency_rows_json("      ") << "\n";
     os << "  }\n";
     os << "}\n";
-    std::ofstream out(bench_out);
-    out << os.str();
-    if (!out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", bench_out.c_str());
-      return 1;
-    }
+    write_file_checked(bench_out, os.str());
     std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
   }
 

@@ -31,13 +31,13 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cdag/builder.hpp"
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
       bench_out = argv[i + 1];
     }
   }
-  obs::enable_tracing_if_available();
+  obs::Tracer::instance().enable(true);
   obs::Registry::instance().reset();
 
   std::printf("=== N1: snapshot load vs CDAG rebuild ===\n\n");
@@ -242,12 +242,7 @@ int main(int argc, char** argv) {
     }
     os << "  ]\n";
     os << "}\n";
-    std::ofstream out(bench_out);
-    out << os.str();
-    if (!out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", bench_out.c_str());
-      return 1;
-    }
+    write_file_checked(bench_out, os.str());
     std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
   }
 

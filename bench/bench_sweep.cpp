@@ -19,13 +19,13 @@
 // (schema fmm.bench_trajectory) for cross-PR diffing, next to
 // bench_service's BENCH_service.json.  --bench-out overrides the path.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
 #include "obs/build_info.hpp"
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       bench_out = argv[i + 1];
     }
   }
-  obs::enable_tracing_if_available();
+  obs::Tracer::instance().enable(true);
 
   sweep::SweepSpec spec;
   spec.algorithms = {"strassen"};
@@ -183,12 +183,7 @@ int main(int argc, char** argv) {
        << "\"}\n";
     os << "  }\n";
     os << "}\n";
-    std::ofstream out(bench_out);
-    out << os.str();
-    if (!out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", bench_out.c_str());
-      return 1;
-    }
+    write_file_checked(bench_out, os.str());
     std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
   }
 

@@ -77,14 +77,14 @@
 // on the same two ops).
 //
 // --out writes a versioned JSON run report (docs/OBSERVABILITY.md);
-// --trace (or --out with tracing compiled in) writes a Chrome
-// trace-event JSON viewable in Perfetto.
+// --out or --trace also enables the tracer and writes its spans as
+// Chrome trace-event JSON viewable in Perfetto (--trace names the file;
+// the default is the report path with .trace.json).
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -106,6 +106,7 @@
 #include "bounds/segments.hpp"
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/math_util.hpp"
@@ -300,7 +301,7 @@ obs::ReportCli report_cli_from(const Args& args) {
   cli.trace_path = args.get("trace", "");
   cli.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   if (!cli.out_path.empty() || !cli.trace_path.empty()) {
-    obs::enable_tracing_if_available();
+    obs::Tracer::instance().enable(true);
   }
   return cli;
 }
@@ -1528,12 +1529,7 @@ int cmd_scheme(const Args& args) {
       std::printf("%s\n", json.c_str());
       return 0;
     }
-    std::ofstream file(out, std::ios::binary);
-    file << json << "\n";
-    if (!file.good()) {
-      usage_error("scheme export: cannot write '" + out + "'");
-    }
-    file.close();
+    write_file_checked(out, json + "\n");
     std::printf("wrote %s (fingerprint %s)\n", out.c_str(),
                 bilinear::scheme_fingerprint(scheme).c_str());
     return 0;

@@ -68,7 +68,6 @@ SegmentAnalysis analyze_segments(const cdag::Cdag& cdag,
               : schedule.total_io;
       current.io = io_end - schedule.io_before[current.first_step];
       analysis.segments.push_back(current);
-      FMM_TRACE_INSTANT("segment", "bounds");
       open = false;
     }
   }

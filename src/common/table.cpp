@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
+#include <sstream>
 
 #include "common/check.hpp"
+#include "common/file_io.hpp"
 #include "common/log.hpp"
 
 namespace fmm {
@@ -138,9 +139,9 @@ void Table::print_csv(std::ostream& os) const {
 }
 
 void Table::write_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  FMM_CHECK_MSG(out.good(), "cannot open " << path);
-  print_csv(out);
+  std::ostringstream csv;
+  print_csv(csv);
+  write_file_checked(path, csv.str());
   FMM_LOG_INFO("wrote CSV table (" << rows_.size() << " rows) to " << path);
 }
 

@@ -1,4 +1,5 @@
-// Monotonic timing for examples, benches, and phase instrumentation.
+// Monotonic timing: Stopwatch for elapsed time, ScopedNsAccumulator for
+// request-telemetry phase slots.
 //
 // Everything here is std::chrono::steady_clock ONLY: timed paths must
 // never consult the wall clock (system_clock can jump under NTP and
@@ -7,9 +8,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <string>
-#include <string_view>
-#include <utility>
 
 namespace fmm {
 
@@ -39,11 +37,10 @@ class Stopwatch {
 };
 
 /// RAII phase accumulator: adds elapsed steady-clock nanoseconds into
-/// `*target` on destruction.  Unlike ScopedTimer this has no name and
-/// no sink — it feeds plain int64 slots (request-telemetry phase
-/// durations, PhaseFrame fields) without a registry lookup, so it is
-/// cheap enough for per-request hot paths.  A nullptr target is a
-/// no-op.
+/// `*target` on destruction.  It feeds plain int64 slots
+/// (request-telemetry phase durations, PhaseFrame fields) without a
+/// registry lookup, so it is cheap enough for per-request hot paths.
+/// A nullptr target is a no-op.
 class ScopedNsAccumulator {
  public:
   explicit ScopedNsAccumulator(std::int64_t* target) : target_(target) {}
@@ -59,46 +56,6 @@ class ScopedNsAccumulator {
 
  private:
   std::int64_t* target_;
-  Stopwatch watch_;
-};
-
-/// Receiver of ScopedTimer measurements.  The obs metrics registry
-/// implements this and installs itself as the global sink, so any layer
-/// can time a scope without depending on the obs module.
-class TimerSink {
- public:
-  virtual ~TimerSink() = default;
-  virtual void record_duration(std::string_view name,
-                               std::int64_t nanos) = 0;
-};
-
-/// The process-wide sink (nullptr until one is installed).
-TimerSink* global_timer_sink();
-
-/// Installs `sink` (or nullptr to detach).  Returns the previous sink.
-TimerSink* set_global_timer_sink(TimerSink* sink);
-
-/// RAII scope timer: measures steady-clock time from construction to
-/// destruction and reports it to a TimerSink (the global one by
-/// default).  With no sink installed the timer is a cheap no-op.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string name,
-                       TimerSink* sink = global_timer_sink())
-      : name_(std::move(name)), sink_(sink) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    if (sink_ != nullptr) {
-      sink_->record_duration(name_, watch_.nanoseconds());
-    }
-  }
-
- private:
-  std::string name_;
-  TimerSink* sink_;
   Stopwatch watch_;
 };
 

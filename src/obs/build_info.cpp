@@ -18,9 +18,6 @@
 #ifndef FMM_BUILD_VERSION
 #define FMM_BUILD_VERSION "0.0.0"
 #endif
-#ifndef FMM_TRACING_ENABLED
-#define FMM_TRACING_ENABLED 0
-#endif
 
 namespace fmm::obs {
 
@@ -32,7 +29,6 @@ const BuildInfo& build_info() {
     b.build_type = FMM_BUILD_TYPE;
     b.preset = FMM_BUILD_PRESET;
     b.compiler = __VERSION__;
-    b.tracing = FMM_TRACING_ENABLED != 0;
     return b;
   }();
   return info;
@@ -45,8 +41,7 @@ std::string build_info_json() {
      << ", \"git\": \"" << json_escape(b.git) << "\""
      << ", \"build_type\": \"" << json_escape(b.build_type) << "\""
      << ", \"preset\": \"" << json_escape(b.preset) << "\""
-     << ", \"compiler\": \"" << json_escape(b.compiler) << "\""
-     << ", \"tracing\": " << (b.tracing ? "true" : "false") << "}";
+     << ", \"compiler\": \"" << json_escape(b.compiler) << "\"}";
   return os.str();
 }
 
@@ -54,8 +49,7 @@ std::string build_info_line() {
   const BuildInfo& b = build_info();
   std::ostringstream os;
   os << "fmmio " << b.version << " (git " << b.git << ", " << b.build_type
-     << ", preset " << b.preset << ", tracing "
-     << (b.tracing ? "on" : "off") << ")";
+     << ", preset " << b.preset << ")";
   return os.str();
 }
 

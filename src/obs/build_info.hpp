@@ -4,11 +4,8 @@
 // carries a `meta.build` block naming exactly which build produced it:
 // the git describe string of the source tree, the CMake build type, the
 // configure preset (CMakePresets.json sets FMM_PRESET_NAME; plain
-// `cmake -B build` runs report "none"), and whether the trace-event
-// tracer was compiled in (FMM_ENABLE_TRACING changes which code runs,
-// so two otherwise-identical reports from trace/notrace builds are not
-// comparable at the nanosecond level).  `fmmio version` prints the same
-// block for humans.
+// `cmake -B build` runs report "none") and the compiler.  `fmmio
+// version` prints the same block for humans.
 #pragma once
 
 #include <string>
@@ -21,7 +18,6 @@ struct BuildInfo {
   std::string build_type;  // CMAKE_BUILD_TYPE
   std::string preset;      // configure preset name, or "none"
   std::string compiler;    // compiler identification (__VERSION__)
-  bool tracing = false;    // FMM_ENABLE_TRACING compiled in
 };
 
 /// The build this binary was compiled from (values baked in at compile
@@ -30,7 +26,7 @@ const BuildInfo& build_info();
 
 /// The `meta.build` JSON object embedded in every run report:
 /// {"version": ..., "git": ..., "build_type": ..., "preset": ...,
-///  "compiler": ..., "tracing": ...} with deterministic field order.
+///  "compiler": ...} with deterministic field order.
 std::string build_info_json();
 
 /// One human-readable line for `fmmio version`.

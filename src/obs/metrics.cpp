@@ -29,8 +29,6 @@ Registry& Registry::instance() {
   return registry;
 }
 
-Registry::Registry() { set_global_timer_sink(this); }
-
 Counter& Registry::counter(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto it = counters_.find(name);
@@ -144,11 +142,6 @@ void Registry::reset() {
   for (auto& [name, h] : histograms_) {
     h->reset();
   }
-}
-
-void Registry::record_duration(std::string_view name, std::int64_t nanos) {
-  counter(std::string(name) + ".ns").add(nanos);
-  counter(std::string(name) + ".calls").increment();
 }
 
 }  // namespace fmm::obs

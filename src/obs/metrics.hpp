@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/timing.hpp"
 #include "obs/histogram.hpp"
 
 namespace fmm::obs {
@@ -70,13 +69,10 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Process-wide registry.  Also acts as the TimerSink for ScopedTimer:
-/// a timer named "phase" accumulates counters "phase.ns" and
-/// "phase.calls".
-class Registry final : public TimerSink {
+/// Process-wide registry.
+class Registry final {
  public:
-  /// The global instance.  First call installs it as the global timer
-  /// sink (common/timing.hpp), so ScopedTimer durations land here.
+  /// The global instance.
   static Registry& instance();
 
   /// Create-or-get.  Returned references stay valid forever.
@@ -100,11 +96,8 @@ class Registry final : public TimerSink {
   /// Zeroes every value; names and references survive.
   void reset();
 
-  /// TimerSink: accumulate ScopedTimer durations as counters.
-  void record_duration(std::string_view name, std::int64_t nanos) override;
-
  private:
-  Registry();
+  Registry() = default;
 
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;

@@ -1,11 +1,10 @@
 #include "obs/run_report.hpp"
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string_view>
 
-#include "common/check.hpp"
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "obs/build_info.hpp"
@@ -140,12 +139,8 @@ std::string RunReport::to_json() const {
   oss << "  \"schema\": \"" << kRunReportSchema << "\",\n";
   oss << "  \"schema_version\": " << kRunReportSchemaVersion << ",\n";
   oss << "  \"name\": \"" << json_escape(name_) << "\",\n";
-  // meta.trace makes truncated traces detectable from the report alone:
-  // a nonzero dropped_events means the trace buffer overflowed and the
-  // Chrome trace (if written) is missing instants.
   oss << "  \"meta\": {\"build\": " << build_info_json()
       << ", \"trace\": {\"events\": " << Tracer::instance().num_events()
-      << ", \"dropped_events\": " << Tracer::instance().dropped_events()
       << "}},\n";
   write_section("params", params_);
   oss << ",\n";
@@ -181,9 +176,7 @@ std::string RunReport::to_json() const {
 }
 
 void RunReport::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  FMM_CHECK_MSG(out.good(), "cannot open report output " << path);
-  out << to_json();
+  write_file_checked(path, to_json());
 }
 
 ReportCli parse_report_cli(int argc, char** argv) {
@@ -209,7 +202,6 @@ void finalize_run(const ReportCli& cli, RunReport& report) {
     report.write_file(cli.out_path);
     FMM_LOG_INFO("wrote run report to " << cli.out_path);
   }
-#if FMM_TRACING_ENABLED
   if (Tracer::instance().enabled()) {
     std::string trace_path = cli.trace_path;
     if (trace_path.empty() && cli.wants_report()) {
@@ -228,7 +220,6 @@ void finalize_run(const ReportCli& cli, RunReport& report) {
                                             << " (open in Perfetto)");
     }
   }
-#endif
 }
 
 }  // namespace fmm::obs

@@ -99,9 +99,9 @@ struct ReportCli {
 ReportCli parse_report_cli(int argc, char** argv);
 
 /// End-of-run bookkeeping: snapshots metrics into `report`, writes the
-/// report to cli.out_path (if set), and — when tracing is compiled in
-/// and runtime-enabled — writes the Chrome trace JSON to cli.trace_path
-/// (default `<out stem>.trace.json`).
+/// report to cli.out_path (if set), and — when the tracer is enabled —
+/// writes the Chrome trace JSON to cli.trace_path (default
+/// `<out stem>.trace.json`).
 void finalize_run(const ReportCli& cli, RunReport& report);
 
 }  // namespace fmm::obs

@@ -2,18 +2,27 @@
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
+#include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <sstream>
-#include <thread>
+#include <string>
+#include <vector>
 
-#include "common/check.hpp"
+#include "common/file_io.hpp"
 #include "common/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace fmm::obs {
 
 namespace {
+
+struct TraceEvent {
+  std::string name;
+  std::string category;
+  char phase = 'B';    // 'B' begin span, 'E' end span
+  double ts_us = 0.0;  // microseconds since tracer creation
+  std::uint32_t tid = 0;
+};
 
 /// Dense per-thread id (Chrome traces want small integers, not
 /// std::thread::id hashes).
@@ -30,8 +39,6 @@ struct Tracer::Impl {
   std::atomic<bool> enabled{false};
   mutable std::mutex mutex;
   std::vector<TraceEvent> events;
-  std::size_t capacity = std::size_t{1} << 18;
-  std::size_t dropped = 0;
   std::chrono::steady_clock::time_point origin =
       std::chrono::steady_clock::now();
 };
@@ -63,29 +70,8 @@ void Tracer::record(const char* name, const char* category, char phase) {
                     std::chrono::steady_clock::now() - impl_->origin)
                     .count();
   event.tid = current_tid();
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    if (!(phase == 'i' && impl_->events.size() >= impl_->capacity)) {
-      impl_->events.push_back(std::move(event));
-      return;
-    }
-    ++impl_->dropped;
-  }
-  // Overflow used to be silent; the registry counter makes truncated
-  // traces detectable in every metrics snapshot and run report.  The
-  // tracer's own `dropped` survives Registry::reset(); the counter is
-  // per-run like every other metric.
-  Registry::instance().counter("trace.dropped_events").increment();
-}
-
-void Tracer::set_capacity(std::size_t max_events) {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->capacity = max_events;
-}
-
-std::size_t Tracer::dropped_events() const {
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->dropped;
+  impl_->events.push_back(std::move(event));
 }
 
 void Tracer::begin(const char* name, const char* category) {
@@ -96,10 +82,6 @@ void Tracer::end(const char* name, const char* category) {
   record(name, category, 'E');
 }
 
-void Tracer::instant(const char* name, const char* category) {
-  record(name, category, 'i');
-}
-
 std::size_t Tracer::num_events() const {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
   return impl_->events.size();
@@ -108,7 +90,6 @@ std::size_t Tracer::num_events() const {
 void Tracer::clear() {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
   impl_->events.clear();
-  impl_->dropped = 0;
 }
 
 std::string Tracer::to_json() const {
@@ -127,30 +108,15 @@ std::string Tracer::to_json() const {
           << "\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":";
       char ts[64];
       std::snprintf(ts, sizeof(ts), "%.3f", e.ts_us);
-      oss << ts;
-      if (e.phase == 'i') {
-        oss << ",\"s\":\"t\"";  // instant scope: thread
-      }
-      oss << "}";
+      oss << ts << "}";
     }
   }
   oss << "\n],\"displayTimeUnit\":\"ms\"}\n";
   return oss.str();
 }
 
-bool enable_tracing_if_available() {
-#if FMM_TRACING_ENABLED
-  Tracer::instance().enable(true);
-  return true;
-#else
-  return false;
-#endif
-}
-
 void Tracer::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  FMM_CHECK_MSG(out.good(), "cannot open trace output " << path);
-  out << to_json();
+  write_file_checked(path, to_json());
 }
 
 }  // namespace fmm::obs

@@ -1,42 +1,26 @@
 // Structured execution tracer emitting Chrome trace-event JSON.
 //
 // Scoped spans mark phases (CDAG build, schedule execution, segment
-// analysis, dominator certification); instant events mark point
-// occurrences (evictions, recomputations).  The output is the Chrome
-// trace-event "JSON object format" ({"traceEvents": [...]}) and opens
-// directly in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+// analysis, dominator certification).  Per-event counts (evictions,
+// drops, recomputations, closed segments) live in the metrics registry,
+// not here.  The output is the Chrome trace-event "JSON object format"
+// ({"traceEvents": [...]}) and opens directly in Perfetto
+// (https://ui.perfetto.dev) or chrome://tracing.
 //
-// Two gates:
-//   - compile time: the CMake option FMM_ENABLE_TRACING sets the
-//     FMM_TRACING_ENABLED macro.  When 0, the FMM_TRACE_* macros expand
-//     to nothing — zero code in the simulators, bit-identical results.
-//   - run time: even when compiled in, the tracer records nothing until
-//     Tracer::instance().enable(true) (benches enable it; library code
-//     never does).
+// One gate, at run time: the tracer records nothing until
+// Tracer::instance().enable(true).  Benches and `fmmio --out/--trace`
+// enable it; library code never does.
 //
 // Timestamps are steady_clock microseconds relative to tracer creation
 // (trace viewers only need relative time; wall clock is never read).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-#include <vector>
-
-#ifndef FMM_TRACING_ENABLED
-#define FMM_TRACING_ENABLED 1
-#endif
 
 namespace fmm::obs {
 
-struct TraceEvent {
-  std::string name;
-  std::string category;
-  char phase = 'i';      // 'B' begin span, 'E' end span, 'i' instant
-  double ts_us = 0.0;    // microseconds since tracer creation
-  std::uint32_t tid = 0;
-};
-
-/// Thread-safe event buffer with JSON rendering.
+/// Thread-safe span buffer with JSON rendering.
 class Tracer {
  public:
   static Tracer& instance();
@@ -47,15 +31,6 @@ class Tracer {
 
   void begin(const char* name, const char* category);
   void end(const char* name, const char* category);
-  void instant(const char* name, const char* category);
-
-  /// Buffer capacity (default 1<<18 events).  Beyond it, INSTANT events
-  /// are dropped (and counted — see dropped_events()); span begin/end
-  /// pairs are always recorded so spans stay balanced.  Evictions on a
-  /// large run number in the millions; an unbounded buffer would turn
-  /// one bench run into a multi-GB trace.
-  void set_capacity(std::size_t max_events);
-  std::size_t dropped_events() const;
 
   std::size_t num_events() const;
   void clear();
@@ -72,11 +47,6 @@ class Tracer {
   struct Impl;
   Impl* impl_;
 };
-
-/// Runtime-enables tracing iff it was compiled in (FMM_ENABLE_TRACING).
-/// Returns whether tracing is now active.  Benches/examples call this
-/// once at startup; library code never toggles the tracer.
-bool enable_tracing_if_available();
 
 /// RAII begin/end span pair.
 class ScopedSpan {
@@ -96,20 +66,10 @@ class ScopedSpan {
 
 }  // namespace fmm::obs
 
-// Instrumentation macros — the only interface library code uses, so an
-// FMM_ENABLE_TRACING=OFF build compiles the simulators with no tracing
-// code at all.
-#if FMM_TRACING_ENABLED
 #define FMM_TRACE_CONCAT_IMPL(a, b) a##b
 #define FMM_TRACE_CONCAT(a, b) FMM_TRACE_CONCAT_IMPL(a, b)
-/// Span covering the rest of the enclosing scope.
+/// Span covering the rest of the enclosing scope — the only tracing
+/// interface library code uses.
 #define FMM_TRACE_SPAN(name, category)                                     \
   ::fmm::obs::ScopedSpan FMM_TRACE_CONCAT(fmm_trace_span_, __LINE__)(      \
       name, category)
-/// Zero-duration point event.
-#define FMM_TRACE_INSTANT(name, category)                                  \
-  ::fmm::obs::Tracer::instance().instant(name, category)
-#else
-#define FMM_TRACE_SPAN(name, category) ((void)0)
-#define FMM_TRACE_INSTANT(name, category) ((void)0)
-#endif

@@ -158,7 +158,6 @@ class Cache {
     ++result_.computations;
     if ((flags_[v] & kComputed) != 0) {
       ++result_.recomputations;
-      FMM_TRACE_INSTANT("recompute", "pebble");
     } else {
       // First computation: each operand has one fewer outstanding
       // consumer.  This liveness signal is exact even when the schedule
@@ -279,11 +278,9 @@ class Cache {
       } else {
         // Value dropped — recomputation will be required if reused.
         ++drops_;
-        FMM_TRACE_INSTANT("drop", "pebble");
       }
     }
     ++evictions_;
-    FMM_TRACE_INSTANT("evict", "pebble");
     if (belady_) {
       heap_.front() = heap_.back();
       heap_.pop_back();

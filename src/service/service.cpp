@@ -13,6 +13,7 @@
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/math_util.hpp"
+#include "common/timing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pebble/optimal.hpp"

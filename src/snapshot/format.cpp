@@ -13,6 +13,7 @@
 #endif
 
 #include "common/check.hpp"
+#include "common/file_io.hpp"
 #include "common/frozen_array.hpp"
 #include "common/hash.hpp"
 #include "graph/csr.hpp"
@@ -532,13 +533,7 @@ cdag::Cdag deserialize_snapshot(std::span<const std::byte> bytes,
 }
 
 void write_snapshot_file(const cdag::Cdag& cdag, const std::string& path) {
-  const std::string bytes = serialize_snapshot(cdag);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  FMM_CHECK_MSG(out.is_open(), "snapshot: cannot open " << path
-                                                        << " for writing");
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  FMM_CHECK_MSG(out.good(), "snapshot: short write to " << path);
+  write_file_checked(path, serialize_snapshot(cdag));
 }
 
 #ifdef __unix__

@@ -1,21 +1,24 @@
 // Tests for the observability subsystem: metrics registry, Chrome
 // trace-event tracer, run-report JSON writer, and their wiring into the
-// pebble machine.  The suite is written to pass under BOTH compile modes
-// of FMM_ENABLE_TRACING — the disabled-mode assertions (#else branches)
-// check that tracing off means literally zero events and unchanged
-// simulator behavior.
+// pebble machine.  The Trace suite also runs under the tsan preset.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bilinear/catalog.hpp"
+#include "bounds/segments.hpp"
 #include "cdag/builder.hpp"
-#include "common/timing.hpp"
+#include "common/check.hpp"
+#include "common/file_io.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
@@ -244,61 +247,46 @@ TEST(Metrics, PebbleCountersMatchSimResult) {
   EXPECT_EQ(registry.counter("pebble.simulations").value(), 2);
 }
 
-TEST(Metrics, ScopedTimerReportsIntoRegistry) {
-  auto& registry = Registry::instance();
-  registry.reset();
-  {
-    ScopedTimer timer("test.phase");
-  }
-  EXPECT_EQ(registry.counter("test.phase.calls").value(), 1);
-  EXPECT_GE(registry.counter("test.phase.ns").value(), 0);
-}
-
 // --- Tracer -----------------------------------------------------------
+
+/// Per-tid B/E depth of a rendered trace; fails the test on an 'E'
+/// without its 'B' or on any phase other than B and E.
+std::map<std::int64_t, std::int64_t> span_depth_by_tid(
+    const std::string& json) {
+  const JsonValue doc = parse_json(json);
+  std::map<std::int64_t, std::int64_t> depth;
+  for (const JsonValue& event : doc.at("traceEvents").items()) {
+    const std::string& ph = event.at("ph").as_string();
+    std::int64_t& d = depth[event.at("tid").as_i64()];
+    if (ph == "B") {
+      ++d;
+    } else {
+      EXPECT_EQ(ph, "E");
+      --d;
+      EXPECT_GE(d, 0);
+    }
+  }
+  return depth;
+}
 
 TEST(Trace, SpansBalanceAndJsonParses) {
   auto& tracer = Tracer::instance();
   tracer.clear();
-  const bool active = enable_tracing_if_available();
-#if FMM_TRACING_ENABLED
-  EXPECT_TRUE(active);
+  tracer.enable(true);
   {
     FMM_TRACE_SPAN("outer", "test");
-    FMM_TRACE_INSTANT("tick", "test");
     {
       FMM_TRACE_SPAN("inner", "test");
     }
   }
-  EXPECT_EQ(tracer.num_events(), 5u);  // B i B E E
+  tracer.enable(false);
+  EXPECT_EQ(tracer.num_events(), 4u);  // B B E E
 
   const std::string json = tracer.to_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
-
-  // Spans balance: every 'B' has a matching 'E'.
-  std::int64_t depth = 0;
-  for (std::size_t i = 0; i + 5 < json.size(); ++i) {
-    if (json.compare(i, 6, "\"ph\":\"") == 0) {
-      const char ph = json[i + 6];
-      if (ph == 'B') {
-        ++depth;
-      } else if (ph == 'E') {
-        --depth;
-        EXPECT_GE(depth, 0);
-      }
-    }
+  for (const auto& [tid, depth] : span_depth_by_tid(json)) {
+    EXPECT_EQ(depth, 0) << "tid " << tid;
   }
-  EXPECT_EQ(depth, 0);
-#else
-  // Tracing compiled out: enable is refused, macros are no-ops, and the
-  // event buffer stays empty no matter what runs.
-  EXPECT_FALSE(active);
-  {
-    FMM_TRACE_SPAN("outer", "test");
-    FMM_TRACE_INSTANT("tick", "test");
-  }
-  EXPECT_EQ(tracer.num_events(), 0u);
-#endif
-  tracer.enable(false);
   tracer.clear();
 }
 
@@ -311,15 +299,9 @@ TEST(Trace, SimulationEmitsEventsOnlyWhenEnabled) {
   const auto quiet = run_strassen(8, 16);
   EXPECT_EQ(tracer.num_events(), 0u);
 
-  const bool active = enable_tracing_if_available();
+  tracer.enable(true);
   const auto traced = run_strassen(8, 16);
-#if FMM_TRACING_ENABLED
-  EXPECT_TRUE(active);
   EXPECT_GT(tracer.num_events(), 0u);
-#else
-  EXPECT_FALSE(active);
-  EXPECT_EQ(tracer.num_events(), 0u);
-#endif
 
   // Tracing must not perturb the simulation itself.
   EXPECT_EQ(quiet.loads, traced.loads);
@@ -330,25 +312,69 @@ TEST(Trace, SimulationEmitsEventsOnlyWhenEnabled) {
   tracer.clear();
 }
 
-TEST(Trace, CapacityBoundsInstantsButKeepsSpans) {
-#if FMM_TRACING_ENABLED
+// Evictions, drops, recomputations and closed segments are counted in
+// the registry, not traced: a traced run holds one B/E pair per call.
+TEST(Trace, TracedRunsRecordOnlySpans) {
+  const cdag::Cdag cdag = cdag::build_cdag(bilinear::strassen(), 16);
+  const std::vector<graph::VertexId> schedule = pebble::dfs_schedule(cdag);
+  auto& registry = Registry::instance();
+  registry.reset();
   auto& tracer = Tracer::instance();
   tracer.clear();
   tracer.enable(true);
-  tracer.set_capacity(4);
-  for (int i = 0; i < 10; ++i) {
-    FMM_TRACE_INSTANT("flood", "test");
-  }
-  EXPECT_EQ(tracer.num_events(), 4u);
-  EXPECT_EQ(tracer.dropped_events(), 6u);
-  {
-    FMM_TRACE_SPAN("still-recorded", "test");  // spans bypass the cap
-  }
-  EXPECT_EQ(tracer.num_events(), 6u);
+
+  pebble::SimOptions options;
+  options.cache_size = 16;
+  pebble::simulate(cdag, schedule, options);
+  options.replacement = pebble::ReplacementPolicy::kBelady;
+  pebble::simulate(cdag, schedule, options);
+  options.replacement = pebble::ReplacementPolicy::kLru;
+  options.writeback = pebble::WritebackPolicy::kDropRecomputable;
+  const pebble::SimResult remat =
+      pebble::simulate_with_recomputation(cdag, schedule, options);
+  const bounds::SegmentAnalysis segments =
+      bounds::analyze_segments(cdag, remat.summary, options.cache_size);
   tracer.enable(false);
+
+  EXPECT_GT(remat.recomputations, 0);
+  EXPECT_FALSE(segments.segments.empty());
+  EXPECT_GT(registry.counter("pebble.evictions").value(), 0);
+  EXPECT_EQ(tracer.num_events(), 8u);
+  const std::string json = tracer.to_json();
+  for (const auto& [tid, depth] : span_depth_by_tid(json)) {
+    EXPECT_EQ(depth, 0) << "tid " << tid;
+  }
   tracer.clear();
-  tracer.set_capacity(std::size_t{1} << 18);
-#endif
+}
+
+TEST(Trace, ConcurrentSpansBalancePerThread) {
+  constexpr int kThreads = 4;
+  constexpr int kPairs = 1000;
+  auto& tracer = Tracer::instance();
+  tracer.clear();
+  tracer.enable(true);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kPairs; ++i) {
+        FMM_TRACE_SPAN("outer", "test");
+        FMM_TRACE_SPAN("inner", "test");
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  tracer.enable(false);
+
+  EXPECT_EQ(tracer.num_events(),
+            static_cast<std::size_t>(kThreads) * kPairs * 4);
+  const auto depth = span_depth_by_tid(tracer.to_json());
+  EXPECT_EQ(depth.size(), static_cast<std::size_t>(kThreads));
+  for (const auto& [tid, d] : depth) {
+    EXPECT_EQ(d, 0) << "tid " << tid;
+  }
+  tracer.clear();
 }
 
 // --- Run report -------------------------------------------------------
@@ -401,6 +427,27 @@ TEST(RunReport, CliParsing) {
   const ReportCli none = parse_report_cli(1, const_cast<char**>(bare));
   EXPECT_FALSE(none.wants_report());
   EXPECT_EQ(none.seed, 1u);
+}
+
+// A full disk fails at flush time, after `<<` has already succeeded into
+// the stream buffer; the writers must notice and name the file.
+TEST(RunReport, WriteToFullDiskThrowsNamingPath) {
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) {
+    GTEST_SKIP() << full << " is not available";
+  }
+  const auto expect_refused = [&full](const auto& write) {
+    try {
+      write();
+      ADD_FAILURE() << "write to " << full << " did not throw";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(full), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  };
+  expect_refused([&] { write_file_checked(full, "{}\n"); });
+  expect_refused([&] { RunReport("full").write_file(full); });
 }
 
 }  // namespace

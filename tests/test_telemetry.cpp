@@ -3,10 +3,10 @@
 // Prometheus exposition), the seqlock TelemetryRing under concurrent
 // writers, the TelemetrySink slow-log threshold, and the service-level
 // contracts — tail/metrics ops, span phase attribution, cache
-// verdicts, the stats op's derived fields, trace-drop accounting, and
-// the byte-identity guarantee that telemetry never leaks into
-// canonical response bytes.  The Histogram / Telemetry suites run
-// under the tsan preset (CMakePresets.json test filter).
+// verdicts, the stats op's derived fields, and the byte-identity
+// guarantee that telemetry never leaks into canonical response bytes.
+// The Histogram / Telemetry suites run under the tsan preset
+// (CMakePresets.json test filter).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "service/service.hpp"
 
 namespace fmm::obs {
@@ -438,31 +437,6 @@ TEST(QueryServiceTelemetry, ReportSectionValidates) {
   EXPECT_NE(rendered.find("\"telemetry\""), std::string::npos);
   EXPECT_NE(rendered.find("\"service\""), std::string::npos);
 }
-
-// --- trace drop accounting (satellite: silent overflow made visible) -
-
-#if FMM_TRACING_ENABLED
-TEST(TraceDrops, OverflowLandsInRegistryCounter) {
-  auto& registry = Registry::instance();
-  registry.reset();
-  Tracer& tracer = Tracer::instance();
-  tracer.clear();
-  tracer.set_capacity(4);
-  tracer.enable(true);
-  for (int i = 0; i < 10; ++i) {
-    tracer.instant("overflow_probe", "test");
-  }
-  tracer.enable(false);
-  EXPECT_EQ(tracer.num_events(), 4u);
-  EXPECT_EQ(tracer.dropped_events(), 6u);
-  // The registry counter mirrors the drops — this is what run reports
-  // surface under meta.trace.
-  EXPECT_EQ(registry.counter("trace.dropped_events").value(), 6);
-  tracer.set_capacity(1 << 18);
-  tracer.clear();
-  registry.reset();
-}
-#endif
 
 }  // namespace
 }  // namespace fmm::obs

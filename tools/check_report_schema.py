@@ -31,10 +31,9 @@ Checks, per file:
     (algorithm, n, m) cell: min_io <= simulated total_io.
   - meta.build (required): build provenance stamped into every report —
     version / git / build_type / preset / compiler as non-empty strings
-    and tracing as a bool (obs/build_info.hpp).
-  - meta.trace (when present): trace-buffer accounting — events and
-    dropped_events as non-negative integers (a non-zero drop count
-    means the Chrome trace silently lost events; docs/OBSERVABILITY.md).
+    (obs/build_info.hpp).
+  - meta.trace (when present): the number of span events the tracer
+    recorded, as a non-negative integer (docs/OBSERVABILITY.md).
   - extra.telemetry (when present): the query service's request-span
     section — per-op latency histogram rows whose bucket counts sum to
     the row count, percentile summaries ordered p50 <= p90 <= p99 <=
@@ -417,20 +416,15 @@ def check_build_meta(path, doc):
         if not isinstance(value, str) or not value:
             ok = fail(path, f"meta.build.{key} {value!r} is not a "
                             "non-empty string")
-    if not isinstance(build.get("tracing"), bool):
-        ok = fail(path, "meta.build.tracing missing or not a bool")
-    # meta.trace is optional (stamped since the telemetry PR): buffer
-    # accounting that makes silent trace-event loss visible.
     if "trace" in meta:
         trace = meta["trace"]
         if not isinstance(trace, dict):
             return fail(path, "meta.trace is not an object")
-        for key in ("events", "dropped_events"):
-            value = trace.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or \
-                    value < 0:
-                ok = fail(path, f"meta.trace.{key} {value!r} is not a "
-                                "non-negative integer")
+        value = trace.get("events")
+        if not isinstance(value, int) or isinstance(value, bool) or \
+                value < 0:
+            ok = fail(path, f"meta.trace.events {value!r} is not a "
+                            "non-negative integer")
     return ok
 
 

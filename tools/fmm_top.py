@@ -131,14 +131,13 @@ def render_frame(samples, buckets, tail, prev_counts, dt):
     lines.append("fmm_top — %s" % time.strftime("%H:%M:%S"))
     lines.append(
         "queue depth %d   cache hit-rate %5.1f%% (%d/%d)   "
-        "evictions %d   slow %d   trace drops %d" % (
+        "evictions %d   slow %d" % (
             samples.get("fmm_service_queue_depth", 0),
             100.0 * hits / lookups if lookups else 0.0,
             hits, lookups,
             samples.get("fmm_service_cache_evictions", 0),
             samples.get("fmm_service_slow_requests",
-                        tail.get("slow_total", 0)),
-            samples.get("fmm_trace_dropped_events", 0)))
+                        tail.get("slow_total", 0))))
     lines.append("")
     lines.append("%-12s %8s %8s %10s %10s %10s" % (
         "op", "qps", "count", "p50", "p90", "p99"))
