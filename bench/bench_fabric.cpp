@@ -17,14 +17,12 @@
 //
 // There is deliberately NO speedup gate: the mix is CDAG-build-bound
 // and each worker owns a private cache, so fabric throughput depends
-// on how rendezvous happens to shard the mix.  The trajectory records
-// both arms so successive PRs can watch the ratio.
+// on how rendezvous happens to shard the mix.  The report records both
+// arms so successive PRs can watch the ratio.
 //
 // `bench_fabric --out report.json` writes a versioned run report whose
 // extra.fabric section carries the router's supervision accounting for
-// the schema checker.  Every run also writes BENCH_fabric.json
-// (schema fmm.bench_trajectory) to the source root; --bench-out PATH
-// overrides the destination.
+// the schema checker.  The committed BENCH_fabric.json is this report.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -33,11 +31,9 @@
 #include <string>
 #include <vector>
 
-#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "fabric/router.hpp"
 #include "fabric/transport.hpp"
-#include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
@@ -57,17 +53,6 @@ int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
-#ifdef FMM_SOURCE_ROOT
-  std::string bench_out = std::string(FMM_SOURCE_ROOT) +
-                          "/BENCH_fabric.json";
-#else
-  std::string bench_out = "BENCH_fabric.json";
-#endif
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--bench-out") {
-      bench_out = argv[i + 1];
-    }
-  }
   obs::Tracer::instance().enable(true);
   obs::Registry::instance().reset();
 
@@ -212,26 +197,6 @@ int main(int argc, char** argv) {
   std::printf("fabric/direct throughput ratio: %.2fx (recorded, not "
               "gated)\n",
               ratio);
-
-  {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"fmm.bench_trajectory\",\n";
-    os << "  \"schema_version\": 1,\n";
-    os << "  \"experiment\": \"F1 fabric vs direct serving\",\n";
-    os << "  \"build\": " << obs::build_info_json() << ",\n";
-    os << "  \"requests\": " << total_requests << ",\n";
-    os << "  \"workers\": " << fabric_config.num_workers << ",\n";
-    os << "  \"direct_ms\": " << direct_ms << ",\n";
-    os << "  \"fabric_ms\": " << fabric_ms << ",\n";
-    os << "  \"fabric_over_direct\": " << ratio << ",\n";
-    os << "  \"kills_injected\": " << stats.kills_injected << ",\n";
-    os << "  \"requeues\": " << stats.requeues << ",\n";
-    os << "  \"respawns\": " << stats.respawns << "\n";
-    os << "}\n";
-    write_file_checked(bench_out, os.str());
-    std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
-  }
 
   if (cli.wants_report() || !cli.trace_path.empty()) {
     obs::RunReport report("bench_fabric");

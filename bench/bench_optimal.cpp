@@ -12,13 +12,11 @@
 //   2. at least one >= 40-vertex encoder sub-CDAG solves exactly, both
 //      variants.
 //
-// Every run writes BENCH_optimal.json — a perf-trajectory baseline
-// (schema fmm.bench_trajectory) for cross-PR diffing, next to
-// BENCH_sweep.json / BENCH_service.json; --bench-out overrides the
-// path.  `bench_optimal --out report.json` additionally runs a small
-// optimal+simulate+boundcheck sweep and attaches its certified-chain
-// section (extra.sweep) to the run report, which the ctest schema
-// fixture validates end to end.
+// `bench_optimal --out report.json` writes a versioned run report: the
+// per-cell rows under extra.bench_optimal, plus a small
+// optimal+simulate+boundcheck sweep whose certified-chain section
+// (extra.sweep) the ctest schema fixture validates end to end.  The
+// committed BENCH_optimal.json is this report.
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -29,10 +27,9 @@
 #include "bilinear/scheme.hpp"
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
-#include "common/file_io.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
-#include "obs/build_info.hpp"
 #include "obs/run_report.hpp"
 #include "pebble/optimal.hpp"
 #include "sweep/sweep.hpp"
@@ -85,19 +82,7 @@ struct CellRow {
 
 int main(int argc, char** argv) {
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
-#ifdef FMM_SOURCE_ROOT
-  std::string bench_out =
-      std::string(FMM_SOURCE_ROOT) + "/BENCH_optimal.json";
   const std::string zoo = std::string(FMM_SOURCE_ROOT) + "/schemes/";
-#else
-  std::string bench_out = "BENCH_optimal.json";
-  const std::string zoo = "schemes/";
-#endif
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--bench-out") {
-      bench_out = argv[i + 1];
-    }
-  }
 
   std::printf("=== O1: branch-and-bound oracle trajectory (exact minimum "
               "I/O) ===\n\n");
@@ -204,33 +189,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Perf-trajectory baseline for cross-PR diffing.
-  {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"fmm.bench_trajectory\",\n";
-    os << "  \"schema_version\": 1,\n";
-    os << "  \"experiment\": \"O1 branch-and-bound oracle trajectory\",\n";
-    os << "  \"build\": " << obs::build_info_json() << ",\n";
-    os << "  \"instances_solved\": " << rows.size() << ",\n";
-    os << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const CellRow& row = rows[i];
-      os << "    {\"instance\": \"" << row.instance << "\", \"vertices\": "
-         << row.vertices << ", \"m\": " << row.m << ", \"remat\": "
-         << (row.remat ? "true" : "false") << ", \"min_io\": "
-         << row.result.min_io << ", \"optimality\": \""
-         << pebble::optimality_name(row.result.optimality)
-         << "\", \"states_explored\": " << row.result.states_explored
-         << ", \"wall_s\": " << row.seconds << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n";
-    os << "}\n";
-    write_file_checked(bench_out, os.str());
-    std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
-  }
-
   if (cli.wants_report()) {
     // Certified-chain sweep for the report: optimal + simulate +
     // boundcheck on the Strassen n=2 cells, so extra.sweep carries the
@@ -254,10 +212,25 @@ int main(int argc, char** argv) {
     report.set_result("big_encoder_exact", big_encoder_exact);
     report.set_result("all_chains_hold", swept.all_chains_hold);
     double total_seconds = 0.0;
-    for (const CellRow& row : rows) {
+    std::ostringstream cells;
+    cells << "{\"cells\": [";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const CellRow& row = rows[i];
       total_seconds += row.seconds;
+      cells << (i == 0 ? "\n" : ",\n") << "      {\"instance\": \""
+            << json_escape(row.instance) << "\", \"vertices\": "
+            << row.vertices << ", \"m\": " << row.m << ", \"remat\": "
+            << (row.remat ? "true" : "false") << ", \"min_io\": "
+            << row.result.min_io << ", \"optimality\": \""
+            << pebble::optimality_name(row.result.optimality)
+            << "\", \"states_explored\": " << row.result.states_explored
+            << ", \"wall_s\": ";
+      write_double(cells, row.seconds);
+      cells << "}";
     }
+    cells << "\n    ]}";
     report.add_phase_seconds("solve", total_seconds);
+    report.add_raw_section("bench_optimal", cells.str());
     swept.attach_to(report);
     obs::finalize_run(cli, report);
   }

@@ -20,14 +20,14 @@
 //      approximation of the CDAG, it IS the CDAG;
 //   2. speed: at Strassen n = 64 the MAPPED load is >= 100x faster
 //      than the rebuild.  The full-verify load is recorded in the
-//      trajectory but not gated: re-hashing 24 MB has a bandwidth
-//      floor no format can cheat, and its win (~15x here) is not the
-//      zero-copy promise.
+//      report but not gated: re-hashing 24 MB has a bandwidth floor no
+//      format can cheat, and its win (~15x here) is not the zero-copy
+//      promise.
 //
-// `bench_snapshot --out report.json` writes a versioned run report
-// (extra.snapshot carries the store accounting for the schema
-// checker).  Every run also writes BENCH_snapshot.json (schema
-// fmm.bench_trajectory) to the source root; --bench-out PATH overrides.
+// `bench_snapshot --out report.json` writes a versioned run report:
+// extra.snapshot carries the store accounting for the schema checker,
+// extra.bench_snapshot the per-case rows.  The committed
+// BENCH_snapshot.json is this report.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -37,9 +37,8 @@
 #include <vector>
 
 #include "cdag/builder.hpp"
-#include "common/file_io.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
-#include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
@@ -91,20 +90,8 @@ int main(int argc, char** argv) {
   namespace fs = std::filesystem;
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
-#ifdef FMM_SOURCE_ROOT
-  std::string bench_out =
-      std::string(FMM_SOURCE_ROOT) + "/BENCH_snapshot.json";
   const std::string laderman = std::string("file:") + FMM_SOURCE_ROOT +
                                "/schemes/laderman_333_23.json";
-#else
-  std::string bench_out = "BENCH_snapshot.json";
-  const std::string laderman = "file:schemes/laderman_333_23.json";
-#endif
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--bench-out") {
-      bench_out = argv[i + 1];
-    }
-  }
   obs::Tracer::instance().enable(true);
   obs::Registry::instance().reset();
 
@@ -219,33 +206,6 @@ int main(int argc, char** argv) {
               "re-derivation has a bandwidth floor)\n",
               gate.build_ms / gate.load_full_ms);
 
-  {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"fmm.bench_trajectory\",\n";
-    os << "  \"schema_version\": 1,\n";
-    os << "  \"experiment\": \"N1 snapshot load vs rebuild\",\n";
-    os << "  \"build\": " << obs::build_info_json() << ",\n";
-    os << "  \"mapped_speedup_n64\": " << mapped_speedup << ",\n";
-    os << "  \"full_speedup_n64\": "
-       << gate.build_ms / gate.load_full_ms << ",\n";
-    os << "  \"cases\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const CaseResult& row = results[i];
-      os << "    {\"case\": \"" << row.label << "\", \"n\": " << row.n
-         << ", \"vertices\": " << row.vertices
-         << ", \"snapshot_bytes\": " << row.snapshot_bytes
-         << ", \"build_ms\": " << row.build_ms
-         << ", \"load_full_ms\": " << row.load_full_ms
-         << ", \"load_mapped_ms\": " << row.load_mapped_ms << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n";
-    os << "}\n";
-    write_file_checked(bench_out, os.str());
-    std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
-  }
-
   if (cli.wants_report() || !cli.trace_path.empty()) {
     obs::RunReport report("bench_snapshot");
     report.set_param("experiment", "N1 snapshot load vs rebuild");
@@ -261,6 +221,24 @@ int main(int argc, char** argv) {
     report.add_bound_check("snapshot_mapped_speedup_n64",
                            /*bound=*/100.0, /*measured=*/mapped_speedup);
     report.add_raw_section("snapshot", store.stats_json());
+    std::ostringstream rows;
+    rows << "{\"cases\": [";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const CaseResult& row = results[i];
+      rows << (i == 0 ? "\n" : ",\n") << "      {\"case\": \""
+           << json_escape(row.label) << "\", \"n\": " << row.n
+           << ", \"vertices\": " << row.vertices
+           << ", \"snapshot_bytes\": " << row.snapshot_bytes
+           << ", \"build_ms\": ";
+      write_double(rows, row.build_ms);
+      rows << ", \"load_full_ms\": ";
+      write_double(rows, row.load_full_ms);
+      rows << ", \"load_mapped_ms\": ";
+      write_double(rows, row.load_mapped_ms);
+      rows << "}";
+    }
+    rows << "\n    ]}";
+    report.add_raw_section("bench_snapshot", rows.str());
     obs::finalize_run(cli, report);
   }
   return 0;

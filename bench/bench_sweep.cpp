@@ -14,21 +14,17 @@
 // ω0 = log₃23.
 //
 // `bench_sweep --out report.json` writes a versioned run report whose
-// extra.sweep section is the (thread-count-independent) sweep payload.
-// Every run also writes BENCH_sweep.json — a perf-trajectory baseline
-// (schema fmm.bench_trajectory) for cross-PR diffing, next to
-// bench_service's BENCH_service.json.  --bench-out overrides the path.
+// extra.sweep section is the (thread-count-independent) sweep payload;
+// both arms' wall times sit in phases_sec.  The committed
+// BENCH_sweep.json is this report.
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
-#include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
@@ -38,21 +34,9 @@ int main(int argc, char** argv) {
   using namespace fmm;
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
-#ifdef FMM_SOURCE_ROOT
-  std::string bench_out =
-      std::string(FMM_SOURCE_ROOT) + "/BENCH_sweep.json";
   const std::string laderman_key =
       std::string("file:") + FMM_SOURCE_ROOT +
       "/schemes/laderman_333_23.json";
-#else
-  std::string bench_out = "BENCH_sweep.json";
-  const std::string laderman_key = "file:schemes/laderman_333_23.json";
-#endif
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--bench-out") {
-      bench_out = argv[i + 1];
-    }
-  }
   obs::Tracer::instance().enable(true);
 
   sweep::SweepSpec spec;
@@ -134,6 +118,7 @@ int main(int argc, char** argv) {
               laderman_traits.fingerprint.c_str());
   double laderman_serial = 0.0;
   double laderman_4t = 0.0;
+  std::size_t laderman_tasks = 0;
   for (const std::size_t threads : {1u, 4u}) {
     obs::Registry::instance().reset();
     laderman.num_threads = threads;
@@ -152,39 +137,12 @@ int main(int argc, char** argv) {
     } else {
       laderman_4t = result.wall_seconds;
     }
+    laderman_tasks = result.num_tasks;
     std::printf("laderman %zu thread(s): %s s (%s tasks/s)\n", threads,
                 format_double(result.wall_seconds).c_str(),
                 format_double(static_cast<double>(result.num_tasks) /
                               result.wall_seconds)
                     .c_str());
-  }
-
-  // Perf-trajectory baseline for cross-PR diffing (both arms).
-  {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"fmm.bench_trajectory\",\n";
-    os << "  \"schema_version\": 1,\n";
-    os << "  \"experiment\": \"S1 sweep engine scaling\",\n";
-    os << "  \"build\": " << obs::build_info_json() << ",\n";
-    os << "  \"hardware_threads\": " << hardware << ",\n";
-    os << "  \"arms\": {\n";
-    os << "    \"strassen\": {\"tasks\": 36, \"serial_s\": "
-       << serial_seconds << ", \"threads_2_s\": " << seconds_at[2]
-       << ", \"threads_4_s\": " << seconds_at[4]
-       << ", \"threads_8_s\": " << seconds_at[8]
-       << ", \"speedup_4t\": " << speedup_4 << "},\n";
-    os << "    \"laderman\": {\"tasks\": 12, \"serial_s\": "
-       << laderman_serial << ", \"threads_4_s\": " << laderman_4t
-       << ", \"speedup_4t\": "
-       << (laderman_4t > 0.0 ? laderman_serial / laderman_4t : 0.0)
-       << ", \"omega0\": " << laderman_traits.omega0
-       << ", \"scheme_fingerprint\": \"" << laderman_traits.fingerprint
-       << "\"}\n";
-    os << "  }\n";
-    os << "}\n";
-    write_file_checked(bench_out, os.str());
-    std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
   }
 
   if (cli.wants_report() || !cli.trace_path.empty()) {
@@ -200,13 +158,23 @@ int main(int argc, char** argv) {
                      static_cast<std::int64_t>(hardware));
     report.set_param("reported_threads",
                      static_cast<std::int64_t>(spec.num_threads));
+    report.set_param("laderman_omega0", laderman_traits.omega0);
+    report.set_param("laderman_scheme_fingerprint",
+                     laderman_traits.fingerprint);
     report.add_phase_seconds("serial", serial_seconds);
     report.add_phase_seconds("threads_2", seconds_at[2]);
     report.add_phase_seconds("threads_4", seconds_at[4]);
     report.add_phase_seconds("threads_8", seconds_at[8]);
+    report.add_phase_seconds("laderman_serial", laderman_serial);
+    report.add_phase_seconds("laderman_threads_4", laderman_4t);
     report.set_result("speedup_2t", speedup_2);
     report.set_result("speedup_4t", speedup_4);
     report.set_result("speedup_8t", speedup_8);
+    report.set_result("laderman_tasks",
+                      static_cast<std::int64_t>(laderman_tasks));
+    report.set_result("laderman_speedup_4t",
+                      laderman_4t > 0.0 ? laderman_serial / laderman_4t
+                                        : 0.0);
     report.set_result("deterministic_across_threads", true);
     if (hardware >= 4) {
       // The acceptance gate only makes sense with the cores to back it.

@@ -123,7 +123,6 @@
 #include "pebble/liveness.hpp"
 #include "pebble/machine.hpp"
 #include "pebble/optimal.hpp"
-#include "pebble/schedules.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/retry.hpp"
 #include "service/service.hpp"
@@ -290,6 +289,28 @@ pick_positional(const Args& args, const char* usage) {
             sweep::resolve_traits(args.positional[1])};
   } catch (const CheckError& e) {
     usage_error(e.what());
+  }
+}
+
+/// --schedule dfs|bfs|random and --policy lru|opt into `spec`, shared
+/// by simulate and sweep; an unknown name is a one-line usage error.
+void read_schedule_flags(const Args& args, const char* command,
+                         sweep::SweepSpec& spec) {
+  const std::string schedule = args.get("schedule", "dfs");
+  if (schedule == "bfs") {
+    spec.schedule = sweep::SchedulePolicy::kBfs;
+  } else if (schedule == "random") {
+    spec.schedule = sweep::SchedulePolicy::kRandom;
+  } else if (schedule != "dfs") {
+    usage_error(std::string(command) + ": --schedule must be dfs, bfs or "
+                "random, got '" + schedule + "'");
+  }
+  const std::string policy = args.get("policy", "lru");
+  if (policy == "opt") {
+    spec.replacement = pebble::ReplacementPolicy::kBelady;
+  } else if (policy != "lru") {
+    usage_error(std::string(command) + ": --policy must be lru or opt, "
+                "got '" + policy + "'");
   }
 }
 
@@ -512,58 +533,41 @@ int cmd_simulate(const Args& args) {
       static_cast<std::size_t>(require_base_n(args, 16, "simulate", traits));
   const std::int64_t m =
       read_int(args, "simulate", {"m", 64, 2, "fast memory words"});
-  const std::string schedule_kind = args.get("schedule", "dfs");
-  if (schedule_kind != "dfs" && schedule_kind != "bfs" &&
-      schedule_kind != "random") {
-    usage_error("simulate: --schedule must be dfs, bfs or random, got '" +
-                schedule_kind + "'");
-  }
+  // A one-cell sweep, built as the service builds a simulate request, so
+  // simulate, query, sweep and serve agree on every cell.
+  sweep::SweepSpec spec;
+  spec.algorithms = {args.positional[1]};
+  spec.n_grid = {n};
+  spec.m_grid = {m};
+  read_schedule_flags(args, "simulate", spec);
+  spec.remat = args.has("remat");
+  spec.base_seed = cli.seed;
   const cdag::Cdag cdag = cdag::build_cdag(alg, n);
-
-  std::vector<graph::VertexId> schedule;
-  Rng rng(args.get_int("seed", 1) < 0
-              ? 1
-              : static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  if (schedule_kind == "bfs") {
-    schedule = pebble::bfs_schedule(cdag);
-  } else if (schedule_kind == "random") {
-    schedule = pebble::random_topological_schedule(cdag, rng);
-  } else {
-    schedule = pebble::dfs_schedule(cdag);
-  }
-
-  pebble::SimOptions options;
-  options.cache_size = m;
-  options.write_cost = args.get_int("write-cost", 1);
-  if (args.get("policy", "lru") == "opt") {
-    options.replacement = pebble::ReplacementPolicy::kBelady;
-  }
-
-  pebble::SimResult result;
-  if (args.has("remat")) {
-    options.writeback = pebble::WritebackPolicy::kDropRecomputable;
-    result = pebble::simulate_with_recomputation(cdag, schedule, options);
-  } else {
-    result = pebble::simulate(cdag, schedule, options);
-  }
+  const pebble::SimResult result =
+      sweep::run_simulation(sweep::enumerate_tasks(spec)[0], cdag, spec);
+  // The write cost weighs only this tally; it steers no eviction.
+  const std::int64_t weighted_io =
+      result.loads + args.get_int("write-cost", 1) * result.stores;
 
   const double bound = bounds::fast_memory_dependent(
       {static_cast<double>(n), static_cast<double>(m), 1}, traits);
+  const char* schedule_kind = sweep::schedule_policy_name(spec.schedule);
   std::printf("%s on H^{%zux%zu}, M=%lld, schedule=%s%s\n",
               alg.name().c_str(), n, n, static_cast<long long>(m),
-              schedule_kind.c_str(), args.has("remat") ? " + remat" : "");
+              schedule_kind, spec.remat ? " + remat" : "");
   std::printf("  loads=%lld stores=%lld total=%lld weighted=%lld "
               "recomputes=%lld\n",
               static_cast<long long>(result.loads),
               static_cast<long long>(result.stores),
               static_cast<long long>(result.total_io()),
-              static_cast<long long>(result.weighted_io),
+              static_cast<long long>(weighted_io),
               static_cast<long long>(result.recomputations));
   std::printf("  bound=%.4g  measured/bound=%.2fx\n", bound,
               static_cast<double>(result.total_io()) / bound);
-  if (!args.has("remat")) {
+  if (!spec.remat) {
     std::printf("  zero-spill memory requirement of this schedule: %zu\n",
-                pebble::min_cache_for_zero_spill(cdag, schedule));
+                pebble::min_cache_for_zero_spill(
+                    cdag, result.summary.compute_order));
   }
   // Segment analysis when the configuration admits it.
   bool have_segments = false;
@@ -590,12 +594,12 @@ int cmd_simulate(const Args& args) {
     report.set_param("m", m);
     report.set_param("schedule", schedule_kind);
     report.set_param("policy", args.get("policy", "lru"));
-    report.set_param("remat", args.has("remat") ? "true" : "false");
+    report.set_param("remat", spec.remat ? "true" : "false");
     report.set_param("seed", static_cast<std::int64_t>(cli.seed));
     report.set_result("loads", result.loads);
     report.set_result("stores", result.stores);
     report.set_result("total_io", result.total_io());
-    report.set_result("weighted_io", result.weighted_io);
+    report.set_result("weighted_io", weighted_io);
     report.set_result("computations", result.computations);
     report.set_result("recomputations", result.recomputations);
     if (have_segments) {
@@ -985,13 +989,7 @@ int cmd_sweep(const Args& args) {
       spec.kinds.push_back(static_cast<sweep::TaskKind>(k));
     }
   }
-  const std::string schedule = args.get("schedule", "dfs");
-  spec.schedule = schedule == "bfs"      ? sweep::SchedulePolicy::kBfs
-                  : schedule == "random" ? sweep::SchedulePolicy::kRandom
-                                         : sweep::SchedulePolicy::kDfs;
-  if (args.get("policy", "lru") == "opt") {
-    spec.replacement = pebble::ReplacementPolicy::kBelady;
-  }
+  read_schedule_flags(args, "sweep", spec);
   spec.remat = args.has("remat");
   spec.base_seed = cli.seed;
   spec.num_threads = static_cast<std::size_t>(read_int(
@@ -1083,7 +1081,7 @@ int cmd_sweep(const Args& args) {
     report.set_param("algorithms", args.get("alg", ""));
     report.set_param("n_grid", args.get("n", ""));
     report.set_param("m_grid", args.get("m", ""));
-    report.set_param("schedule", schedule);
+    report.set_param("schedule", sweep::schedule_policy_name(spec.schedule));
     report.set_param("remat", spec.remat);
     report.set_param("threads",
                      static_cast<std::int64_t>(spec.num_threads));

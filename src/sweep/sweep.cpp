@@ -105,17 +105,6 @@ pebble::SimOptions sim_options(const TaskCell& cell, const SweepSpec& spec) {
   return options;
 }
 
-pebble::SimResult run_simulation(const TaskCell& cell,
-                                 const cdag::Cdag& cdag,
-                                 const SweepSpec& spec, Rng& rng) {
-  const auto schedule = make_schedule(cdag, spec.schedule, rng);
-  const pebble::SimOptions options = sim_options(cell, spec);
-  if (spec.remat) {
-    return pebble::simulate_with_recomputation(cdag, schedule, options);
-  }
-  return pebble::simulate(cdag, schedule, options);
-}
-
 void copy_sim_payload(TaskResult& out, const pebble::SimResult& sim) {
   out.loads = sim.loads;
   out.stores = sim.stores;
@@ -271,6 +260,18 @@ std::vector<TaskCell> enumerate_tasks(const SweepSpec& spec) {
   return cells;
 }
 
+pebble::SimResult run_simulation(const TaskCell& cell,
+                                 const cdag::Cdag& cdag,
+                                 const SweepSpec& spec) {
+  Rng rng(cell.seed);
+  const auto schedule = make_schedule(cdag, spec.schedule, rng);
+  const pebble::SimOptions options = sim_options(cell, spec);
+  if (spec.remat) {
+    return pebble::simulate_with_recomputation(cdag, schedule, options);
+  }
+  return pebble::simulate(cdag, schedule, options);
+}
+
 TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
                     const SweepSpec& spec) {
   TaskResult result;
@@ -282,7 +283,6 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
   obs::PhaseFrame* frame = obs::current_phase_frame();
   const ScopedNsAccumulator simulate_timer(
       frame != nullptr ? &frame->simulate_ns : nullptr);
-  Rng rng(cell.seed);
   try {
     // Scheme identity travels with every row (cached resolution; the
     // sweep engine and the service both resolve names up front, so this
@@ -293,10 +293,11 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
     result.omega0 = traits.omega0;
     switch (cell.kind) {
       case TaskKind::kSimulate: {
-        copy_sim_payload(result, run_simulation(cell, cdag, spec, rng));
+        copy_sim_payload(result, run_simulation(cell, cdag, spec));
         break;
       }
       case TaskKind::kLiveness: {
+        Rng rng(cell.seed);
         const auto schedule = make_schedule(cdag, spec.schedule, rng);
         result.liveness_peak = static_cast<std::int64_t>(
             pebble::liveness_profile(cdag, schedule).peak);
@@ -308,6 +309,7 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
           result.skipped = true;
           break;
         }
+        Rng rng(cell.seed);
         const auto cert = bounds::certify_dominator_bound(
             cdag, spec.dominator_r, spec.dominator_samples,
             bounds::ZChoice::kUniformRandom, rng);
@@ -318,7 +320,7 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
         break;
       }
       case TaskKind::kBoundCheck: {
-        const pebble::SimResult sim = run_simulation(cell, cdag, spec, rng);
+        const pebble::SimResult sim = run_simulation(cell, cdag, spec);
         copy_sim_payload(result, sim);
         result.lower_bound = bounds::fast_memory_dependent(
             bounds::mm_params_from_ints(

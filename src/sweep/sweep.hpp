@@ -272,6 +272,13 @@ bilinear::SchemeTraits resolve_traits(const std::string& name);
 /// The deterministic task list of `spec` (no work is performed).
 std::vector<TaskCell> enumerate_tasks(const SweepSpec& spec);
 
+/// The pebble run of a simulate or boundcheck cell: the spec's schedule,
+/// drawn from Rng(cell.seed), under the spec's replacement and
+/// write-back regime (remat runs LRU).  Throws CheckError on an
+/// infeasible run; `fmmio simulate` calls it directly.
+pebble::SimResult run_simulation(const TaskCell& cell, const cdag::Cdag& cdag,
+                                 const SweepSpec& spec);
+
 /// Runs one cell against a pre-built CDAG.  Never throws: failures are
 /// recorded in the result with the cell's coordinates.
 TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,

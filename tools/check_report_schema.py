@@ -34,11 +34,12 @@ Checks, per file:
     (obs/build_info.hpp).
   - meta.trace (when present): the number of span events the tracer
     recorded, as a non-negative integer (docs/OBSERVABILITY.md).
-  - extra.telemetry (when present): the query service's request-span
-    section — per-op latency histogram rows whose bucket counts sum to
-    the row count, percentile summaries ordered p50 <= p90 <= p99 <=
-    max, and recent-request spans whose per-phase durations are
-    non-negative and sum to at most the span total.
+  - extra.telemetry and extra.telemetry_cold (bench_service's cold
+    arm), when present: the query service's request-span section —
+    per-op latency histogram rows whose bucket counts sum to the row
+    count, percentile summaries ordered p50 <= p90 <= p99 <= max, and
+    recent-request spans whose per-phase durations are non-negative
+    and sum to at most the span total.
   - extra.service (when present): the query service's versioned session
     section — totals (requests == responded, ok + errors == responded,
     rejected_queue_full + deadline_exceeded <= errors) re-derived from
@@ -67,8 +68,9 @@ Checks, per file:
     coherent live census (zero files implies zero store_bytes).
 
 Exit code 0 iff every file passes; failures are listed on stderr.
-This is invoked from ctest (see bench/CMakeLists.txt) against a report
-freshly generated by bench_seq_io, and is also handy standalone.
+This is invoked from ctest (see bench/CMakeLists.txt) against reports
+freshly generated by the benches and against the committed BENCH_*.json
+records, and is also handy standalone.
 """
 import json
 import math
@@ -924,8 +926,9 @@ def check_report(path):
     if "service" in extra:
         ok = check_service_section(path, extra["service"],
                                    doc.get("results", {})) and ok
-    if "telemetry" in extra:
-        ok = check_telemetry_section(path, extra["telemetry"]) and ok
+    for key in ("telemetry", "telemetry_cold"):
+        if key in extra:
+            ok = check_telemetry_section(path, extra[key]) and ok
     if "sweep" in extra:
         ok = check_sweep_section(path, extra["sweep"],
                                  doc.get("results", {})) and ok

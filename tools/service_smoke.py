@@ -6,14 +6,16 @@ Usage: service_smoke.py /path/to/fmmio [report.json]
 Starts the daemon as a subprocess, plays a scripted NDJSON session over
 its stdin — control ops, a cold compute request, a byte-identical warm
 duplicate, a liveness pair, an invalid line, stats, a metrics scrape,
-a telemetry tail, shutdown — and asserts the protocol contract from
-the outside:
+a telemetry tail, a random-schedule simulate, shutdown — and asserts
+the protocol contract from the outside:
 
   - exactly one response line per request line, in request order
     (response ids echo the request ids in sequence);
   - the warm duplicate's response is byte-identical to the cold one
     after stripping the id — the cache must be invisible in the bytes;
   - usage errors are one line and do not kill the session;
+  - the random-schedule simulate answers the loads/stores that
+    `fmmio simulate` reports for the same cell and seed;
   - shutdown drains gracefully: the daemon answers everything and
     exits 0;
   - when a report path is given, the daemon wrote a run report there
@@ -27,10 +29,12 @@ the outside:
 Exit code 0 iff every assertion holds.
 """
 import json
+import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 
 
 def strip_id(line):
@@ -59,7 +63,9 @@ def main(argv):
         '{"id": 8, "op": "stats"}',
         '{"id": 9, "op": "metrics"}',
         '{"id": 10, "op": "tail", "limit": 4}',
-        '{"id": 11, "op": "shutdown"}',
+        '{"id": 11, "op": "simulate", "algorithm": "strassen", "n": 16, '
+        '"m": 32, "schedule": "random", "seed": 1}',
+        '{"id": 12, "op": "shutdown"}',
     ]
 
     cmd = [fmmio, "serve", "--threads", "2"]
@@ -84,7 +90,7 @@ def main(argv):
     if len(lines) == len(requests):
         # Responses arrive in request order; ids echo the requests (the
         # invalid line answers with id null, still in position).
-        want_ids = [1, 2, 3, 4, 5, 6, 7, None, 8, 9, 10, 11]
+        want_ids = [1, 2, 3, 4, 5, 6, 7, None, 8, 9, 10, 11, 12]
         for i, (line, want) in enumerate(zip(lines, want_ids)):
             try:
                 doc = json.loads(line)
@@ -138,8 +144,28 @@ def main(argv):
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             check(False, f"tail response malformed ({exc}): {lines[10]}")
 
-        check('"draining": true' in lines[11],
-              f"shutdown not acknowledged: {lines[11]}")
+        # serve and `fmmio simulate` answer one cell through one path.
+        with tempfile.TemporaryDirectory() as tmp:
+            cli_report = os.path.join(tmp, "r.json")
+            cli = subprocess.run(
+                [fmmio, "simulate", "strassen", "--n", "16", "--m", "32",
+                 "--schedule", "random", "--seed", "1", "--out",
+                 cli_report], capture_output=True, text=True, timeout=120)
+            try:
+                with open(cli_report, "r", encoding="utf-8") as f:
+                    want = json.load(f)["results"]
+                got = json.loads(lines[11])["result"]
+                check((got["loads"], got["stores"]) ==
+                      (want["loads"], want["stores"]),
+                      f"serve simulate {got['loads']}/{got['stores']} != "
+                      f"fmmio simulate {want['loads']}/{want['stores']}")
+            except (OSError, json.JSONDecodeError, KeyError,
+                    TypeError) as exc:
+                check(False, f"simulate parity unreadable ({exc}); "
+                             f"stderr: {cli.stderr}")
+
+        check('"draining": true' in lines[12],
+              f"shutdown not acknowledged: {lines[12]}")
 
     if report_path:
         # The post-drain report settles what the mid-session stats row
