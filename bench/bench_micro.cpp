@@ -100,17 +100,31 @@ void BM_CdagBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CdagBuild)->Arg(8)->Arg(16)->Arg(32);
 
+// Strassen at n, M = 64, under LRU (belady:0) or Belady (belady:1) and
+// the dfs (bfs:0) or bfs (bfs:1) schedule; items are references.
 void BM_PebbleSimulate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const cdag::Cdag cdag = cdag::build_cdag(bilinear::strassen(), n);
-  const auto schedule = pebble::dfs_schedule(cdag);
+  const auto schedule = state.range(2) != 0 ? pebble::bfs_schedule(cdag)
+                                            : pebble::dfs_schedule(cdag);
   pebble::SimOptions options;
   options.cache_size = 64;
+  options.replacement = state.range(1) != 0
+                            ? pebble::ReplacementPolicy::kBelady
+                            : pebble::ReplacementPolicy::kLru;
+  std::int64_t refs = 0;
+  for (const graph::VertexId v : schedule) {
+    refs += static_cast<std::int64_t>(cdag.graph.in_degree(v)) + 1;
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(pebble::simulate(cdag, schedule, options));
   }
+  state.SetItemsProcessed(state.iterations() * refs);
 }
-BENCHMARK(BM_PebbleSimulate)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_PebbleSimulate)
+    ->ArgsProduct({{16, 32}, {0, 1}, {0, 1}})
+    ->ArgNames({"n", "belady", "bfs"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MinDominator(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

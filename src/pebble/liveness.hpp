@@ -4,8 +4,8 @@
 // ZERO-SPILL execution (each input loaded once, nothing evicted before
 // its last use) equals the peak number of simultaneously live values.
 // Comparing this peak with the paper's M thresholds explains the phase
-// transitions in the measured I/O curves: once M exceeds the peak, I/O
-// collapses to the trivial floor (inputs + outputs); below it, the
+// transitions in the measured I/O curves: from M = peak on, Belady's I/O
+// is the trivial floor (inputs + outputs); below it, the
 // Ω((n/√M)^{ω0} M) regime kicks in.
 #pragma once
 
@@ -27,8 +27,8 @@ struct LivenessProfile {
 
 /// Computes the liveness profile of a (valid, non-recomputing) schedule.
 /// A value is live from its creation (inputs: from their first use) to
-/// its last use; outputs stay live one step past their computation
-/// (they must be stored).
+/// its last use; an output is live only at its own step (its store is
+/// mandatory I/O, not a spill).
 LivenessProfile liveness_profile(const cdag::Cdag& cdag,
                                  const std::vector<graph::VertexId>& schedule);
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/max_bitset.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -30,8 +31,10 @@ enum : std::uint8_t {
 
 /// Fast memory on flat per-vertex arrays; machine.hpp states the eviction
 /// order and the costs.  LRU residents sit on an intrusive list in touch
-/// order (head = least recent, sentinel at index V); Belady residents in
-/// an indexed max-heap keyed by (next use, id).
+/// order (head = least recent, sentinel at index V).  A Belady resident is
+/// filed under its next use: a bit at that reference-string position if
+/// finite (distinct per resident, since each position references one
+/// vertex), else a bit at its id.
 class Cache {
  public:
   Cache(const cdag::Cdag& cdag, const SimOptions& options)
@@ -73,9 +76,7 @@ class Cache {
     }
     if (belady_) {
       next_use_.assign(sentinel_, kNever);
-      heap_pos_.assign(sentinel_, 0);
-      heap_.reserve(static_cast<std::size_t>(
-          std::min<std::int64_t>(options.cache_size, sentinel_)));
+      unused_.reset(sentinel_);
     } else {
       links_.resize(static_cast<std::size_t>(sentinel_) + 1);
       links_[sentinel_] = {sentinel_, sentinel_};
@@ -83,19 +84,26 @@ class Cache {
   }
 
   /// Precomputes a static schedule's reference string, per step the
-  /// operands then the computed vertex: each vertex's remaining-use count
-  /// (liveness for kWritebackLive) and, for Belady, every reference's
-  /// next occurrence in one backward pass.  simulate() only; the
-  /// recomputation runner's schedule is dynamic.
+  /// operands then the computed vertex.  LRU counts each vertex's
+  /// remaining uses (liveness for kWritebackLive); Belady records, in one
+  /// backward pass, each position's vertex and next occurrence and each
+  /// vertex's first use.  simulate() only; the recomputation runner's
+  /// schedule is dynamic.
   void plan(const std::vector<VertexId>& schedule) {
-    uses_left_.assign(sentinel_, 0);
+    result_.summary.compute_order.reserve(schedule.size());
+    result_.summary.io_before.reserve(schedule.size());
+    if (!belady_) {
+      uses_left_.assign(sentinel_, 0);
+    }
     std::uint64_t refs = 0;
     for (const VertexId v : schedule) {
       const auto preds = cdag_.graph.in_neighbors(v);
-      for (const VertexId u : preds) {
-        ++uses_left_[u];
+      if (!belady_) {
+        for (const VertexId u : preds) {
+          ++uses_left_[u];
+        }
+        ++uses_left_[v];
       }
-      ++uses_left_[v];
       refs += preds.size() + 1;
     }
     FMM_CHECK_MSG(refs < kNever, "reference string of "
@@ -106,9 +114,12 @@ class Cache {
       return;
     }
     next_.resize(refs);
+    vertex_at_.resize(refs);
+    by_next_use_.reset(refs);
     auto pos = static_cast<std::uint32_t>(refs);
     const auto visit = [&](VertexId x) {
       next_[--pos] = next_use_[x];
+      vertex_at_[pos] = x;
       next_use_[x] = pos;
     };
     for (auto it = schedule.rbegin(); it != schedule.rend(); ++it) {
@@ -215,8 +226,7 @@ class Cache {
     flags_[v] |= kResident | dirty;
     ++occupancy_;
     if (belady_) {
-      heap_.push_back(belady_key(v));
-      sift_up(heap_.size() - 1);
+      file(v);
     } else {
       append(v);
     }
@@ -233,26 +243,28 @@ class Cache {
   /// Retires the reference of `v` at position time_ of the planned
   /// reference string; a no-op for the recomputation runner.
   void consume_use(VertexId v) {
-    if (uses_left_.empty()) {
-      return;
-    }
-    FMM_CHECK(uses_left_[v] > 0);
-    --uses_left_[v];
     if (belady_) {
-      next_use_[v] = next_[time_++];  // keys only grow: sift toward the top
-      if ((flags_[v] & kResident) != 0) {
-        heap_[heap_pos_[v]] = belady_key(v);
-        sift_up(heap_pos_[v]);
+      FMM_CHECK(vertex_at_[time_] == v);
+      const bool resident = (flags_[v] & kResident) != 0;
+      if (resident) {
+        unfile(v);  // its key is time_
       }
+      next_use_[v] = next_[time_++];
+      if (resident) {
+        file(v);
+      }
+    } else if (!uses_left_.empty()) {
+      FMM_CHECK(uses_left_[v] > 0);
+      --uses_left_[v];
     }
   }
 
   void evict_one() {
     // LRU: least recent first, walking past the pinned operands at the
     // tail.  Belady: farthest next use first; every unpinned key exceeds
-    // every pinned one, so a pinned top means all residents are pinned.
-    VertexId victim = belady_ ? static_cast<VertexId>(heap_.front())
-                              : links_[sentinel_].next;
+    // every pinned one, so a pinned farthest means all residents are
+    // pinned.
+    VertexId victim = belady_ ? farthest() : links_[sentinel_].next;
     while (!belady_ && victim != sentinel_ && (flags_[victim] & kPinned)) {
       victim = links_[victim].next;
     }
@@ -270,7 +282,7 @@ class Cache {
       // live unless droppable.  The drop policies read exact dynamic
       // liveness (consumers not yet computed), so static replay agrees.
       const bool live = options_.writeback == WritebackPolicy::kWritebackLive
-                            ? uses_left_[victim] > 0
+                            ? referenced_again(victim)
                             : consumers_left_[victim] > 0;
       if ((flags & kOutput) != 0 || ((flags & kDroppable) == 0 && live)) {
         ++result_.stores;
@@ -282,9 +294,7 @@ class Cache {
     }
     ++evictions_;
     if (belady_) {
-      heap_.front() = heap_.back();
-      heap_.pop_back();
-      sift_down(0);  // M >= 2 residents were present: the heap is not empty
+      unfile(victim);
     } else {
       unlink(victim);
     }
@@ -304,37 +314,33 @@ class Cache {
     links_[links_[v].next].prev = links_[v].prev;
   }
 
-  /// Belady order as one integer: larger next use first, ties to the
-  /// larger id.
-  std::uint64_t belady_key(VertexId v) const {
-    return std::uint64_t{next_use_[v]} << 32 | v;
+  /// Whether the planned reference string still references `v`.
+  bool referenced_again(VertexId v) const {
+    return belady_ ? next_use_[v] != kNever : uses_left_[v] > 0;
   }
 
-  void place(std::size_t i, std::uint64_t key) {
-    heap_[i] = key;
-    heap_pos_[static_cast<VertexId>(key)] = static_cast<std::uint32_t>(i);
+  /// Belady: the resident with the largest (next use, id).  M >= 2
+  /// residents are present, so one of the two bitsets is not empty.
+  VertexId farthest() const {
+    return unused_.empty() ? vertex_at_[by_next_use_.max()]
+                           : static_cast<VertexId>(unused_.max());
   }
 
-  void sift_up(std::size_t i) {
-    const std::uint64_t key = heap_[i];
-    for (; i > 0 && key > heap_[(i - 1) / 2]; i = (i - 1) / 2) {
-      place(i, heap_[(i - 1) / 2]);
+  /// Belady: files a resident `v` under its next use.
+  void file(VertexId v) {
+    if (next_use_[v] == kNever) {
+      unused_.insert(v);
+    } else {
+      by_next_use_.insert(next_use_[v]);
     }
-    place(i, key);
   }
 
-  void sift_down(std::size_t i) {
-    const std::uint64_t key = heap_[i];
-    for (std::size_t child; (child = 2 * i + 1) < heap_.size(); i = child) {
-      if (child + 1 < heap_.size() && heap_[child + 1] > heap_[child]) {
-        ++child;
-      }
-      if (heap_[child] <= key) {
-        break;
-      }
-      place(i, heap_[child]);
+  void unfile(VertexId v) {
+    if (next_use_[v] == kNever) {
+      unused_.erase(v);
+    } else {
+      by_next_use_.erase(next_use_[v]);
     }
-    place(i, key);
   }
 
   const cdag::Cdag& cdag_;
@@ -343,12 +349,13 @@ class Cache {
   const VertexId sentinel_;  // == V; the LRU list's sentinel index
   std::vector<std::uint8_t> flags_;
   std::vector<std::uint32_t> consumers_left_;
-  std::vector<std::uint32_t> uses_left_;  // planned references remaining
+  std::vector<std::uint32_t> uses_left_;  // LRU: planned references left
   std::vector<Link> links_;               // LRU: V + 1 entries
   std::vector<std::uint32_t> next_use_;   // Belady: per-vertex key
   std::vector<std::uint32_t> next_;       // Belady: per-reference next
-  std::vector<std::uint64_t> heap_;       // Belady: resident keys, max top
-  std::vector<std::uint32_t> heap_pos_;   // Belady: index into heap_
+  std::vector<VertexId> vertex_at_;       // Belady: per-reference vertex
+  MaxBitset by_next_use_;                 // Belady: residents' finite next uses
+  MaxBitset unused_;                      // Belady: never used again, by id
   std::uint32_t time_ = 0;                // Belady: references consumed
   std::int64_t occupancy_ = 0;
   std::int64_t evictions_ = 0;

@@ -35,10 +35,18 @@ namespace fmm::pebble {
 ///     Values never referenced again go first; ties go to the larger id.
 ///     A reference's next use advances only after its step.
 ///
-/// Costs: a touch is O(1) for kLru (intrusive list) and O(log M) for
-/// kBelady (indexed heap).  Memory is O(V) for kLru and O(V + refs) for
-/// kBelady, where refs, the reference string's length, is the sum of
-/// (in-degree + 1) over the schedule and must stay below 2^32 - 1.
+/// Costs: R, the reference string's length, is the sum of (in-degree + 1)
+/// over the schedule and must stay below 2^32 - 1.  A touch is O(1) for
+/// kLru (intrusive list).  kBelady files each resident as one bit: at its
+/// next-use position in a 64-ary bitset over the reference string
+/// (ceil(log64 R) levels: four at Strassen n = 64, R = 2.4 M), or, if it
+/// is never used again, at its id in one over vertex ids.  A touch moves
+/// that bit with at most one word operation per level, usually one in
+/// all, since insert and erase stop at the first level whose word was or
+/// stays non-empty; an eviction's find-max is one countl_zero per level.
+/// Memory is O(V) for kLru; kBelady adds two 32-bit arrays over the
+/// reference string (each position's vertex and next occurrence) and
+/// R/8 + V/8 bytes of bits.
 enum class ReplacementPolicy {
   kLru,     // least-recently-used
   kBelady,  // farthest-next-use (offline optimal for hits; classic MIN)

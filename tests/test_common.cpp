@@ -1,8 +1,11 @@
-// Unit tests for src/common: checked math, RNG determinism, tables, and
-// the byte-level contracts of the shared JSON and hash primitives.
+// Unit tests for src/common: checked math, RNG determinism, tables, the
+// byte-level contracts of the shared JSON and hash primitives, and the
+// max-bitset against std::set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -12,6 +15,7 @@
 #include "common/hash.hpp"
 #include "common/json.hpp"
 #include "common/math_util.hpp"
+#include "common/max_bitset.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
@@ -355,6 +359,57 @@ TEST(Hash, FnvGoldenValues) {
   EXPECT_EQ(fabric::Router::pick_worker("a", alive), 1u);
   EXPECT_EQ(fabric::Router::pick_worker("strassen", alive), 3u);
   EXPECT_EQ(fabric::Router::pick_worker("{\"op\": \"simulate\"}", alive), 1u);
+}
+
+TEST(MaxBitset, MatchesStdSetAtEveryLevelBoundary) {
+  EXPECT_TRUE(MaxBitset(0).empty());
+  // Either side of 64, 64^2 and 64^3 elements: one to four levels.
+  for (const std::uint64_t universe :
+       {1u, 64u, 65u, 4096u, 4097u, 262144u, 262145u}) {
+    MaxBitset bits(universe);
+    std::set<std::uint64_t> model;
+    Rng rng(universe);
+    // A third of the values lie near each end of the range, where the
+    // partial words at each level sit.
+    const std::uint64_t edge = std::min<std::uint64_t>(universe, 130);
+    const auto pick = [&] {
+      switch (rng.uniform(3)) {
+        case 0:
+          return rng.uniform(edge);
+        case 1:
+          return universe - 1 - rng.uniform(edge);
+        default:
+          return rng.uniform(universe);
+      }
+    };
+    // Alternate filling and draining phases; a third of the draining
+    // erases take the maximum, so find-max descends through fresh words.
+    for (int op = 0; op < 8000; ++op) {
+      const bool filling = (op / 1000) % 2 == 0;
+      if (rng.uniform(10) < (filling ? 8u : 2u)) {
+        const std::uint64_t x = pick();
+        bits.insert(x);
+        model.insert(x);
+      } else if (!model.empty() && rng.uniform(3) == 0) {
+        bits.erase(*model.rbegin());
+        model.erase(std::prev(model.end()));
+      } else {
+        const std::uint64_t x = pick();
+        bits.erase(x);
+        model.erase(x);
+      }
+      ASSERT_EQ(bits.empty(), model.empty()) << universe << " op " << op;
+      if (!model.empty()) {
+        ASSERT_EQ(bits.max(), *model.rbegin()) << universe << " op " << op;
+      }
+    }
+    while (!model.empty()) {
+      ASSERT_EQ(bits.max(), *model.rbegin()) << universe;
+      bits.erase(bits.max());
+      model.erase(std::prev(model.end()));
+    }
+    EXPECT_TRUE(bits.empty()) << universe;
+  }
 }
 
 TEST(Stopwatch, MeasuresElapsed) {

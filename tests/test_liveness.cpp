@@ -2,9 +2,13 @@
 // 2.5D classical communication.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "bilinear/catalog.hpp"
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "parallel/classical_comm.hpp"
 #include "pebble/liveness.hpp"
 #include "pebble/machine.hpp"
@@ -43,19 +47,41 @@ TEST(Liveness, PeakIsThetaOfN2ForDfs) {
   EXPECT_LE(peak, 12u * 16u * 16u);
 }
 
-TEST(Liveness, AtPeakCacheIoCollapsesToFloor) {
-  // Give the simulator the zero-spill budget plus slack and a
-  // liveness-aware policy (Belady never evicts a live value while a dead
-  // one is resident): I/O equals the trivial floor.  LRU needs more
-  // slack — it can evict long-idle live values.
-  const cdag::Cdag cdag = build_cdag(bilinear::strassen(), 8);
-  const auto schedule = dfs_schedule(cdag);
-  const std::size_t peak = min_cache_for_zero_spill(cdag, schedule);
+std::int64_t belady_io(const cdag::Cdag& cdag,
+                       const std::vector<graph::VertexId>& schedule,
+                       std::size_t cache_size) {
   SimOptions options;
-  options.cache_size = static_cast<std::int64_t>(peak) + 8;
+  options.cache_size = static_cast<std::int64_t>(cache_size);
   options.replacement = ReplacementPolicy::kBelady;
-  const auto result = simulate(cdag, schedule, options);
-  EXPECT_EQ(result.total_io(), trivial_io_floor(cdag));
+  return simulate(cdag, schedule, options).total_io();
+}
+
+TEST(Liveness, AtPeakCacheIoCollapsesToFloor) {
+  // The peak is exactly the zero-spill threshold for a liveness-aware
+  // policy: Belady never evicts a live value while a dead one is
+  // resident, so at M = peak I/O equals the trivial floor.  One word
+  // short, some live value must leave fast memory: Belady spills one
+  // intermediate, a store and its reload.  LRU needs more slack — it can
+  // evict long-idle live values.
+  for (const auto& [name, alg] :
+       {std::pair{"strassen", bilinear::strassen()},
+        std::pair{"winograd", bilinear::winograd()}}) {
+    for (const std::size_t n : {4u, 8u, 16u, 32u}) {
+      const cdag::Cdag cdag = build_cdag(alg, n);
+      const std::int64_t io_floor = trivial_io_floor(cdag);
+      Rng rng(7);
+      for (const auto& [kind, schedule] :
+           {std::pair{"dfs", dfs_schedule(cdag)},
+            std::pair{"bfs", bfs_schedule(cdag)},
+            std::pair{"random", random_topological_schedule(cdag, rng)}}) {
+        const std::size_t peak = min_cache_for_zero_spill(cdag, schedule);
+        EXPECT_EQ(belady_io(cdag, schedule, peak), io_floor)
+            << name << "/" << n << "/" << kind << " M=" << peak;
+        EXPECT_EQ(belady_io(cdag, schedule, peak - 1), io_floor + 2)
+            << name << "/" << n << "/" << kind << " M=" << peak - 1;
+      }
+    }
+  }
 }
 
 TEST(Liveness, BelowPeakForcesSpills) {

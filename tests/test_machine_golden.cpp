@@ -8,8 +8,10 @@
 // message of its CheckError instead.  The tightest M (max in-degree + 1)
 // drives the victim search through the pinned working set.
 //
-// These values were captured before the kernel moved to flat arrays; any
-// change to eviction order or tie-breaking shows up here as a diff.
+// These values were captured before the kernel moved to flat arrays, and
+// the Strassen n = 32 Belady cells with the indexed-heap Belady kernel
+// that the next-use bitset replaced; any change to eviction order or
+// tie-breaking shows up here as a diff.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,28 +114,45 @@ std::vector<graph::VertexId> schedule_of(const cdag::Cdag& cdag,
   return dfs_schedule(cdag);
 }
 
+struct Mode {
+  const char* name;
+  ReplacementPolicy replacement;
+  WritebackPolicy writeback;
+  bool remat;
+};
+
+const Mode kModes[] = {
+    {"lru/live", ReplacementPolicy::kLru, WritebackPolicy::kWritebackLive,
+     false},
+    {"lru/droprecomp", ReplacementPolicy::kLru,
+     WritebackPolicy::kDropRecomputable, false},
+    {"opt/live", ReplacementPolicy::kBelady, WritebackPolicy::kWritebackLive,
+     false},
+    {"opt/droprecomp", ReplacementPolicy::kBelady,
+     WritebackPolicy::kDropRecomputable, false},
+    {"remat/dropall", ReplacementPolicy::kLru,
+     WritebackPolicy::kDropIntermediates, true},
+    {"remat/droprecomp", ReplacementPolicy::kLru,
+     WritebackPolicy::kDropRecomputable, true},
+};
+
+/// Runs one cell and renders it.
+std::string run_cell(const cdag::Cdag& cdag,
+                     const std::vector<graph::VertexId>& schedule,
+                     std::int64_t m, const Mode& mode) {
+  SimOptions options;
+  options.cache_size = m;
+  options.replacement = mode.replacement;
+  options.writeback = mode.writeback;
+  return render([&] {
+    return mode.remat ? simulate_with_recomputation(cdag, schedule, options,
+                                                    kRematLimit)
+                      : simulate(cdag, schedule, options);
+  });
+}
+
 /// Every cell of the grid, keyed "alg/n/M/schedule/mode".
 std::map<std::string, std::string> run_grid() {
-  struct Mode {
-    const char* name;
-    ReplacementPolicy replacement;
-    WritebackPolicy writeback;
-    bool remat;
-  };
-  const Mode modes[] = {
-      {"lru/live", ReplacementPolicy::kLru, WritebackPolicy::kWritebackLive,
-       false},
-      {"lru/droprecomp", ReplacementPolicy::kLru,
-       WritebackPolicy::kDropRecomputable, false},
-      {"opt/live", ReplacementPolicy::kBelady,
-       WritebackPolicy::kWritebackLive, false},
-      {"opt/droprecomp", ReplacementPolicy::kBelady,
-       WritebackPolicy::kDropRecomputable, false},
-      {"remat/dropall", ReplacementPolicy::kLru,
-       WritebackPolicy::kDropIntermediates, true},
-      {"remat/droprecomp", ReplacementPolicy::kLru,
-       WritebackPolicy::kDropRecomputable, true},
-  };
   std::map<std::string, std::string> cells;
   for (const Instance& instance : instances()) {
     const cdag::Cdag cdag = cdag::build_cdag(instance.alg, instance.n);
@@ -142,20 +161,10 @@ std::map<std::string, std::string> run_grid() {
     for (const std::int64_t m : sizes) {
       for (const char* kind : {"dfs", "bfs", "random"}) {
         const auto schedule = schedule_of(cdag, kind);
-        for (const Mode& mode : modes) {
-          SimOptions options;
-          options.cache_size = m;
-          options.replacement = mode.replacement;
-          options.writeback = mode.writeback;
-          const std::string key = instance.name + "/" +
-                                  std::to_string(instance.n) + "/" +
-                                  std::to_string(m) + "/" + kind + "/" +
-                                  mode.name;
-          cells[key] = render([&] {
-            return mode.remat ? simulate_with_recomputation(
-                                    cdag, schedule, options, kRematLimit)
-                              : simulate(cdag, schedule, options);
-          });
+        for (const Mode& mode : kModes) {
+          cells[instance.name + "/" + std::to_string(instance.n) + "/" +
+                std::to_string(m) + "/" + kind + "/" + mode.name] =
+              run_cell(cdag, schedule, m, mode);
         }
       }
     }
@@ -166,6 +175,26 @@ std::map<std::string, std::string> run_grid() {
   options.write_cost = 5;
   cells["strassen/8/16/dfs/lru/live/w5"] =
       render([&] { return simulate(cdag, dfs_schedule(cdag), options); });
+  return cells;
+}
+
+/// The Belady cells at Strassen n = 32, keyed like run_grid's.  Its
+/// reference strings (334,515 references) are the grid's first to need
+/// a fourth level in the kernel's next-use bitset.
+std::map<std::string, std::string> run_belady_n32_grid() {
+  const cdag::Cdag cdag = cdag::build_cdag(bilinear::strassen(), 32);
+  std::map<std::string, std::string> cells;
+  for (const char* kind : {"dfs", "bfs", "random"}) {
+    const auto schedule = schedule_of(cdag, kind);
+    for (const std::int64_t m : {64, 4096}) {
+      for (const Mode& mode : kModes) {
+        if (mode.replacement == ReplacementPolicy::kBelady) {
+          cells["strassen/32/" + std::to_string(m) + "/" + kind + "/" +
+                mode.name] = run_cell(cdag, schedule, m, mode);
+        }
+      }
+    }
+  }
   return cells;
 }
 
@@ -515,20 +544,43 @@ const std::map<std::string, std::string> kGolden = {
     {"winograd/8/8/random/remat/dropall", "error: operands of vertex 767 keep thrashing: M too small"},
     {"winograd/8/8/random/remat/droprecomp", "error: operands of vertex 1350 keep thrashing: M too small"},
 };
+
+const std::map<std::string, std::string> kGoldenBeladyN32 = {
+    {"strassen/32/4096/bfs/opt/droprecomp", "L=76706 S=75682 W=152388 C=111505 R=0 E=184115 D=32050 order=0ab816df01ed9522 io=152382495f6a9033 total=152388"},
+    {"strassen/32/4096/bfs/opt/live", "L=76706 S=75682 W=152388 C=111505 R=0 E=184115 D=32050 order=0ab816df01ed9522 io=152382495f6a9033 total=152388"},
+    {"strassen/32/4096/dfs/opt/droprecomp", "error: operand 3711 of vertex 97577 is neither resident nor in slow memory: illegal schedule (missing recomputation?)"},
+    {"strassen/32/4096/dfs/opt/live", "L=2049 S=1025 W=3074 C=111505 R=0 E=109458 D=106386 order=9e7c5a97a99a13ec io=6d4975fc589f89c7 total=3074"},
+    {"strassen/32/4096/random/opt/droprecomp", "error: operand 4329 of vertex 21528 is neither resident nor in slow memory: illegal schedule (missing recomputation?)"},
+    {"strassen/32/4096/random/opt/live", "L=83582 S=67473 W=151055 C=111505 R=0 E=190991 D=41037 order=5a246fc2d9cfe67a io=87bb8f79ddc346db total=151055"},
+    {"strassen/32/64/bfs/opt/droprecomp", "error: operand 2560 of vertex 36302 is neither resident nor in slow memory: illegal schedule (missing recomputation?)"},
+    {"strassen/32/64/bfs/opt/live", "L=140011 S=111444 W=251455 C=111505 R=0 E=251452 D=61 order=0ab816df01ed9522 io=6c2819bc659696ed total=251455"},
+    {"strassen/32/64/dfs/opt/droprecomp", "error: operand 2048 of vertex 5632 is neither resident nor in slow memory: illegal schedule (missing recomputation?)"},
+    {"strassen/32/64/dfs/opt/live", "L=43501 S=31562 W=75063 C=111505 R=0 E=154942 D=79943 order=9e7c5a97a99a13ec io=4bb16b93d192a3c6 total=75063"},
+    {"strassen/32/64/random/opt/droprecomp", "error: operand 2883 of vertex 51608 is neither resident nor in slow memory: illegal schedule (missing recomputation?)"},
+    {"strassen/32/64/random/opt/live", "L=202032 S=108652 W=310684 C=111505 R=0 E=313473 D=2837 order=5a246fc2d9cfe67a io=ee7f20528e3d2fa0 total=310684"},
+};
 // clang-format on
 
-TEST(MachineGolden, EveryCellMatchesTheCapturedResult) {
-  const std::map<std::string, std::string> cells = run_grid();
+void expect_golden(const std::map<std::string, std::string>& cells,
+                   const std::map<std::string, std::string>& golden) {
   for (const auto& [key, actual] : cells) {
-    const auto it = kGolden.find(key);
-    if (it == kGolden.end()) {
+    const auto it = golden.find(key);
+    if (it == golden.end()) {
       ADD_FAILURE() << "no golden row: {\"" << key << "\", \"" << actual
                     << "\"},";
       continue;
     }
     EXPECT_EQ(actual, it->second) << key;
   }
-  EXPECT_EQ(cells.size(), kGolden.size());
+  EXPECT_EQ(cells.size(), golden.size());
+}
+
+TEST(MachineGolden, EveryCellMatchesTheCapturedResult) {
+  expect_golden(run_grid(), kGolden);
+}
+
+TEST(MachineGolden, BeladyAtStrassen32MatchesTheCapturedResult) {
+  expect_golden(run_belady_n32_grid(), kGoldenBeladyN32);
 }
 
 }  // namespace

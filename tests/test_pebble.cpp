@@ -225,6 +225,17 @@ TEST(Machine, MissingOutputDetected) {
   SimOptions options;
   options.cache_size = 100;
   EXPECT_THROW(simulate(cdag, schedule, options), CheckError);
+  // A zero-step schedule has an empty reference string, so Belady's
+  // next-use bitset is sized for no positions.
+  for (const auto policy :
+       {ReplacementPolicy::kLru, ReplacementPolicy::kBelady}) {
+    options.replacement = policy;
+    const std::string what = check_error([&] { simulate(cdag, {}, options); });
+    EXPECT_NE(what.find("schedule never computes output vertex " +
+                        std::to_string(cdag.outputs[0])),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(Machine, DroppedIntermediateWithoutRecomputeIsIllegal) {
