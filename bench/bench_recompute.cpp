@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
     for (const bool remat : {false, true}) {
       pebble::SimOptions options;
       options.cache_size = m;
-      bounds::ScheduleSummary summary;
+      pebble::ScheduleSummary summary;
       if (remat) {
         options.writeback = pebble::WritebackPolicy::kDropRecomputable;
         const auto result = pebble::simulate_with_recomputation(

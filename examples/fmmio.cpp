@@ -566,8 +566,8 @@ int cmd_simulate(const Args& args) {
               static_cast<double>(result.total_io()) / bound);
   if (!spec.remat) {
     std::printf("  zero-spill memory requirement of this schedule: %zu\n",
-                pebble::min_cache_for_zero_spill(
-                    cdag, result.summary.compute_order));
+                pebble::liveness_profile(cdag, result.summary.compute_order)
+                    .peak);
   }
   // Segment analysis when the configuration admits it.
   bool have_segments = false;

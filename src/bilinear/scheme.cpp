@@ -493,16 +493,6 @@ SchemeRegistry::SchemeRegistry() {
   factories_["strassen-squared"] = [] { return strassen_squared(); };
 }
 
-bool SchemeRegistry::has_catalog(const std::string& key) const {
-  const std::scoped_lock lock(mutex_);
-  if (factories_.count(key) > 0) {
-    return true;
-  }
-  std::size_t n = 0, m = 0, p = 0;
-  return std::sscanf(key.c_str(), "classic-%zux%zux%zu", &n, &m, &p) == 3 &&
-         n > 0 && m > 0 && p > 0;
-}
-
 BilinearAlgorithm SchemeRegistry::resolve_locked(const std::string& key) {
   if (const auto it = algorithms_.find(key); it != algorithms_.end()) {
     return it->second;
@@ -548,17 +538,6 @@ SchemeTraits SchemeRegistry::traits(const std::string& key) {
   const SchemeTraits traits = traits_of(scheme_from_algorithm(alg));
   traits_.emplace(key, traits);
   return traits;
-}
-
-std::vector<std::string> SchemeRegistry::catalog_keys() const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<std::string> keys;
-  keys.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) {
-    (void)factory;
-    keys.push_back(name);
-  }
-  return keys;
 }
 
 void SchemeRegistry::register_factory(

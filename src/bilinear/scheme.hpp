@@ -171,21 +171,15 @@ class SchemeRegistry {
   /// True for "file:<path>" keys.
   static bool is_file_key(const std::string& key);
 
-  /// True iff `key` resolves without file I/O (catalog names only).
-  bool has_catalog(const std::string& key) const;
-
   /// Resolves a key to an executable algorithm (cached).
   BilinearAlgorithm resolve(const std::string& key);
 
   /// Resolves a key to its traits (cached; includes the fingerprint).
   SchemeTraits traits(const std::string& key);
 
-  /// Catalog keys in sorted order (excludes file: and parameterized
-  /// classic-NxMxP forms).
-  std::vector<std::string> catalog_keys() const;
-
-  /// Registers an additional named constructor (used by layers above
-  /// bilinear, e.g. the alternative-basis transforms).  Overwrites.
+  /// Registers an additional named constructor for a layer above
+  /// bilinear (sweep registers the alternative-basis transforms this
+  /// way).  Overwrites.
   void register_factory(const std::string& key,
                         std::function<BilinearAlgorithm()> factory);
 
@@ -194,7 +188,7 @@ class SchemeRegistry {
 
   BilinearAlgorithm resolve_locked(const std::string& key);
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::map<std::string, std::function<BilinearAlgorithm()>> factories_;
   std::map<std::string, BilinearAlgorithm> algorithms_;
   std::map<std::string, SchemeTraits> traits_;

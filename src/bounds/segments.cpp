@@ -21,7 +21,7 @@ std::size_t segment_subproblem_size(std::int64_t cache_m) {
 }
 
 SegmentAnalysis analyze_segments(const cdag::Cdag& cdag,
-                                 const ScheduleSummary& schedule,
+                                 const pebble::ScheduleSummary& schedule,
                                  std::int64_t cache_m) {
   FMM_TRACE_SPAN("bounds.analyze_segments", "bounds");
   SegmentAnalysis analysis;

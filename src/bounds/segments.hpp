@@ -18,18 +18,9 @@
 #include <vector>
 
 #include "cdag/cdag.hpp"
+#include "pebble/schedules.hpp"
 
 namespace fmm::bounds {
-
-/// Minimal schedule representation shared with the pebble simulator:
-/// compute_order[i] is the vertex computed at step i (recomputations
-/// appear multiple times); io_before[i] is the number of I/O operations
-/// performed before step i; total_io is the final count.
-struct ScheduleSummary {
-  std::vector<graph::VertexId> compute_order;
-  std::vector<std::int64_t> io_before;
-  std::int64_t total_io = 0;
-};
 
 /// Analysis of one segment.
 struct Segment {
@@ -57,7 +48,7 @@ struct SegmentAnalysis {
 /// V_out(SUB_H^{r x r}) with r = 2 sqrt(M) (M must be a power of 4 so r
 /// is a power of 2, and r must divide the CDAG size).
 SegmentAnalysis analyze_segments(const cdag::Cdag& cdag,
-                                 const ScheduleSummary& schedule,
+                                 const pebble::ScheduleSummary& schedule,
                                  std::int64_t cache_m);
 
 /// The paper's segment size: r = 2 sqrt(M); throws unless M is a perfect

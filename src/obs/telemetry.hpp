@@ -92,8 +92,6 @@ struct PhaseFrame {
   std::int64_t cdag_build_ns = 0;
   std::int64_t simulate_ns = 0;
   std::int64_t singleflight_wait_ns = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
 };
 
 /// The calling thread's current frame, or nullptr outside a request.

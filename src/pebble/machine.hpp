@@ -18,8 +18,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "bounds/segments.hpp"
 #include "cdag/cdag.hpp"
+#include "pebble/schedules.hpp"
 
 namespace fmm::pebble {
 
@@ -88,7 +88,7 @@ struct SimResult {
   std::int64_t recomputations = 0;  // computations of already-seen vertices
   /// Trace in the format the segment analyzer consumes (io_before counts
   /// unweighted loads+stores).
-  bounds::ScheduleSummary summary;
+  ScheduleSummary summary;
 
   std::int64_t total_io() const { return loads + stores; }
 };

@@ -2,8 +2,6 @@
 
 #include <deque>
 
-#include "common/check.hpp"
-
 namespace fmm::pebble {
 
 namespace {
@@ -83,38 +81,6 @@ std::vector<graph::VertexId> random_topological_schedule(
     }
   }
   return schedule;
-}
-
-bool is_valid_schedule(const cdag::Cdag& cdag,
-                       const std::vector<graph::VertexId>& schedule) {
-  std::vector<bool> done(cdag.graph.num_vertices(), false);
-  for (const graph::VertexId v : cdag.inputs_a) {
-    done[v] = true;
-  }
-  for (const graph::VertexId v : cdag.inputs_b) {
-    done[v] = true;
-  }
-  std::size_t non_input_count = 0;
-  for (graph::VertexId v = 0; v < cdag.graph.num_vertices(); ++v) {
-    if (!done[v]) {
-      ++non_input_count;
-    }
-  }
-  if (schedule.size() != non_input_count) {
-    return false;
-  }
-  for (const graph::VertexId v : schedule) {
-    if (v >= cdag.graph.num_vertices() || done[v]) {
-      return false;  // out of range or computed twice / an input
-    }
-    for (const graph::VertexId u : cdag.graph.in_neighbors(v)) {
-      if (!done[u]) {
-        return false;
-      }
-    }
-    done[v] = true;
-  }
-  return true;
 }
 
 }  // namespace fmm::pebble

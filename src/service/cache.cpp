@@ -12,22 +12,6 @@ namespace fmm::service {
 
 namespace {
 
-// Per-request hit/miss/wait attribution: when the calling thread is
-// inside a service request (a PhaseFrame is installed), the cache
-// credits what happened to that request's span.  Outside a request
-// (sweeps, benches) these are no-ops.
-void note_hit() {
-  if (auto* frame = obs::current_phase_frame()) {
-    ++frame->cache_hits;
-  }
-}
-
-void note_miss() {
-  if (auto* frame = obs::current_phase_frame()) {
-    ++frame->cache_misses;
-  }
-}
-
 obs::Counter& hits_counter() {
   static obs::Counter& c =
       obs::Registry::instance().counter("service.cache.hits");
@@ -117,7 +101,6 @@ std::shared_ptr<const cdag::Cdag> ContentCache::get_or_build_cdag(
   obs::PhaseFrame* frame = obs::current_phase_frame();
   if (config_.memory_budget_bytes == 0) {
     misses_counter().increment();
-    note_miss();
     const ScopedNsAccumulator build_timer(
         frame != nullptr ? &frame->cdag_build_ns : nullptr);
     return std::make_shared<const cdag::Cdag>(build());
@@ -129,7 +112,6 @@ std::shared_ptr<const cdag::Cdag> ContentCache::get_or_build_cdag(
     if (it != shard.index.end()) {
       touch_locked(shard, it->second);
       hits_counter().increment();
-      note_hit();
       return it->second->cdag;
     }
     if (!shard.building.count(key)) {
@@ -144,7 +126,6 @@ std::shared_ptr<const cdag::Cdag> ContentCache::get_or_build_cdag(
     shard.build_done.wait(lock);
   }
   misses_counter().increment();
-  note_miss();
   shard.building.insert(key);
   lock.unlock();
   std::shared_ptr<const cdag::Cdag> built;
@@ -175,7 +156,6 @@ std::shared_ptr<const std::string> ContentCache::get_payload(
     const std::string& key) {
   if (config_.memory_budget_bytes == 0) {
     misses_counter().increment();
-    note_miss();
     return nullptr;
   }
   Shard& shard = shard_for(key);
@@ -183,12 +163,10 @@ std::shared_ptr<const std::string> ContentCache::get_payload(
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     misses_counter().increment();
-    note_miss();
     return nullptr;
   }
   touch_locked(shard, it->second);
   hits_counter().increment();
-  note_hit();
   return it->second->payload;
 }
 

@@ -201,38 +201,35 @@ std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t task_index) {
   return splitmix64_finalize(base_seed + kSplitMixGamma * (task_index + 1));
 }
 
+namespace {
+
+/// The process-wide scheme registry, with the alternative-basis variants
+/// registered on first use: their basis transform lives in altbasis,
+/// above bilinear in the layer stack.
+bilinear::SchemeRegistry& registry() {
+  auto& registry = bilinear::SchemeRegistry::instance();
+  static std::once_flag registered;
+  std::call_once(registered, [&registry] {
+    registry.register_factory("strassen-alt", [] {
+      return altbasis::make_alternative_basis(bilinear::strassen())
+          .transformed;
+    });
+    registry.register_factory("winograd-alt", [] {
+      return altbasis::make_alternative_basis(bilinear::winograd())
+          .transformed;
+    });
+  });
+  return registry;
+}
+
+}  // namespace
+
 bilinear::BilinearAlgorithm resolve_algorithm(const std::string& name) {
-  // The alternative-basis variants run a Karstadt–Schwartz basis search
-  // that lives in altbasis, above bilinear in the layer stack — they
-  // resolve here rather than through the registry.
-  if (name == "strassen-alt") {
-    return altbasis::make_alternative_basis(bilinear::strassen()).transformed;
-  }
-  if (name == "winograd-alt") {
-    return altbasis::make_alternative_basis(bilinear::winograd()).transformed;
-  }
-  // Everything else — catalog names, classic-<n>x<m>x<p>, file:<path>
-  // scheme files — goes through the registry, which throws the
-  // usage-grade CheckError listing the catalog for unknown names (no
-  // silent strassen fallback).
-  return bilinear::SchemeRegistry::instance().resolve(name);
+  return registry().resolve(name);
 }
 
 bilinear::SchemeTraits resolve_traits(const std::string& name) {
-  if (name == "strassen-alt" || name == "winograd-alt") {
-    // Cache locally: re-deriving traits would re-run the basis search.
-    static std::mutex alt_mutex;
-    static std::map<std::string, bilinear::SchemeTraits> alt_cache;
-    const std::scoped_lock lock(alt_mutex);
-    if (const auto it = alt_cache.find(name); it != alt_cache.end()) {
-      return it->second;
-    }
-    const bilinear::SchemeTraits traits = bilinear::traits_of(
-        bilinear::scheme_from_algorithm(resolve_algorithm(name)));
-    alt_cache.emplace(name, traits);
-    return traits;
-  }
-  return bilinear::SchemeRegistry::instance().traits(name);
+  return registry().traits(name);
 }
 
 std::vector<TaskCell> enumerate_tasks(const SweepSpec& spec) {
@@ -669,33 +666,22 @@ std::shared_ptr<const cdag::Cdag> BuildingCdagSource::get_cdag(
     build_done_.wait(lock);
   }
   building_.insert(key);
+  lock.unlock();
+  std::shared_ptr<const cdag::Cdag> built;
   try {
-    auto alg_it = algorithms_.find(algorithm);
-    if (alg_it == algorithms_.end()) {
-      // resolve_algorithm can be expensive (-alt runs a basis search);
-      // drop the lock so other keys keep building meanwhile.
-      lock.unlock();
-      bilinear::BilinearAlgorithm resolved = resolve_algorithm(algorithm);
-      lock.lock();
-      alg_it = algorithms_.emplace(algorithm, std::move(resolved)).first;
-    }
-    const bilinear::BilinearAlgorithm alg = alg_it->second;
-    lock.unlock();
-    auto built =
-        std::make_shared<const cdag::Cdag>(cdag::build_cdag(alg, n));
-    lock.lock();
-    built_.emplace(key, built);
-    building_.erase(key);
-    build_done_.notify_all();
-    return built;
+    built = std::make_shared<const cdag::Cdag>(
+        cdag::build_cdag(resolve_algorithm(algorithm), n));
   } catch (...) {
-    if (!lock.owns_lock()) {
-      lock.lock();
-    }
+    lock.lock();
     building_.erase(key);
     build_done_.notify_all();
     throw;
   }
+  lock.lock();
+  built_.emplace(key, built);
+  building_.erase(key);
+  build_done_.notify_all();
+  return built;
 }
 
 SweepResult run_sweep(const SweepSpec& spec) {
@@ -720,13 +706,10 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
   result.num_tasks = cells.size();
   result.tasks.resize(cells.size());
 
-  // Resolve every algorithm once, serially (the -alt names run a basis
-  // search); unknown names fail here before any parallel work starts.
-  std::map<std::string, bilinear::BilinearAlgorithm> algorithms;
+  // Resolve every algorithm up front: unknown names fail here, before
+  // any parallel work starts.
   for (const std::string& name : spec.algorithms) {
-    if (!algorithms.count(name)) {
-      algorithms.emplace(name, resolve_algorithm(name));
-    }
+    resolve_algorithm(name);
   }
 
   std::vector<char> restored(cells.size(), 0);
@@ -789,7 +772,7 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
       continue;  // every row of this cell was restored from checkpoint
     }
     if (spec.max_cell_bytes > 0 &&
-        cell_over_budget(algorithms.at(keys[i].first), keys[i].second,
+        cell_over_budget(resolve_algorithm(keys[i].first), keys[i].second,
                          spec.max_cell_bytes)) {
       over_budget[i] = 1;
       continue;

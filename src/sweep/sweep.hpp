@@ -254,19 +254,19 @@ struct SweepResult {
 /// gets the same stream no matter which worker runs it.
 std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t task_index);
 
-/// Resolves a sweep algorithm name through bilinear::SchemeRegistry:
-/// catalog names (strassen, winograd, strassen-dual, strassen-perm,
-/// winograd-dual, classic, classic-<n>x<m>x<p>, strassen-squared),
-/// "file:<path>" scheme files (loaded and Brent-verified on first use),
-/// plus the alternative-basis variants strassen-alt / winograd-alt
-/// (Karstadt–Schwartz sparsifying bases; Theorem 4.1) resolved locally
-/// because the basis search lives above bilinear in the layer stack.
-/// Throws CheckError for unknown names.
+/// Resolves a sweep algorithm name through bilinear::SchemeRegistry
+/// (cached per process): catalog names (strassen, winograd,
+/// strassen-dual, strassen-perm, winograd-dual, classic,
+/// classic-<n>x<m>x<p>, strassen-squared), "file:<path>" scheme files
+/// (loaded and Brent-verified on first use), and the alternative-basis
+/// variants strassen-alt / winograd-alt (Karstadt–Schwartz sparsifying
+/// bases; Theorem 4.1), which sweep registers with the registry because
+/// the basis transform lives above bilinear in the layer stack.  Throws
+/// CheckError for unknown names.
 bilinear::BilinearAlgorithm resolve_algorithm(const std::string& name);
 
-/// The SchemeTraits of a sweep algorithm name — same key space as
-/// resolve_algorithm, cached per process.  Throws CheckError for
-/// unknown names.
+/// The SchemeTraits of a sweep algorithm name — same key space and
+/// cache as resolve_algorithm.  Throws CheckError for unknown names.
 bilinear::SchemeTraits resolve_traits(const std::string& name);
 
 /// The deterministic task list of `spec` (no work is performed).
@@ -347,7 +347,6 @@ class BuildingCdagSource final : public CdagSource {
   std::mutex mutex_;
   std::condition_variable build_done_;
   std::set<Key> building_;
-  std::map<std::string, bilinear::BilinearAlgorithm> algorithms_;
   std::map<Key, std::shared_ptr<const cdag::Cdag>> built_;
 };
 

@@ -11,6 +11,7 @@
 #include "common/check.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "pebble/liveness.hpp"
 #include "pebble/machine.hpp"
 #include "pebble/schedules.hpp"
 
@@ -23,45 +24,76 @@ cdag::Cdag strassen_cdag(std::size_t n) {
   return build_cdag(bilinear::strassen(), n);
 }
 
+// liveness_profile validates a schedule in the pass that measures it.
 TEST(Schedules, DfsIsValid) {
   for (const std::size_t n : {2u, 4u, 8u}) {
     const cdag::Cdag cdag = strassen_cdag(n);
-    EXPECT_TRUE(is_valid_schedule(cdag, dfs_schedule(cdag))) << n;
+    EXPECT_NO_THROW(liveness_profile(cdag, dfs_schedule(cdag))) << n;
   }
 }
 
 TEST(Schedules, BfsIsValid) {
   const cdag::Cdag cdag = strassen_cdag(8);
-  EXPECT_TRUE(is_valid_schedule(cdag, bfs_schedule(cdag)));
+  EXPECT_NO_THROW(liveness_profile(cdag, bfs_schedule(cdag)));
 }
 
 TEST(Schedules, RandomTopologicalIsValid) {
   const cdag::Cdag cdag = strassen_cdag(4);
   Rng rng(5);
   for (int trial = 0; trial < 5; ++trial) {
-    EXPECT_TRUE(is_valid_schedule(cdag, random_topological_schedule(cdag,
-                                                                    rng)));
+    EXPECT_NO_THROW(
+        liveness_profile(cdag, random_topological_schedule(cdag, rng)));
   }
 }
 
+// The one-line CheckError liveness_profile refuses `schedule` with.
+std::string refusal(const cdag::Cdag& cdag,
+                    const std::vector<graph::VertexId>& schedule) {
+  try {
+    liveness_profile(cdag, schedule);
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    return what;
+  }
+  ADD_FAILURE() << "schedule of " << schedule.size() << " steps accepted";
+  return "";
+}
+
 TEST(Schedules, InvalidSchedulesRejected) {
-  const cdag::Cdag cdag = strassen_cdag(2);
-  auto schedule = dfs_schedule(cdag);
+  const cdag::Cdag cdag = strassen_cdag(2);  // 8 inputs, 25 others
+  const auto schedule = dfs_schedule(cdag);
+  const auto refuses = [&cdag](const std::vector<graph::VertexId>& bad,
+                               const std::string& text) {
+    const std::string what = refusal(cdag, bad);
+    EXPECT_NE(what.find(text), std::string::npos) << what;
+  };
+  const auto at = [](std::size_t step, graph::VertexId v) {
+    return "at step " + std::to_string(step) + ": vertex " +
+           std::to_string(v) + " is ";
+  };
   // Reversed order breaks dependencies.
-  std::vector<graph::VertexId> reversed(schedule.rbegin(), schedule.rend());
-  EXPECT_FALSE(is_valid_schedule(cdag, reversed));
+  const std::vector<graph::VertexId> reversed(schedule.rbegin(),
+                                              schedule.rend());
+  refuses(reversed, at(0, reversed[0]) + "computed before its operand ");
   // Missing one vertex.
   auto truncated = schedule;
   truncated.pop_back();
-  EXPECT_FALSE(is_valid_schedule(cdag, truncated));
+  refuses(truncated, "24 steps for the CDAG's 25 non-input vertices");
   // Duplicate vertex.
   auto duplicated = schedule;
   duplicated.push_back(schedule.back());
-  EXPECT_FALSE(is_valid_schedule(cdag, duplicated));
+  refuses(duplicated, at(25, schedule.back()) + "computed twice");
   // Contains an input.
   auto with_input = schedule;
   with_input.insert(with_input.begin(), cdag.inputs_a[0]);
-  EXPECT_FALSE(is_valid_schedule(cdag, with_input));
+  refuses(with_input, at(0, cdag.inputs_a[0]) + "an input");
+  // An id past the last vertex.
+  auto out_of_range = schedule;
+  out_of_range[3] = 33;
+  refuses(out_of_range, at(3, 33) + "out of range (the CDAG has 33 vertices)");
+  // Nothing at all.
+  refuses({}, "0 steps for the CDAG's 25 non-input vertices");
 }
 
 TEST(Machine, TinyCdagExactIo) {

@@ -188,6 +188,15 @@ TEST(Registry, SweepResolveAlgorithmRejectsUnknownNames) {
   EXPECT_THROW(sweep::resolve_traits("no-such-algorithm"), CheckError);
   EXPECT_NO_THROW(sweep::resolve_algorithm("strassen-alt"));
   EXPECT_NO_THROW(sweep::resolve_traits("winograd-alt"));
+  // The alternative-basis keys are registry entries, so the refusal's
+  // "known:" list names them too.
+  try {
+    sweep::resolve_algorithm("no-such-algorithm");
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("strassen-alt, "), std::string::npos) << what;
+    EXPECT_NE(what.find("winograd-alt, "), std::string::npos) << what;
+  }
 }
 
 sweep::SweepSpec scheme_spec(const std::string& algorithm) {

@@ -28,7 +28,7 @@ TEST(SegmentSize, RejectsBadM) {
   EXPECT_THROW(segment_subproblem_size(0), CheckError);
 }
 
-ScheduleSummary run_dfs(const cdag::Cdag& cdag, std::int64_t m) {
+pebble::ScheduleSummary run_dfs(const cdag::Cdag& cdag, std::int64_t m) {
   pebble::SimOptions options;
   options.cache_size = m;
   return pebble::simulate(cdag, pebble::dfs_schedule(cdag), options).summary;

@@ -7,6 +7,8 @@ Fails (exit 1, one line per violation) when
   - a file under src/<mod>/ includes "<other>/..." although fmm_<other>
     is not in fmm_<mod>'s transitive target_link_libraries set, as
     declared in src/*/CMakeLists.txt;
+  - src/<mod>/CMakeLists.txt links an fmm_<other> directly although no
+    file under src/<mod>/ includes "<other>/...";
   - a file in src/ or examples/ outside src/common/ defines json_escape
     or write_double, or spells the SplitMix64 multiplier or the FNV-1a 64
     prime: those live once, in src/common/json.hpp and src/common/hash.hpp.
@@ -36,8 +38,8 @@ def read(path):
         return f.read()
 
 
-def link_closures(src):
-    """Module -> every module it links, directly or transitively."""
+def direct_links(src):
+    """Module -> the modules its CMakeLists.txt links directly."""
     links = {d: set() for d in os.listdir(src)
              if os.path.isfile(os.path.join(src, d, "CMakeLists.txt"))}
     for mod in links:
@@ -47,6 +49,11 @@ def link_closures(src):
                 links[target].update(
                     dep for dep in re.findall(r"\bfmm_(\w+)", body)
                     if dep in links)
+    return links
+
+
+def link_closures(links):
+    """Module -> every module it links, directly or transitively."""
     closures = {}
     for mod in links:
         seen, stack = set(), [mod]
@@ -62,16 +69,23 @@ def main(argv):
     root = argv[1] if len(argv) > 1 else os.path.join(
         os.path.dirname(os.path.abspath(__file__)), os.pardir)
     src = os.path.join(root, "src")
-    closures = link_closures(src)
+    links = direct_links(src)
+    closures = link_closures(links)
     violations = []
     for mod in sorted(closures):
+        includes = set()
         for path in sources(os.path.join(src, mod)):
             for included in INCLUDE_RE.findall(read(path)):
+                includes.add(included)
                 if included in closures and included not in closures[mod]:
                     violations.append(
                         f"{os.path.relpath(path, root)}: includes "
                         f'"{included}/..." but fmm_{mod} does not link '
                         f"fmm_{included}")
+        for dep in sorted(links[mod] - includes):
+            violations.append(
+                f"src/{mod}/CMakeLists.txt: links fmm_{dep} but no file "
+                f'under src/{mod}/ includes "{dep}/..."')
     common = os.path.join(src, "common") + os.sep
     for directory in (src, os.path.join(root, "examples")):
         for path in sources(directory):
