@@ -101,12 +101,17 @@ void BM_CdagBuild(benchmark::State& state) {
 BENCHMARK(BM_CdagBuild)->Arg(8)->Arg(16)->Arg(32);
 
 // Strassen at n, M = 64, under LRU (belady:0) or Belady (belady:1) and
-// the dfs (bfs:0) or bfs (bfs:1) schedule; items are references.
+// the dfs (schedule:0), bfs (schedule:1) or seeded random (schedule:2)
+// schedule; items are references.  At n = 64 the CSR (19 MB) exceeds the
+// last-level caches, so the random arms time the kernel's memory stalls.
 void BM_PebbleSimulate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const cdag::Cdag cdag = cdag::build_cdag(bilinear::strassen(), n);
-  const auto schedule = state.range(2) != 0 ? pebble::bfs_schedule(cdag)
-                                            : pebble::dfs_schedule(cdag);
+  Rng rng(7);
+  const auto schedule =
+      state.range(2) == 2   ? pebble::random_topological_schedule(cdag, rng)
+      : state.range(2) == 1 ? pebble::bfs_schedule(cdag)
+                            : pebble::dfs_schedule(cdag);
   pebble::SimOptions options;
   options.cache_size = 64;
   options.replacement = state.range(1) != 0
@@ -122,8 +127,8 @@ void BM_PebbleSimulate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * refs);
 }
 BENCHMARK(BM_PebbleSimulate)
-    ->ArgsProduct({{16, 32}, {0, 1}, {0, 1}})
-    ->ArgNames({"n", "belady", "bfs"})
+    ->ArgsProduct({{16, 32, 64}, {0, 1}, {0, 1, 2}})
+    ->ArgNames({"n", "belady", "schedule"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_MinDominator(benchmark::State& state) {

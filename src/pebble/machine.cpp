@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "common/check.hpp"
@@ -15,8 +16,23 @@ namespace {
 
 using graph::VertexId;
 
-/// Belady key of a value never used again; also the reference-string cap.
+/// Belady key of a value never used again; also the cap on reference-
+/// string positions (Belady) and on schedule steps (LRU).
 constexpr std::uint32_t kNever = std::numeric_limits<std::uint32_t>::max();
+
+/// How many steps ahead each stage of the LRU step loop prefetches: the
+/// in-offsets of step i + 3K, the in-edges of step i + 2K, and the
+/// per-vertex state of step i + K's operands and result.
+constexpr std::size_t kPrefetchSteps = 4;
+
+/// LRU prefetches only on CDAGs of at least this many vertices, where
+/// the CSR outgrows the caches.  Measured on Strassen, LRU at M = 64,
+/// prefetch on against off (Xeon VM, 2 MB of L2 per core, medians of 6
+/// alternating runs): n = 16 (15,783 vertices, 0.4 MB of CSR) loses 15%
+/// on dfs and 17% on random; n = 32 (113,553, 2.7 MB) breaks even, -6%
+/// on dfs to +8% on random; n = 64 (807,159, 19 MB) gains 28% on bfs
+/// and 2.0x on random for -4% on dfs.  The gate sits just above n = 32.
+constexpr std::uint32_t kPrefetchMinVertices = 1 << 17;
 
 /// Per-vertex state bits, one byte per vertex.
 enum : std::uint8_t {
@@ -41,6 +57,9 @@ class Cache {
       : cdag_(cdag), options_(options),
         belady_(options.replacement == ReplacementPolicy::kBelady),
         sentinel_(static_cast<VertexId>(cdag.graph.num_vertices())),
+        in_offsets_(cdag.graph.in_offset_array().data()),
+        in_edges_(cdag.graph.in_edge_array().data()),
+        prefetch_(!belady_ && sentinel_ >= kPrefetchMinVertices),
         flags_(sentinel_, 0), consumers_left_(sentinel_, 0) {
     FMM_CHECK_MSG(options.cache_size >= 2,
                   "fast memory of size " << options.cache_size
@@ -62,15 +81,18 @@ class Cache {
       return cdag.roles[u] == cdag::Role::kInputA ||
              cdag.roles[u] == cdag::Role::kInputB;
     };
+    const auto recomputable = [&](VertexId v) {
+      const auto preds = operands(v);
+      return !preds.empty() &&
+             std::all_of(preds.begin(), preds.end(), is_input);
+    };
+    const auto out_offsets = cdag.graph.out_offset_array();
     for (VertexId v = 0; v < sentinel_; ++v) {
-      consumers_left_[v] =
-          static_cast<std::uint32_t>(cdag.graph.out_degree(v));
-      const auto preds = cdag.graph.in_neighbors(v);
+      consumers_left_[v] = out_offsets[v + 1] - out_offsets[v];
       if ((flags_[v] & kOutput) == 0 &&
           (options.writeback == WritebackPolicy::kDropIntermediates ||
            (options.writeback == WritebackPolicy::kDropRecomputable &&
-            !preds.empty() &&
-            std::all_of(preds.begin(), preds.end(), is_input)))) {
+            recomputable(v)))) {
         flags_[v] |= kDroppable;
       }
     }
@@ -83,36 +105,58 @@ class Cache {
     }
   }
 
-  /// Precomputes a static schedule's reference string, per step the
-  /// operands then the computed vertex.  LRU counts each vertex's
-  /// remaining uses (liveness for kWritebackLive); Belady records, in one
-  /// backward pass, each position's vertex and next occurrence and each
-  /// vertex's first use.  simulate() only; the recomputation runner's
-  /// schedule is dynamic.
+  /// Validates a static schedule's vertex ids and precomputes what its
+  /// replacement policy looks ahead at.  LRU under kWritebackLive keeps,
+  /// per vertex, one past its last referencing step.  Belady records, in
+  /// one backward pass over its reference string (per step the operands,
+  /// then the computed vertex), each position's vertex and next
+  /// occurrence and each vertex's first use.  simulate() only; the
+  /// recomputation runner's schedule is dynamic.
   void plan(const std::vector<VertexId>& schedule) {
     result_.summary.compute_order.reserve(schedule.size());
     result_.summary.io_before.reserve(schedule.size());
-    if (!belady_) {
-      uses_left_.assign(sentinel_, 0);
+    FMM_CHECK_MSG(schedule.size() < kNever,
+                  "schedule of " << schedule.size()
+                                 << " steps exceeds 32-bit step indices");
+    const bool lru_live =
+        !belady_ && options_.writeback == WritebackPolicy::kWritebackLive;
+    if (lru_live) {
+      live_until_.assign(sentinel_, 0);
     }
     std::uint64_t refs = 0;
-    for (const VertexId v : schedule) {
-      const auto preds = cdag_.graph.in_neighbors(v);
-      if (!belady_) {
-        for (const VertexId u : preds) {
-          ++uses_left_[u];
-        }
-        ++uses_left_[v];
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+      const VertexId v = schedule[i];
+      FMM_CHECK_MSG(v < sentinel_, "invalid schedule at step "
+                                       << i << ": vertex " << v
+                                       << " is out of range (the CDAG has "
+                                       << sentinel_ << " vertices)");
+      if (lru_live) {
+        live_until_[v] = static_cast<std::uint32_t>(i + 1);
+      } else if (belady_) {
+        refs += in_offsets_[v + 1] - in_offsets_[v] + 1;
       }
-      refs += preds.size() + 1;
+    }
+    if (lru_live) {
+      // A value's last reference is its last computation or its last
+      // consumer's.  Every consumer of u has a larger id, so ascending u
+      // still finds each consumer's own last computation in place.
+      const auto out_offsets = cdag_.graph.out_offset_array();
+      const auto out_edges = cdag_.graph.out_edge_array();
+      for (VertexId u = 0; u < sentinel_; ++u) {
+        std::uint32_t until = live_until_[u];
+        for (std::uint32_t e = out_offsets[u]; e < out_offsets[u + 1]; ++e) {
+          until = std::max(until, live_until_[out_edges[e]]);
+        }
+        live_until_[u] = until;
+      }
+    }
+    if (!belady_) {
+      return;
     }
     FMM_CHECK_MSG(refs < kNever, "reference string of "
                                      << refs << " references ("
                                      << schedule.size()
                                      << " steps) exceeds 32-bit positions");
-    if (!belady_) {
-      return;
-    }
     next_.resize(refs);
     vertex_at_.resize(refs);
     by_next_use_.reset(refs);
@@ -124,8 +168,50 @@ class Cache {
     };
     for (auto it = schedule.rbegin(); it != schedule.rend(); ++it) {
       visit(*it);
-      const auto preds = cdag_.graph.in_neighbors(*it);
+      const auto preds = operands(*it);
       std::for_each(preds.rbegin(), preds.rend(), visit);
+    }
+  }
+
+  /// Executes a static schedule.  Belady reads each step's operands from
+  /// the reference string plan() built.  LRU reads them from the in-CSR
+  /// and, on a CDAG of kPrefetchMinVertices or more, prefetches in three
+  /// stages along the schedule, so the cache misses of steps a few ahead
+  /// overlap with the current one.
+  void run(const std::vector<VertexId>& schedule) {
+    plan(schedule);
+    if (belady_) {
+      for (const VertexId v : schedule) {
+        // The step's operands are the positions before v's own.
+        const std::uint32_t degree = in_offsets_[v + 1] - in_offsets_[v];
+        FMM_CHECK_MSG(vertex_at_[time_ + degree] == v,
+                      "reference string out of step at step "
+                          << result_.computations << ": position "
+                          << time_ + degree << " holds vertex "
+                          << vertex_at_[time_ + degree] << ", not vertex "
+                          << v << " after its " << degree << " operands");
+        step(v, {vertex_at_.data() + time_, degree});
+      }
+      return;
+    }
+    const VertexId* order = schedule.data();
+    const std::size_t last = schedule.size() - 1;
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+      if (prefetch_) {
+        // Past the end, each stage re-prefetches the last step: harmless.
+        __builtin_prefetch(
+            in_offsets_ + order[std::min(i + 3 * kPrefetchSteps, last)]);
+        const VertexId edges_of =
+            order[std::min(i + 2 * kPrefetchSteps, last)];
+        __builtin_prefetch(in_edges_ + in_offsets_[edges_of]);
+        const VertexId ahead = order[std::min(i + kPrefetchSteps, last)];
+        for (const VertexId u : operands(ahead)) {
+          __builtin_prefetch(&links_[u]);
+          __builtin_prefetch(&consumers_left_[u]);
+        }
+        __builtin_prefetch(&links_[ahead]);
+      }
+      step(order[i], operands(order[i]));
     }
   }
 
@@ -135,12 +221,13 @@ class Cache {
   bool computed(VertexId v) const { return (flags_[v] & kComputed) != 0; }
   std::int64_t computations() const { return result_.computations; }
 
-  /// Executes one computation of `v`: loads and pins its operands, places
-  /// the result in fast memory, then releases the operands.
-  void step(VertexId v) {
+  /// Executes one computation of `v` from `preds`, its operands in
+  /// in-neighbor order: loads and pins the operands, places the result
+  /// in fast memory, then releases the operands.
+  void step(VertexId v, std::span<const VertexId> preds) {
+    const std::int64_t at = result_.computations;
     result_.summary.compute_order.push_back(v);
     result_.summary.io_before.push_back(result_.total_io());
-    const auto preds = cdag_.graph.in_neighbors(v);
     for (const VertexId u : preds) {
       if ((flags_[u] & kResident) == 0) {
         FMM_CHECK_MSG(flags_[u] & kInSlow,
@@ -162,7 +249,10 @@ class Cache {
     // resident's (evict_one relies on that).
     for (const VertexId u : preds) {
       consume_use(u);
-      FMM_CHECK(flags_[u] & kPinned);
+      FMM_CHECK_MSG(flags_[u] & kPinned,
+                    "step " << at << ": operand " << u << " of vertex " << v
+                            << " was released twice (listed twice among "
+                               "its in-neighbors)");
       flags_[u] &= ~kPinned;
     }
     consume_use(v);
@@ -174,7 +264,11 @@ class Cache {
       // consumer.  This liveness signal is exact even when the schedule
       // is generated on the fly, and identical in static replay.
       for (const VertexId u : preds) {
-        FMM_CHECK(consumers_left_[u] > 0);
+        FMM_CHECK_MSG(consumers_left_[u] > 0,
+                      "step " << at << ": operand " << u << " of vertex "
+                              << v << " has no consumer left: the in-CSR "
+                                 "lists more consumers of "
+                              << u << " than its out-edges");
         --consumers_left_[u];
       }
     }
@@ -211,6 +305,11 @@ class Cache {
     VertexId prev, next;
   };
 
+  /// The in-neighbors of `v` < V, straight from the CSR arrays.
+  std::span<const VertexId> operands(VertexId v) const {
+    return {in_edges_ + in_offsets_[v], in_edges_ + in_offsets_[v + 1]};
+  }
+
   void load(VertexId v) {
     FMM_CHECK_MSG(flags_[v] & kInSlow, "load of value not in slow memory");
     insert(v, 0);
@@ -240,22 +339,19 @@ class Cache {
     }
   }
 
-  /// Retires the reference of `v` at position time_ of the planned
-  /// reference string; a no-op for the recomputation runner.
+  /// Belady: retires the reference of `v` at position time_ of the
+  /// planned reference string.  A no-op for LRU.
   void consume_use(VertexId v) {
-    if (belady_) {
-      FMM_CHECK(vertex_at_[time_] == v);
-      const bool resident = (flags_[v] & kResident) != 0;
-      if (resident) {
-        unfile(v);  // its key is time_
-      }
-      next_use_[v] = next_[time_++];
-      if (resident) {
-        file(v);
-      }
-    } else if (!uses_left_.empty()) {
-      FMM_CHECK(uses_left_[v] > 0);
-      --uses_left_[v];
+    if (!belady_) {
+      return;
+    }
+    const bool resident = (flags_[v] & kResident) != 0;
+    if (resident) {
+      unfile(v);  // its key is time_
+    }
+    next_use_[v] = next_[time_++];
+    if (resident) {
+      file(v);
     }
   }
 
@@ -297,6 +393,13 @@ class Cache {
       unfile(victim);
     } else {
       unlink(victim);
+      if (prefetch_) {
+        // The next victim is usually the new head: start its misses now.
+        const VertexId head = links_[sentinel_].next;
+        __builtin_prefetch(links_.data() + head);
+        __builtin_prefetch(flags_.data() + head);
+        __builtin_prefetch(live_until_.data() + head);
+      }
     }
     flags_[victim] &= ~(kResident | kDirty);
     --occupancy_;
@@ -314,9 +417,13 @@ class Cache {
     links_[links_[v].next].prev = links_[v].prev;
   }
 
-  /// Whether the planned reference string still references `v`.
+  /// Whether the planned schedule still references `v`.  LRU evicts only
+  /// inside a step, and an operand not yet pinned can be evicted by the
+  /// load of an earlier operand of its own step: so a value is live
+  /// while its last referencing step is the current one or later.
   bool referenced_again(VertexId v) const {
-    return belady_ ? next_use_[v] != kNever : uses_left_[v] > 0;
+    return belady_ ? next_use_[v] != kNever
+                   : live_until_[v] > result_.computations;
   }
 
   /// Belady: the resident with the largest (next use, id).  M >= 2
@@ -347,16 +454,19 @@ class Cache {
   const SimOptions& options_;
   const bool belady_;
   const VertexId sentinel_;  // == V; the LRU list's sentinel index
+  const std::uint32_t* const in_offsets_;  // the CDAG's in-CSR
+  const VertexId* const in_edges_;
+  const bool prefetch_;  // LRU on a CDAG past kPrefetchMinVertices
   std::vector<std::uint8_t> flags_;
   std::vector<std::uint32_t> consumers_left_;
-  std::vector<std::uint32_t> uses_left_;  // LRU: planned references left
-  std::vector<Link> links_;               // LRU: V + 1 entries
-  std::vector<std::uint32_t> next_use_;   // Belady: per-vertex key
-  std::vector<std::uint32_t> next_;       // Belady: per-reference next
-  std::vector<VertexId> vertex_at_;       // Belady: per-reference vertex
-  MaxBitset by_next_use_;                 // Belady: residents' finite next uses
-  MaxBitset unused_;                      // Belady: never used again, by id
-  std::uint32_t time_ = 0;                // Belady: references consumed
+  std::vector<std::uint32_t> live_until_;  // LRU: last referencing step + 1
+  std::vector<Link> links_;                // LRU: V + 1 entries
+  std::vector<std::uint32_t> next_use_;    // Belady: per-vertex key
+  std::vector<std::uint32_t> next_;        // Belady: per-reference next
+  std::vector<VertexId> vertex_at_;        // Belady: per-reference vertex
+  MaxBitset by_next_use_;  // Belady: residents' finite next uses
+  MaxBitset unused_;       // Belady: never used again, by id
+  std::uint32_t time_ = 0;  // Belady: references consumed
   std::int64_t occupancy_ = 0;
   std::int64_t evictions_ = 0;
   std::int64_t drops_ = 0;
@@ -393,7 +503,7 @@ void compute_with_recomputation(Cache& cache, const cdag::Cdag& cdag,
                   "operands of vertex " << v
                                         << " keep thrashing: M too small");
   }
-  cache.step(v);
+  cache.step(v, preds);
 }
 
 }  // namespace
@@ -403,10 +513,7 @@ SimResult simulate(const cdag::Cdag& cdag,
                    const SimOptions& options) {
   FMM_TRACE_SPAN("pebble.simulate", "pebble");
   Cache cache(cdag, options);
-  cache.plan(schedule);
-  for (const VertexId v : schedule) {
-    cache.step(v);
-  }
+  cache.run(schedule);
   for (const VertexId v : cdag.outputs) {
     FMM_CHECK_MSG(cache.computed(v),
                   "schedule never computes output vertex " << v);

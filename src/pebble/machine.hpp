@@ -36,8 +36,11 @@ namespace fmm::pebble {
 ///     A reference's next use advances only after its step.
 ///
 /// Costs: R, the reference string's length, is the sum of (in-degree + 1)
-/// over the schedule and must stay below 2^32 - 1.  A touch is O(1) for
-/// kLru (intrusive list).  kBelady files each resident as one bit: at its
+/// over the schedule; kBelady needs R below 2^32 - 1, kLru a schedule of
+/// fewer than 2^32 - 1 steps.  A touch is O(1) for kLru (intrusive list).
+/// Under kWritebackLive, kLru keeps one V-sized 32-bit array: each
+/// value's last referencing step, from one pass over the schedule and
+/// one over the out-CSR.  kBelady files each resident as one bit: at its
 /// next-use position in a 64-ary bitset over the reference string
 /// (ceil(log64 R) levels: four at Strassen n = 64, R = 2.4 M), or, if it
 /// is never used again, at its id in one over vertex ids.  A touch moves
@@ -47,6 +50,16 @@ namespace fmm::pebble {
 /// Memory is O(V) for kLru; kBelady adds two 32-bit arrays over the
 /// reference string (each position's vertex and next occurrence) and
 /// R/8 + V/8 bytes of bits.
+///
+/// simulate() walks the in-CSR once, in schedule order.  kBelady reads
+/// each step's operands back from its reference string.  kLru reads
+/// them from the in-CSR and, on CDAGs of 2^17 vertices or more (where
+/// the CSR outgrows the caches: 19 MB at Strassen n = 64), prefetches in
+/// three stages, 4 steps apart: the in-offsets of the step 12 ahead, the
+/// in-edges of the step 8 ahead, and the list links and consumer counts
+/// of the operands of the step 4 ahead; each eviction also prefetches
+/// the next victim.  That overlaps a random schedule's cache misses.
+/// The recomputation runner's schedule is dynamic and is not prefetched.
 enum class ReplacementPolicy {
   kLru,     // least-recently-used
   kBelady,  // farthest-next-use (offline optimal for hits; classic MIN)
@@ -93,9 +106,10 @@ struct SimResult {
   std::int64_t total_io() const { return loads + stores; }
 };
 
-/// Executes `schedule` on the machine.  Throws CheckError if M < 2, or if
-/// the schedule is illegal: an operand is neither in fast memory, nor in
-/// slow memory (input or previously stored), at the moment it is needed.
+/// Executes `schedule` on the machine.  Throws CheckError if M < 2, if a
+/// schedule vertex is out of range (naming its step), or if the schedule
+/// is illegal: an operand is neither in fast memory, nor in slow memory
+/// (input or previously stored), at the moment it is needed.
 SimResult simulate(const cdag::Cdag& cdag,
                    const std::vector<graph::VertexId>& schedule,
                    const SimOptions& options);

@@ -1,6 +1,9 @@
 #include "pebble/schedules.hpp"
 
 #include <deque>
+#include <limits>
+
+#include "common/check.hpp"
 
 namespace fmm::pebble {
 
@@ -9,6 +12,25 @@ namespace {
 bool is_input(const cdag::Cdag& cdag, graph::VertexId v) {
   return cdag.roles[v] == cdag::Role::kInputA ||
          cdag.roles[v] == cdag::Role::kInputB;
+}
+
+/// Kahn's per-vertex in-degree counts in 16 bits: a quarter of the bytes
+/// of std::size_t, so more of the counts stay in cache while the frontier
+/// jumps around the graph.  Throws if a vertex has more in-edges than
+/// that counts (no registry scheme comes near: a vertex's in-degree is at
+/// most the terms of one encoder or decoder row).
+std::vector<std::uint16_t> in_degrees(const cdag::Cdag& cdag) {
+  const auto offsets = cdag.graph.in_offset_array();
+  std::vector<std::uint16_t> indeg(cdag.graph.num_vertices());
+  for (graph::VertexId v = 0; v < indeg.size(); ++v) {
+    const std::uint32_t degree = offsets[v + 1] - offsets[v];
+    FMM_CHECK_MSG(degree <= std::numeric_limits<std::uint16_t>::max(),
+                  "vertex " << v << " has " << degree
+                            << " in-edges; schedule generators count at "
+                               "most 65535");
+    indeg[v] = static_cast<std::uint16_t>(degree);
+  }
+  return indeg;
 }
 
 }  // namespace
@@ -28,14 +50,15 @@ std::vector<graph::VertexId> dfs_schedule(const cdag::Cdag& cdag) {
 }
 
 std::vector<graph::VertexId> bfs_schedule(const cdag::Cdag& cdag) {
-  std::vector<std::size_t> indeg(cdag.graph.num_vertices());
+  std::vector<std::uint16_t> indeg = in_degrees(cdag);
   std::deque<graph::VertexId> frontier;
-  for (graph::VertexId v = 0; v < cdag.graph.num_vertices(); ++v) {
-    indeg[v] = cdag.graph.in_degree(v);
+  for (graph::VertexId v = 0; v < indeg.size(); ++v) {
     if (indeg[v] == 0) {
       frontier.push_back(v);  // inputs seed the frontier
     }
   }
+  const auto out_offsets = cdag.graph.out_offset_array();
+  const auto out_edges = cdag.graph.out_edge_array();
   std::vector<graph::VertexId> schedule;
   schedule.reserve(cdag.graph.num_vertices());
   while (!frontier.empty()) {
@@ -44,9 +67,9 @@ std::vector<graph::VertexId> bfs_schedule(const cdag::Cdag& cdag) {
     if (!is_input(cdag, v)) {
       schedule.push_back(v);
     }
-    for (const graph::VertexId w : cdag.graph.out_neighbors(v)) {
-      if (--indeg[w] == 0) {
-        frontier.push_back(w);
+    for (std::uint32_t e = out_offsets[v]; e < out_offsets[v + 1]; ++e) {
+      if (--indeg[out_edges[e]] == 0) {
+        frontier.push_back(out_edges[e]);
       }
     }
   }
@@ -55,14 +78,15 @@ std::vector<graph::VertexId> bfs_schedule(const cdag::Cdag& cdag) {
 
 std::vector<graph::VertexId> random_topological_schedule(
     const cdag::Cdag& cdag, Rng& rng) {
-  std::vector<std::size_t> indeg(cdag.graph.num_vertices());
+  std::vector<std::uint16_t> indeg = in_degrees(cdag);
   std::vector<graph::VertexId> frontier;
-  for (graph::VertexId v = 0; v < cdag.graph.num_vertices(); ++v) {
-    indeg[v] = cdag.graph.in_degree(v);
+  for (graph::VertexId v = 0; v < indeg.size(); ++v) {
     if (indeg[v] == 0) {
       frontier.push_back(v);
     }
   }
+  const auto out_offsets = cdag.graph.out_offset_array();
+  const auto out_edges = cdag.graph.out_edge_array();
   std::vector<graph::VertexId> schedule;
   schedule.reserve(cdag.graph.num_vertices());
   while (!frontier.empty()) {
@@ -74,9 +98,9 @@ std::vector<graph::VertexId> random_topological_schedule(
     if (!is_input(cdag, v)) {
       schedule.push_back(v);
     }
-    for (const graph::VertexId w : cdag.graph.out_neighbors(v)) {
-      if (--indeg[w] == 0) {
-        frontier.push_back(w);
+    for (std::uint32_t e = out_offsets[v]; e < out_offsets[v + 1]; ++e) {
+      if (--indeg[out_edges[e]] == 0) {
+        frontier.push_back(out_edges[e]);
       }
     }
   }

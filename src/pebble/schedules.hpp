@@ -40,7 +40,9 @@ struct ScheduleSummary {
 /// the depth-first recursive execution order of the algorithm.
 std::vector<graph::VertexId> dfs_schedule(const cdag::Cdag& cdag);
 
-/// Kahn topological order with a FIFO frontier (level-ish order).
+/// Kahn topological order with a FIFO frontier (level-ish order).  Both
+/// Kahn generators count in-degrees in 16 bits and throw CheckError,
+/// naming the vertex, if one has more than 65535 in-edges.
 std::vector<graph::VertexId> bfs_schedule(const cdag::Cdag& cdag);
 
 /// Uniformly random topological order (Kahn with random frontier pops).

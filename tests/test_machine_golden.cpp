@@ -151,14 +151,18 @@ std::string run_cell(const cdag::Cdag& cdag,
   });
 }
 
+/// The grid's values of M for `cdag`.  Laderman's tightest M is 8, so
+/// its row set has three M values.
+std::set<std::int64_t> grid_sizes(const cdag::Cdag& cdag) {
+  return {tightest_cache(cdag), 8, 64, 1024};
+}
+
 /// Every cell of the grid, keyed "alg/n/M/schedule/mode".
 std::map<std::string, std::string> run_grid() {
   std::map<std::string, std::string> cells;
   for (const Instance& instance : instances()) {
     const cdag::Cdag cdag = cdag::build_cdag(instance.alg, instance.n);
-    // Laderman's tightest M is 8, so its row set has three M values.
-    const std::set<std::int64_t> sizes = {tightest_cache(cdag), 8, 64, 1024};
-    for (const std::int64_t m : sizes) {
+    for (const std::int64_t m : grid_sizes(cdag)) {
       for (const char* kind : {"dfs", "bfs", "random"}) {
         const auto schedule = schedule_of(cdag, kind);
         for (const Mode& mode : kModes) {
@@ -581,6 +585,31 @@ TEST(MachineGolden, EveryCellMatchesTheCapturedResult) {
 
 TEST(MachineGolden, BeladyAtStrassen32MatchesTheCapturedResult) {
   expect_golden(run_belady_n32_grid(), kGoldenBeladyN32);
+}
+
+// Belady's MIN minimizes faults, and a first reference faults under every
+// policy, so loads are what the policy decides: on every kWritebackLive
+// cell of the grid Belady loads no more than LRU on the same schedule
+// and M.  (Stores can go either way.)
+TEST(Machine, BeladyNeverLoadsMoreThanLru) {
+  int cells = 0;
+  for (const Instance& instance : instances()) {
+    const cdag::Cdag cdag = cdag::build_cdag(instance.alg, instance.n);
+    for (const std::int64_t m : grid_sizes(cdag)) {
+      for (const char* kind : {"dfs", "bfs", "random"}) {
+        const auto schedule = schedule_of(cdag, kind);
+        SimOptions lru;
+        lru.cache_size = m;
+        SimOptions belady = lru;
+        belady.replacement = ReplacementPolicy::kBelady;
+        EXPECT_LE(simulate(cdag, schedule, belady).loads,
+                  simulate(cdag, schedule, lru).loads)
+            << instance.name << "/" << instance.n << "/" << m << "/" << kind;
+        ++cells;
+      }
+    }
+  }
+  EXPECT_EQ(cells, 57);
 }
 
 }  // namespace

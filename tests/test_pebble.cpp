@@ -2,6 +2,8 @@
 // schedule generators, and the recomputation runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "common/check.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "graph/csr.hpp"
 #include "pebble/liveness.hpp"
 #include "pebble/machine.hpp"
 #include "pebble/schedules.hpp"
@@ -136,21 +139,26 @@ TEST(Machine, IoDecreasesWithCache) {
   }
 }
 
-TEST(Machine, BeladyNeverWorseThanLruOnDfs) {
-  const cdag::Cdag cdag = strassen_cdag(8);
-  const auto schedule = dfs_schedule(cdag);
-  for (const std::int64_t m : {16, 64, 256}) {
-    SimOptions lru;
-    lru.cache_size = m;
-    lru.replacement = ReplacementPolicy::kLru;
-    SimOptions opt = lru;
-    opt.replacement = ReplacementPolicy::kBelady;
-    // Belady optimizes hits; with write-backs the totals can differ
-    // slightly, so compare loads (misses).
-    EXPECT_LE(simulate(cdag, schedule, opt).loads,
-              simulate(cdag, schedule, lru).loads)
-        << "M=" << m;
-  }
+// A value is live while its last referencing step is the current one or
+// later: an operand not yet pinned can be evicted by the load of an
+// earlier operand of its own step.  Strassen n = 2 under bfs at M = 16:
+// step 17 computes vertex 22 from operands 8 and 15, 15's only use, and
+// loading 8 evicts 15.  So 15 is stored, then loaded back in that step.
+TEST(Machine, OperandEvictedWithinItsOwnStepIsStored) {
+  const cdag::Cdag cdag = strassen_cdag(2);
+  const auto schedule = bfs_schedule(cdag);
+  ASSERT_EQ(schedule[17], 22u);
+  const auto operands = cdag.graph.in_neighbors(22);
+  ASSERT_EQ(std::vector<graph::VertexId>(operands.begin(), operands.end()),
+            (std::vector<graph::VertexId>{8, 15}));
+  ASSERT_EQ(cdag.graph.out_degree(15), 1u);
+  SimOptions options;
+  options.cache_size = 16;
+  const SimResult result = simulate(cdag, schedule, options);
+  EXPECT_EQ(result.loads, 20);
+  EXPECT_EQ(result.stores, 16);
+  // At least the store of 15 and the loads of 8 and 15.
+  EXPECT_GE(result.summary.io_before[18] - result.summary.io_before[17], 3);
 }
 
 TEST(Machine, DfsBeatsBfsAtSmallCache) {
@@ -265,6 +273,112 @@ TEST(Machine, MissingOutputDetected) {
     const std::string what = check_error([&] { simulate(cdag, {}, options); });
     EXPECT_NE(what.find("schedule never computes output vertex " +
                         std::to_string(cdag.outputs[0])),
+              std::string::npos)
+        << what;
+  }
+}
+
+/// `cdag` with its in-CSR edited by `edit`, which gets the in-edge array
+/// and the in-offsets; the out-CSR is left as built.  Goes through the
+/// validating from_frozen_parts, as a loaded snapshot does.
+template <typename Edit>
+cdag::Cdag with_in_csr_edited(const cdag::Cdag& cdag, Edit&& edit) {
+  const graph::CsrGraph& g = cdag.graph;
+  const auto copy = [](std::span<const std::uint32_t> span) {
+    return std::vector<std::uint32_t>(span.begin(), span.end());
+  };
+  auto in_edges = copy(g.in_edge_array());
+  edit(in_edges, g.in_offset_array());
+  cdag::Cdag forged = cdag;
+  forged.graph = graph::CsrGraph::from_frozen_parts(
+      copy(g.out_offset_array()), copy(g.in_offset_array()),
+      copy(g.out_edge_array()), std::move(in_edges));
+  return forged;
+}
+
+/// The one-line CheckError `simulate` throws under `policy`, or "".
+std::string simulate_error(const cdag::Cdag& cdag,
+                           const std::vector<graph::VertexId>& schedule,
+                           ReplacementPolicy policy) {
+  SimOptions options;
+  options.cache_size = 64;
+  options.replacement = policy;
+  const std::string what =
+      check_error([&] { simulate(cdag, schedule, options); });
+  EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  return what;
+}
+
+// An in-CSR that disagrees with the out-CSR fails with the step, the
+// vertex and the operand.  Strassen n = 8, in-edge 408 -> 422 rewired to
+// 16 -> 422: the in-CSR then lists one consumer of input 16 more than
+// its out-edges, and the first computation past them is refused.
+TEST(Machine, RewiredInEdgeNamesStepVertexAndOperand) {
+  const cdag::Cdag built = strassen_cdag(8);
+  const cdag::Cdag cdag = with_in_csr_edited(
+      built, [](auto& in_edges, std::span<const std::uint32_t> offsets) {
+        const auto first = in_edges.begin() + offsets[422];
+        const auto it =
+            std::find(first, in_edges.begin() + offsets[423], 408u);
+        ASSERT_NE(it, in_edges.begin() + offsets[423]);
+        *it = 16;
+      });
+  const auto schedule = dfs_schedule(cdag);
+  // The refused step: the last that reads 16, one past its out-degree.
+  std::size_t step = schedule.size();
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const auto preds = cdag.graph.in_neighbors(schedule[i]);
+    if (std::find(preds.begin(), preds.end(), 16u) != preds.end()) {
+      step = i;
+    }
+  }
+  ASSERT_LT(step, schedule.size());
+  const std::string expected =
+      "step " + std::to_string(step) + ": operand 16 of vertex " +
+      std::to_string(schedule[step]) +
+      " has no consumer left: the in-CSR lists more consumers of 16 than "
+      "its out-edges";
+  for (const auto policy :
+       {ReplacementPolicy::kLru, ReplacementPolicy::kBelady}) {
+    const std::string what = simulate_error(cdag, schedule, policy);
+    EXPECT_NE(what.find(expected), std::string::npos) << what;
+  }
+}
+
+// An operand listed twice among a vertex's in-neighbors is released
+// twice; the second release names the step, the vertex and the operand.
+TEST(Machine, RepeatedInNeighborNamesStepVertexAndOperand) {
+  const cdag::Cdag built = strassen_cdag(2);
+  const auto schedule = dfs_schedule(built);
+  const graph::VertexId v = schedule[0];
+  graph::VertexId twice = 0;
+  const cdag::Cdag cdag = with_in_csr_edited(
+      built, [&](auto& in_edges, std::span<const std::uint32_t> offsets) {
+        ASSERT_EQ(offsets[v + 1] - offsets[v], 2u);
+        twice = in_edges[offsets[v]];
+        in_edges[offsets[v] + 1] = twice;
+      });
+  const std::string expected = "step 0: operand " + std::to_string(twice) +
+                               " of vertex " + std::to_string(v) +
+                               " was released twice";
+  for (const auto policy :
+       {ReplacementPolicy::kLru, ReplacementPolicy::kBelady}) {
+    const std::string what = simulate_error(cdag, schedule, policy);
+    EXPECT_NE(what.find(expected), std::string::npos) << what;
+  }
+}
+
+// simulate refuses an out-of-range schedule vertex by its step before
+// reading the CSR at it, under either policy.
+TEST(Machine, OutOfRangeScheduleVertexNamesItsStep) {
+  const cdag::Cdag cdag = strassen_cdag(2);  // 33 vertices
+  auto schedule = dfs_schedule(cdag);
+  schedule[3] = 33;
+  for (const auto policy :
+       {ReplacementPolicy::kLru, ReplacementPolicy::kBelady}) {
+    const std::string what = simulate_error(cdag, schedule, policy);
+    EXPECT_NE(what.find("invalid schedule at step 3: vertex 33 is out of "
+                        "range (the CDAG has 33 vertices)"),
               std::string::npos)
         << what;
   }
