@@ -642,27 +642,18 @@ int cmd_optimal(const Args& args) {
       sweep::kBoundSlack);
   options.root_lower_bound = static_cast<std::int64_t>(floor_bound);
 
-  // With a snapshot store mounted, reuse a published frozen CDAG (or
-  // publish the one we build) instead of always rebuilding — the
-  // branch-and-bound search dominates runtime, but at large n the build
-  // is minutes of avoidable work per process.
+  // With a snapshot store mounted, the service's source reuses a
+  // published frozen CDAG (or publishes the one it builds) — the search
+  // dominates runtime, but at large n the build is minutes per process.
   const std::unique_ptr<snapshot::SnapshotStore> snapshot_store =
       snapshot_store_from(args, "optimal");
-  cdag::Cdag cdag;
-  if (snapshot_store != nullptr) {
-    if (std::optional<cdag::Cdag> loaded =
-            snapshot_store->try_load(traits.fingerprint, n)) {
-      cdag = std::move(*loaded);
-    } else {
-      cdag = cdag::build_cdag(alg, n);
-      snapshot_store->publish(traits.fingerprint, n, cdag);
-    }
-  } else {
-    cdag = cdag::build_cdag(alg, n);
-  }
+  service::ContentCache cache;
+  const std::shared_ptr<const cdag::Cdag> cdag =
+      service::CachingCdagSource(cache, snapshot_store.get())
+          .get_cdag(args.positional[1], n);
   pebble::OptimalPebbleResult result;
   try {
-    result = pebble::optimal_io(pebble::to_instance(cdag), options);
+    result = pebble::optimal_io(pebble::to_instance(*cdag), options);
   } catch (const pebble::InfeasibleError& e) {
     std::fprintf(stderr, "optimal: infeasible: %s\n", e.what());
     return 1;
@@ -713,22 +704,22 @@ int cmd_cdag(const Args& args) {
       pick_positional(args, "cdag <algorithm> --n N [--dot [--force]]");
   const auto n =
       static_cast<std::size_t>(require_base_n(args, 4, "cdag", traits));
-  const cdag::Cdag cdag = cdag::build_cdag(alg, n);
   if (args.has("dot")) {
     // Large CDAGs render to unusable multi-GB DOT; require --force.
-    std::cout << cdag.to_dot(args.has("force"));
+    std::cout << cdag::build_cdag(alg, n).to_dot(args.has("force"));
     return 0;
   }
+  // Every count is closed-form: the census answers without a build.
+  const cdag::CdagCensus counts = cdag::census(alg, n);
   std::printf("H^{%zux%zu} of %s: %zu vertices, %zu edges\n", n, n,
-              alg.name().c_str(), cdag.graph.num_vertices(),
-              cdag.graph.num_edges());
-  for (const auto& [role, count] : cdag.role_histogram()) {
+              alg.name().c_str(), counts.vertices, counts.edges);
+  for (const auto& [role, count] : counts.roles) {
     std::printf("  %-5s %zu\n", cdag::role_name(role), count);
   }
-  for (const auto& level : cdag.subproblem_levels) {
+  for (const auto& [r, count] : counts.levels) {
     std::printf("  SUB_H^{%zux%zu}: %zu sub-problems, %zu output "
                 "vertices\n",
-                level.r, level.r, level.count, level.output_pool.size());
+                r, r, count, count * r * r);
   }
   return 0;
 }

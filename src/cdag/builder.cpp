@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <tuple>
 #include <utility>
 
 #include "common/check.hpp"
@@ -43,17 +44,10 @@ struct RowSupport {
 class Builder {
  public:
   Builder(const BilinearAlgorithm& algorithm, std::size_t n)
-      : alg_(algorithm), n_(n) {
-    FMM_CHECK_MSG(alg_.is_square(), "CDAG builder requires a square base");
-    const std::size_t base = alg_.n();
-    FMM_CHECK(base >= 2);
-    FMM_CHECK_MSG(is_power_of(static_cast<std::int64_t>(n_),
-                              static_cast<std::int64_t>(base)),
-                  "n=" << n_ << " is not a power of base " << base);
-    for (std::size_t d = n_; d > 1; d /= base) {
-      ++depth_;
-    }
-  }
+      : alg_(algorithm),
+        n_(n),
+        census_(census(algorithm, n)),
+        depth_(census_.levels.size() - 1) {}
 
   Cdag build() {
     FMM_TRACE_SPAN("cdag.build", "cdag");
@@ -62,10 +56,9 @@ class Builder {
     cdag_.num_products = alg_.num_products();
     cdag_.algorithm_name = alg_.name();
 
-    const auto [vertices, edges] = checked_size();
     prepare_levels();
-    cdag_.roles.reserve(vertices);
-    gb_.reserve_edges(edges);
+    cdag_.roles.reserve(census_.vertices);
+    gb_.reserve_edges(census_.edges);
 
     const std::size_t n2 = n_ * n_;
     const VertexId a = add_vertices(n2, Role::kInputA);
@@ -76,7 +69,8 @@ class Builder {
     std::iota(cdag_.inputs_b.begin(), cdag_.inputs_b.end(), b);
 
     build_product(depth_, a, b);
-    FMM_CHECK(gb_.num_vertices() == vertices && gb_.num_edges() == edges);
+    FMM_CHECK(gb_.num_vertices() == census_.vertices &&
+              gb_.num_edges() == census_.edges);
     cdag_.outputs = staging_[depth_].output_pool;
     for (const VertexId v : cdag_.outputs) {
       cdag_.roles[v] = Role::kOutput;
@@ -105,39 +99,9 @@ class Builder {
   }
 
  private:
-  /// |V| and |E| of H^{n x n} from the recurrence over sizes s = b^k
-  ///   V(1) = 1,  V(s) = t V(s/b) + 2 t (s/b)^2 + s^2,
-  ///   E(1) = 2,  E(s) = t E(s/b) + (nnz U + nnz V + nnz W) (s/b)^2,
-  /// plus the 2 n^2 inputs, checked against the 32-bit id and CSR offset
-  /// ranges before anything is allocated.
-  std::pair<std::size_t, std::size_t> checked_size() const {
-    const auto base = static_cast<std::int64_t>(alg_.n());
-    const auto t = static_cast<std::int64_t>(alg_.num_products());
-    const auto coeffs = static_cast<std::int64_t>(
-        alg_.u().nnz() + alg_.v().nnz() + alg_.w().nnz());
-    std::int64_t s = 1;
-    std::int64_t vertices = 1;
-    std::int64_t edges = 2;
-    for (std::size_t k = 0; k < depth_; ++k) {
-      const std::int64_t sub2 = checked_mul(s, s);
-      s = checked_mul(s, base);
-      vertices = checked_add(checked_mul(t, vertices),
-                             checked_add(checked_mul(2 * t, sub2),
-                                         checked_mul(s, s)));
-      edges = checked_add(checked_mul(t, edges), checked_mul(coeffs, sub2));
-    }
-    vertices = checked_add(vertices, checked_mul(2, checked_mul(s, s)));
-    FMM_CHECK_MSG(vertices < graph::kNoVertex,
-                  "vertex count " << vertices << " overflows VertexId");
-    FMM_CHECK_MSG(edges <= UINT32_MAX,
-                  "edge count " << edges << " overflows CSR offsets");
-    return {static_cast<std::size_t>(vertices),
-            static_cast<std::size_t>(edges)};
-  }
-
-  /// Lays out one SubproblemLevel per size r = b^i (i = 0 .. depth), each
-  /// with t^{depth - i} sub-problems (Lemma 2.2), and preallocates the
-  /// flat pools.  The recursion then fills slots via per-level cursors:
+  /// Lays out one SubproblemLevel per census level, r = b^i with
+  /// t^{depth - i} sub-problems (Lemma 2.2), and preallocates the flat
+  /// pools.  The recursion then fills slots via per-level cursors:
   /// same-size calls are siblings (never interleaved), so the k-th entry
   /// at size r is also the k-th exit, one cursor captured at entry
   /// addresses both the input and output pools, and the t children of
@@ -146,13 +110,9 @@ class Builder {
     cdag_.subproblem_levels.resize(depth_ + 1);
     staging_.resize(depth_ + 1);
     cursors_.assign(depth_ + 1, 0);
-    std::size_t r = 1;
-    for (std::size_t i = 0; i <= depth_; ++i, r *= alg_.n()) {
+    for (std::size_t i = 0; i <= depth_; ++i) {
       SubproblemLevel& level = cdag_.subproblem_levels[i];
-      level.r = r;
-      level.count = static_cast<std::size_t>(
-          checked_pow(static_cast<std::int64_t>(alg_.num_products()),
-                      static_cast<int>(depth_ - i)));
+      std::tie(level.r, level.count) = census_.levels[i];
       staging_[i].output_pool.resize(level.count * level.outputs_per_sub());
       staging_[i].input_pool.resize(level.count * level.inputs_per_sub());
       staging_[i].span_begin.resize(level.count);
@@ -268,8 +228,9 @@ class Builder {
 
   const BilinearAlgorithm& alg_;
   std::size_t n_;
+  CdagCensus census_;
   /// log_base(n): levels are indexed 0 (size 1) .. depth_ (size n).
-  std::size_t depth_ = 0;
+  std::size_t depth_;
   RowSupport u_rows_{alg_.u()};
   RowSupport v_rows_{alg_.v()};
   RowSupport w_rows_{alg_.w()};
@@ -280,6 +241,71 @@ class Builder {
 };
 
 }  // namespace
+
+CdagCensus census(const bilinear::BilinearAlgorithm& algorithm,
+                  std::size_t n) {
+  FMM_CHECK_MSG(algorithm.is_square(), "CDAG builder requires a square base");
+  const auto base = static_cast<std::int64_t>(algorithm.n());
+  FMM_CHECK(base >= 2);
+  const auto side = static_cast<std::int64_t>(n);
+  FMM_CHECK_MSG(is_power_of(side, base),
+                "n=" << n << " is not a power of base " << base);
+  const auto t = static_cast<std::int64_t>(algorithm.num_products());
+  const auto coeffs = static_cast<std::int64_t>(
+      algorithm.u().nnz() + algorithm.v().nnz() + algorithm.w().nnz());
+  int depth = 0;
+  for (std::int64_t s = side; s > 1; s /= base) {
+    ++depth;
+  }
+  // Level i: count = t^{depth - i} sub-problems of size r = b^i, whose
+  // count r^2 outputs are products (i = 0) or decoders.  Below the top,
+  // their operands are encoded by count / t parents, with nnz(U) + nnz(V)
+  // + nnz(W) edges per element of an r^2 block; each product adds 2
+  // in-edges.  The pools hold r^2 outputs, 2 r^2 inputs and a span each.
+  const auto to_size = [](auto v) { return static_cast<std::size_t>(v); };
+  CdagCensus result;
+  const std::int64_t n2 = checked_mul(side, side);
+  const std::int64_t leaves = checked_pow(t, depth);
+  std::int64_t below = 0;  // encA = encB = mul + dec
+  std::int64_t edges = checked_mul(2, leaves);
+  std::int64_t ids = checked_mul(3, n2);  // inputs_a, inputs_b, outputs
+  for (int i = 0; i <= depth; ++i) {
+    const std::int64_t count = checked_pow(t, depth - i);
+    const std::int64_t r2 = checked_pow(base, 2 * i);
+    if (i < depth) {
+      below = checked_add(below, checked_mul(count, r2));
+      edges = checked_add(edges,
+                          checked_mul(coeffs, checked_mul(count / t, r2)));
+    }
+    ids = checked_add(ids,
+                      checked_mul(count, checked_add(checked_mul(3, r2), 2)));
+    result.levels.emplace_back(to_size(checked_pow(base, i)), to_size(count));
+  }
+  const std::int64_t vertices = checked_mul(3, checked_add(n2, below));
+  FMM_CHECK_MSG(vertices < graph::kNoVertex,
+                "vertex count " << vertices << " overflows VertexId");
+  FMM_CHECK_MSG(edges <= UINT32_MAX,
+                "edge count " << edges << " overflows CSR offsets");
+  result.vertices = to_size(vertices);
+  result.edges = to_size(edges);
+  const std::int64_t products = depth == 0 ? 0 : leaves;
+  result.roles = {{Role::kInputA, to_size(n2)},
+                  {Role::kInputB, to_size(n2)},
+                  {Role::kEncodeA, to_size(below)},
+                  {Role::kEncodeB, to_size(below)},
+                  {Role::kProduct, to_size(products)},
+                  {Role::kDecode, to_size(below - products)},
+                  {Role::kOutput, to_size(n2)}};
+  std::erase_if(result.roles,
+                [](const auto& role) { return role.second == 0; });
+  // V + 1 offsets and E edges per CSR direction and the ids, all 32-bit,
+  // plus a role byte per vertex; the checks above bound it below 2^64.
+  result.memory_bytes =
+      (2 * (result.vertices + 1) + 2 * result.edges + to_size(ids)) *
+          sizeof(std::uint32_t) +
+      result.vertices * sizeof(Role);
+  return result;
+}
 
 Cdag build_cdag(const bilinear::BilinearAlgorithm& algorithm, std::size_t n) {
   return Builder(algorithm, n).build();

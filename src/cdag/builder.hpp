@@ -8,11 +8,31 @@
 
 namespace fmm::cdag {
 
+/// What a build of H^{n x n} holds, counted in closed form from its
+/// levels: size r = b^i holds t^{log_b(n/r)} sub-problems (Lemma 2.2).
+struct CdagCensus {
+  std::size_t vertices = 0;
+  std::size_t edges = 0;
+  /// Cdag::role_histogram(): only the roles that occur.
+  std::map<Role, std::size_t> roles;
+  /// (r, count) of Cdag::subproblem_levels, ascending r.
+  std::vector<std::pair<std::size_t, std::size_t>> levels;
+  /// service::cdag_memory_bytes of the built Cdag.
+  std::size_t memory_bytes = 0;
+};
+
+/// Counts H^{n x n} without building it, in checked int64 arithmetic.
+/// Refuses exactly what build_cdag refuses, with the same CheckError
+/// texts: a base that is not square or below 2, an n that is not a power
+/// of it (n = 0 included), sizes beyond 32-bit ids or CSR offsets, and
+/// counts beyond int64.
+CdagCensus census(const bilinear::BilinearAlgorithm& algorithm,
+                  std::size_t n);
+
 /// Builds H^{n x n} for the given square-base algorithm, expanded to
-/// scalar granularity.  `n` must be a power of the base size (n = 0 is
-/// not).  |V| and |E| come first from their closed-form recurrence; a
-/// size whose vertex ids or edge count overflow 32 bits is refused with a
-/// CheckError before anything is allocated.
+/// scalar granularity.  The census comes first: it refuses what cannot be
+/// built before anything is allocated and sizes the arrays and levels,
+/// and the built |V| and |E| must equal it.
 ///
 /// Structure per recursion level (size s -> s/b):
 ///   - one EncodeA vertex per element of each of the t encoded A-operands

@@ -22,7 +22,7 @@
 // The store is a sharded LRU: each shard owns a mutex, an LRU list and
 // a byte tally; keys map to shards by fingerprint, so unrelated
 // requests never contend.  Budget accounting uses real footprints
-// (CsrGraph::memory_bytes for CDAGs, string size for payloads), and
+// (cdag_memory_bytes for CDAGs, string size for payloads), and
 // eviction never removes the entry being inserted — a single entry
 // larger than the whole budget is admitted alone rather than thrashing.
 // A zero budget disables retention entirely (every lookup misses); the
@@ -67,7 +67,7 @@ struct CacheStats {
 };
 
 /// Budget-relevant footprint of a frozen CDAG: the CSR graph plus the
-/// role array, vertex lists and sub-problem pools.
+/// role array, vertex lists and sub-problem pools (cdag::census counts it).
 std::size_t cdag_memory_bytes(const cdag::Cdag& cdag);
 
 class ContentCache {

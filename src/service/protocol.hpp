@@ -125,7 +125,8 @@ std::string canonical_request(const Request& request);
 /// is therefore result-cacheable (bound/simulate/liveness/optimal/cdag).
 bool op_is_cacheable(Op op);
 
-/// True for ops that need the (algorithm, n) CDAG built.
+/// True for ops on the (algorithm, n) CDAG, whose scheme and n are
+/// validated and key normalised; all but cdag (a census) build it.
 bool op_needs_cdag(Op op);
 
 /// Renders a success response envelope around an already-rendered

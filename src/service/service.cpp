@@ -147,11 +147,7 @@ void QueryService::record_response(const std::string& op, bool is_ok) {
   }
 }
 
-std::int64_t QueryService::estimated_cost_ticks(
-    const Request& request, const bilinear::SchemeTraits& traits) const {
-  if (!op_needs_cdag(request.op)) {
-    return 1;
-  }
+std::int64_t QueryService::estimated_cost_ticks(const Request& request) const {
   // The optimal op is deadline-guarded by its own state budget: the
   // branch-and-bound search memoizes at most max_states distinct states
   // before degrading to a certified lower bound, so that budget IS the
@@ -159,22 +155,16 @@ std::int64_t QueryService::estimated_cost_ticks(
   if (request.op == Op::kOptimal) {
     return static_cast<std::int64_t>(pebble::OptimalPebbleOptions{}.max_states);
   }
-  // Upper bound on |V(H^{n x n})|: each recursion level multiplies the
-  // subproblem count by rank and the block count by base³, so
-  // 8 · max(rank, base³)^{log_base n} over-covers the graph — for
-  // Strassen this is the historical 8 · 8^{log2 n}.  Purely arithmetic:
-  // the verdict for a (config, request) pair never depends on load or
-  // wall-clock.
+  if (request.op != Op::kSimulate && request.op != Op::kLiveness) {
+    return 1;
+  }
+  // |V(H^{n x n})| by the census: purely arithmetic, so the verdict for a
+  // (config, request) pair never depends on load or wall-clock.  A size
+  // the census refuses cannot run at all.
   try {
-    int levels = 0;
-    std::size_t s = request.n;
-    while (traits.base >= 2 && s >= traits.base) {
-      s /= traits.base;
-      ++levels;
-    }
-    const std::int64_t per_level = static_cast<std::int64_t>(
-        std::max(traits.rank, traits.base * traits.base * traits.base));
-    return checked_mul(checked_pow(per_level, levels), 8);
+    return static_cast<std::int64_t>(
+        cdag::census(sweep::resolve_algorithm(request.algorithm), request.n)
+            .vertices);
   } catch (const CheckError&) {
     return std::numeric_limits<std::int64_t>::max();
   }
@@ -270,11 +260,11 @@ std::optional<std::string> QueryService::pre_compute_response(
   // Scheme-dependent validation: resolve the algorithm (catalog name or
   // file:<path>, Brent-verified on first load) and check n against the
   // scheme's base dim.  Failures answer as one-line usage_error.
-  bilinear::SchemeTraits traits;
   if (op_needs_cdag(request.op)) {
     std::string problem;
     try {
-      traits = sweep::resolve_traits(request.algorithm);
+      const bilinear::SchemeTraits traits =
+          sweep::resolve_traits(request.algorithm);
       if (traits.base == 0) {
         problem = std::string(op_name(request.op)) + ": scheme '" +
                   traits.name +
@@ -300,7 +290,7 @@ std::optional<std::string> QueryService::pre_compute_response(
     }
   }
   if (config_.deadline_ticks > 0) {
-    const std::int64_t cost = estimated_cost_ticks(request, traits);
+    const std::int64_t cost = estimated_cost_ticks(request);
     if (cost > config_.deadline_ticks) {
       {
         const std::scoped_lock lock(stats_mutex_);
@@ -384,26 +374,26 @@ std::string QueryService::compute_result(const Request& request) {
       return sweep::task_row_json(row);
     }
     case Op::kCdag: {
-      const std::shared_ptr<const cdag::Cdag> cdag =
-          cdag_source_.get_cdag(request.algorithm, request.n);
+      // Every field is closed-form: the census answers without a build.
+      const bilinear::BilinearAlgorithm algorithm =
+          sweep::resolve_algorithm(request.algorithm);
+      const cdag::CdagCensus counts = cdag::census(algorithm, request.n);
       std::ostringstream os;
-      os << "{\"algorithm\": \"" << json_escape(cdag->algorithm_name) << "\""
-         << ", \"n\": " << cdag->n
-         << ", \"vertices\": " << cdag->graph.num_vertices()
-         << ", \"edges\": " << cdag->graph.num_edges()
-         << ", \"memory_bytes\": " << cdag_memory_bytes(*cdag)
-         << ", \"roles\": {";
+      os << "{\"algorithm\": \"" << json_escape(algorithm.name()) << "\""
+         << ", \"n\": " << request.n << ", \"vertices\": " << counts.vertices
+         << ", \"edges\": " << counts.edges
+         << ", \"memory_bytes\": " << counts.memory_bytes << ", \"roles\": {";
       bool first = true;
-      for (const auto& [role, count] : cdag->role_histogram()) {
+      for (const auto& [role, count] : counts.roles) {
         os << (first ? "" : ", ") << "\"" << cdag::role_name(role)
            << "\": " << count;
         first = false;
       }
       os << "}, \"subproblem_levels\": [";
-      for (std::size_t i = 0; i < cdag->subproblem_levels.size(); ++i) {
-        const cdag::SubproblemLevel& level = cdag->subproblem_levels[i];
-        os << (i == 0 ? "" : ", ") << "{\"r\": " << level.r
-           << ", \"count\": " << level.count << "}";
+      for (std::size_t i = 0; i < counts.levels.size(); ++i) {
+        const auto [r, count] = counts.levels[i];
+        os << (i == 0 ? "" : ", ") << "{\"r\": " << r
+           << ", \"count\": " << count << "}";
       }
       os << "]}";
       return os.str();

@@ -16,14 +16,13 @@
 //
 // Deadlines ride the repo's resilience virtual clock philosophy
 // (resilience/retry.hpp): a request's cost is ESTIMATED in deterministic
-// ticks (8·max(rank, base³)^{log_base n} — an upper bound on the vertex
-// count of H^{n x n} for the resolved scheme, 8·8^{log2 n} for
-// Strassen; the branch-and-bound state budget for optimal, whose
-// search is capped by that budget rather than the CDAG size; 1 for
-// closed-form ops) and
-// compared against deadline_ticks at admission.  No wall-clock is ever
-// consulted, so a given (config, request) pair always gets the same
-// deadline_exceeded verdict — deterministic, testable backpressure.
+// ticks (|V(H^{n x n})| by cdag::census for simulate and liveness; the
+// branch-and-bound state budget for optimal, whose search is capped by
+// that budget rather than the CDAG size; 1 for closed-form ops, cdag
+// included) and compared against deadline_ticks at admission.  No
+// wall-clock is ever consulted, so a given (config, request) pair always
+// gets the same deadline_exceeded verdict — deterministic, testable
+// backpressure.
 //
 // Admission is bounded: when max_queue compute requests are already
 // queued-or-running, new ones are answered `rejected: queue_full`
@@ -211,11 +210,10 @@ class QueryService {
                                obs::RequestTelemetry* telemetry);
   /// Renders the deterministic result object (cache miss path).
   std::string compute_result(const Request& request);
-  /// Deterministic virtual-clock cost estimate of a request; `traits`
-  /// describes the resolved scheme for CDAG-shaped ops (ignored for
-  /// closed-form ops, which cost 1 tick).
-  std::int64_t estimated_cost_ticks(
-      const Request& request, const bilinear::SchemeTraits& traits) const;
+  /// Deterministic virtual-clock cost estimate of a request: the census
+  /// |V| for simulate and liveness, the state budget for optimal, and 1
+  /// tick for every closed-form op, cdag included.
+  std::int64_t estimated_cost_ticks(const Request& request) const;
   /// The front of every request, shared by handle_line and serve:
   /// tallies the line, parses it into `request` (timing the parse into
   /// `telemetry`, which also gets the op and id), then runs

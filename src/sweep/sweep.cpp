@@ -123,35 +123,17 @@ std::string cell_prefix(const TaskCell& cell) {
   return oss.str();
 }
 
-/// Heuristic upper bound on the frozen-CDAG footprint of (alg, n):
-/// vertex count is Θ(t^levels) with a small constant from the geometric
-/// encode/decode layers, so 8·t^levels vertices at ~112 bytes each
-/// over-covers every catalog algorithm.  All arithmetic overflow-checked
-/// — a cell too big to even ESTIMATE is certainly over any budget.
-std::int64_t estimate_cell_bytes(const bilinear::BilinearAlgorithm& alg,
-                                 std::size_t n) {
-  int levels = 0;
-  std::size_t s = n;
-  const auto base = static_cast<std::size_t>(alg.n());
-  while (s > 1) {
-    s = (s + base - 1) / base;
-    ++levels;
-  }
-  const std::int64_t vertices = checked_mul(
-      checked_pow(static_cast<std::int64_t>(alg.num_products()), levels),
-      8);
-  return checked_mul(vertices, 112);
-}
-
 /// True iff (alg, n) must degrade to skipped(budget) rows under
-/// `max_cell_bytes` — either the estimate exceeds the budget or the
-/// estimate itself overflows int64.
+/// `max_cell_bytes`: its census footprint exceeds the budget, or the
+/// census refuses its size.  A bad base or n stays a build error.
 bool cell_over_budget(const bilinear::BilinearAlgorithm& alg,
                       std::size_t n, std::int64_t max_cell_bytes) {
   try {
-    return estimate_cell_bytes(alg, n) > max_cell_bytes;
+    return cdag::census(alg, n).memory_bytes >
+           static_cast<std::size_t>(max_cell_bytes);
   } catch (const CheckError&) {
-    return true;
+    return alg.is_square() && is_power_of(static_cast<std::int64_t>(n),
+                                          static_cast<std::int64_t>(alg.n()));
   }
 }
 
@@ -748,8 +730,8 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
   // source, sharded across the pool (the source single-flights duplicate
   // keys; a warm service cache returns instantly); every task of that
   // cell shares it read-only afterwards.  Under a memory budget, a cell
-  // whose estimated footprint exceeds it is not fetched at all — its
-  // rows degrade to skipped(budget) below.
+  // whose census footprint exceeds it is not fetched at all — its rows
+  // degrade to skipped(budget) below.
   std::vector<std::pair<std::string, std::size_t>> keys;
   std::map<std::pair<std::string, std::size_t>, std::size_t> key_index;
   for (const TaskCell& cell : cells) {
@@ -791,15 +773,6 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
                   "sweep: CDAG build failed for "
                       << keys[i].first << " n=" << keys[i].second << ": "
                       << build_errors[i]);
-    // The estimate is a heuristic; the measured footprint is the
-    // authority.  Release this sweep's reference to an over-budget
-    // graph immediately (a caching source may keep its own).
-    if (key_needed[i] && !over_budget[i] && spec.max_cell_bytes > 0 &&
-        static_cast<std::int64_t>(cdags[i]->graph.memory_bytes()) >
-            spec.max_cell_bytes) {
-      over_budget[i] = 1;
-      cdags[i].reset();
-    }
   }
 
   // Shard the cells.  Each task writes only to its own slot; under

@@ -115,8 +115,9 @@ struct SweepSpec {
   double inject_failure_rate = 0.0;
   /// Seed of the injection stream; 0 = reuse base_seed.
   std::uint64_t inject_seed = 0;
-  /// Per-cell memory budget in bytes; a cell whose CDAG (estimated, then
-  /// measured) exceeds it becomes a skipped(reason=budget) row.  0 = off.
+  /// Per-cell memory budget in bytes; a cell whose cdag::census footprint
+  /// exceeds it, or whose size the census refuses, becomes a
+  /// skipped(reason=budget) row (a bad n stays a build error).  0 = off.
   std::int64_t max_cell_bytes = 0;
 
   // --- Resilience (NOT part of the deterministic payload) ----------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <string>
 
@@ -211,28 +212,52 @@ TEST(Builder, DotOutputNonEmpty) {
   EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
+/// The CheckError texts build_cdag and census throw for (alg, n).
+std::array<std::string, 2> refusals(const bilinear::BilinearAlgorithm& alg,
+                                    std::size_t n) {
+  return {check_error_of([&] { build_cdag(alg, n); }),
+          check_error_of([&] { census(alg, n); })};
+}
+
 TEST(Builder, RejectsNonPowerSizes) {
-  EXPECT_THROW(build_cdag(strassen(), 6), CheckError);
-  EXPECT_THROW(build_cdag(strassen(), 3), CheckError);
-  EXPECT_NE(check_error_of([] { build_cdag(strassen(), 0); })
-                .find("n=0 is not a power of base 2"),
-            std::string::npos);
+  // The builder refuses through the census, so both give one text.
+  for (const std::size_t n : {6u, 3u, 0u}) {
+    const auto [built, counted] = refusals(strassen(), n);
+    EXPECT_NE(built.find("n=" + std::to_string(n) +
+                         " is not a power of base 2"),
+              std::string::npos)
+        << built;
+    EXPECT_EQ(counted, built);
+  }
 }
 
 TEST(Builder, RejectsSizesBeyondIdRange) {
   // Strassen n = 2048 has 1.38e10 vertices (~74 GB of sub-problem pools);
   // Winograd n = 1024 fits 32-bit vertex ids but has 4.50e9 edges.  Both
   // are refused from the closed-form counts before anything is allocated.
-  EXPECT_NE(check_error_of([] { build_cdag(strassen(), 2048); })
-                .find("vertex count 13824509985 overflows VertexId"),
-            std::string::npos);
-  EXPECT_NE(check_error_of([] { build_cdag(winograd(), 1024); })
-                .find("overflows CSR offsets"),
-            std::string::npos);
+  for (const std::string& what : refusals(strassen(), 2048)) {
+    EXPECT_NE(what.find("vertex count 13824509985 overflows VertexId"),
+              std::string::npos)
+        << what;
+  }
+  for (const std::string& what : refusals(winograd(), 1024)) {
+    EXPECT_NE(what.find("overflows CSR offsets"), std::string::npos) << what;
+  }
+  // At n = 2^40 the counts leave int64 itself: a one-line CheckError from
+  // checked arithmetic, with no signed overflow on the way (the sanitize
+  // preset runs this under UBSan).
+  for (const std::string& what : refusals(strassen(), std::size_t{1} << 40)) {
+    EXPECT_NE(what.find("int64 overflow"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
 }
 
 TEST(Builder, RejectsRectangularBase) {
-  EXPECT_THROW(build_cdag(bilinear::rect_2x2x4(), 4), CheckError);
+  const auto [built, counted] = refusals(bilinear::rect_2x2x4(), 4);
+  EXPECT_NE(built.find("CDAG builder requires a square base"),
+            std::string::npos)
+      << built;
+  EXPECT_EQ(counted, built);
 }
 
 TEST(Builder, ClassicAlgorithmCdag) {

@@ -10,6 +10,9 @@
 // builder that returned one vector per operand block, before the
 // recursion moved to id ranges and level pools.
 //
+// Each cell also pins census == build: the closed-form |V|, |E|, role
+// histogram, levels and footprint equal what the build holds.
+//
 // The same binary bounds the heap allocations of one build (a build may
 // allocate only the arrays it returns) and runs builds on several threads
 // at once, two of them on the same key, to catch scratch memory shared
@@ -33,6 +36,7 @@
 #include "cdag/builder.hpp"
 #include "common/hash.hpp"
 #include "obs/metrics.hpp"
+#include "service/cache.hpp"
 #include "sweep/sweep.hpp"
 
 namespace {
@@ -343,6 +347,17 @@ TEST(CdagGolden, BuildsMatchPinnedBytes) {
     EXPECT_EQ(counter("cdag.edges_built") - edges,
               static_cast<std::int64_t>(golden.edges));
     EXPECT_EQ(counter("graph.csr.freezes") - freezes, 1);
+
+    const CdagCensus counts = census(alg, golden.n);
+    EXPECT_EQ(counts.vertices, golden.vertices);
+    EXPECT_EQ(counts.edges, golden.edges);
+    EXPECT_EQ(counts.roles, cdag.role_histogram());
+    ASSERT_EQ(counts.levels.size(), cdag.subproblem_levels.size());
+    for (std::size_t i = 0; i < counts.levels.size(); ++i) {
+      EXPECT_EQ(counts.levels[i].first, cdag.subproblem_levels[i].r);
+      EXPECT_EQ(counts.levels[i].second, cdag.subproblem_levels[i].count);
+    }
+    EXPECT_EQ(counts.memory_bytes, service::cdag_memory_bytes(cdag));
   }
 }
 

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bilinear/catalog.hpp"
+#include "cdag/builder.hpp"
 #include "common/check.hpp"
 #include "common/hash.hpp"
 #include "common/json.hpp"
@@ -353,6 +355,13 @@ sweep::SweepSpec tiny_spec() {
   return spec;
 }
 
+/// The census footprint of tiny_spec's Strassen n=8 cell: 64,133 B,
+/// against 8,235 B at n=4.  One byte less keeps n=4 and degrades n=8.
+std::int64_t n8_footprint() {
+  return static_cast<std::int64_t>(
+      cdag::census(bilinear::strassen(), 8).memory_bytes);
+}
+
 TEST(ResilienceSweep, InjectedFailuresRecoverDeterministically) {
   sweep::SweepSpec spec = tiny_spec();
   spec.retry.max_attempts = 4;
@@ -414,9 +423,7 @@ TEST(ResilienceSweep, FailFastStillThrowsWhenRetriesExhaust) {
 
 TEST(ResilienceSweep, BudgetDegradesOversizedCellsToSkippedRows) {
   sweep::SweepSpec spec = tiny_spec();
-  // Strassen n=4 estimates at ~44 KiB, n=8 at ~308 KiB: a 100 KiB budget
-  // keeps the small cell and degrades the large one.
-  spec.max_cell_bytes = 100 * 1024;
+  spec.max_cell_bytes = n8_footprint() - 1;
   const sweep::SweepResult result = sweep::run_sweep(spec);
   EXPECT_EQ(result.failed, 0u);
   for (const auto& task : result.tasks) {
@@ -435,9 +442,24 @@ TEST(ResilienceSweep, BudgetDegradesOversizedCellsToSkippedRows) {
   EXPECT_EQ(section.at("budget_skipped").as_i64(), 2);
 }
 
+TEST(ResilienceSweep, BudgetBoundaryIsTheCensusFootprint) {
+  // A budget equal to a cell's footprint keeps it; one byte less skips it.
+  const std::int64_t footprint = n8_footprint();
+  for (const std::int64_t budget : {footprint, footprint - 1}) {
+    sweep::SweepSpec spec = tiny_spec();
+    spec.n_grid = {8};
+    spec.max_cell_bytes = budget;
+    const sweep::SweepResult result = sweep::run_sweep(spec);
+    for (const auto& task : result.tasks) {
+      EXPECT_TRUE(task.ok);
+      EXPECT_EQ(task.skipped, budget < footprint) << "budget " << budget;
+    }
+  }
+}
+
 TEST(ResilienceSweep, BudgetRowsAreDeterministicAcrossThreadCounts) {
   sweep::SweepSpec spec = tiny_spec();
-  spec.max_cell_bytes = 100 * 1024;
+  spec.max_cell_bytes = n8_footprint() - 1;
   const sweep::SweepResult reference = sweep::run_sweep(spec);
   for (const std::size_t threads : {2u, 8u}) {
     sweep::SweepSpec parallel_spec = spec;
@@ -516,7 +538,7 @@ TEST(ResilienceCheckpoint, BudgetSkipsCheckpointSafelyAlongsideWorkers) {
   // already-queued workers append their own rows; both sides must
   // serialize on the checkpoint mutex (TSan guards this test).
   sweep::SweepSpec spec = tiny_spec();
-  spec.max_cell_bytes = 100 * 1024;
+  spec.max_cell_bytes = n8_footprint() - 1;
   spec.num_threads = 8;
   const std::string path = temp_path("budget.jsonl");
   spec.checkpoint_path = path;

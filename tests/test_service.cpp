@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -323,31 +324,60 @@ TEST(QueryService, DeadlineExceededIsDeterministic) {
   obs::Registry::instance().reset();
   ServiceConfig config;
   config.num_threads = 1;
-  // 8·8^log2(n) ticks: n=4 costs 512, n=16 costs 32768.  A deadline of
-  // 1000 admits exactly the n=4 request — a pure function of (config,
-  // request), never of load.
+  // liveness costs the census |V(H^{n x n})| in ticks: n=4 costs 279,
+  // n=16 costs 15783.  A deadline of 1000 admits exactly the n=4 request
+  // — a pure function of (config, request), never of load.
   config.deadline_ticks = 1000;
   service::QueryService service(config);
   const std::string small =
-      "{\"op\": \"cdag\", \"algorithm\": \"strassen\", \"n\": 4}";
+      "{\"op\": \"liveness\", \"algorithm\": \"strassen\", \"n\": 4}";
   const std::string large =
-      "{\"op\": \"cdag\", \"algorithm\": \"strassen\", \"n\": 16}";
+      "{\"op\": \"liveness\", \"algorithm\": \"strassen\", \"n\": 16}";
   for (int pass = 0; pass < 3; ++pass) {
     EXPECT_NE(service.handle_line(small).find("\"ok\": true"),
               std::string::npos);
     const std::string rejected = service.handle_line(large);
     EXPECT_NE(rejected.find("deadline_exceeded: "), std::string::npos)
         << rejected;
-    EXPECT_NE(rejected.find("32768"), std::string::npos)
+    EXPECT_NE(rejected.find("estimated cost 15783 ticks"), std::string::npos)
         << "estimate must be spelled out: " << rejected;
   }
   EXPECT_EQ(service.stats().deadline_exceeded, 3);
-  // Closed-form ops cost 1 tick and always pass the same deadline.
-  EXPECT_NE(service
-                .handle_line("{\"op\": \"bound\", \"n\": 1048576, "
-                             "\"m\": 1024}")
-                .find("\"ok\": true"),
-            std::string::npos);
+  // Closed-form ops cost 1 tick and always pass the same deadline: bound,
+  // and cdag at the n whose liveness was refused.
+  for (const char* closed_form :
+       {"{\"op\": \"bound\", \"n\": 1048576, \"m\": 1024}",
+        "{\"op\": \"cdag\", \"algorithm\": \"strassen\", \"n\": 16}"}) {
+    EXPECT_NE(service.handle_line(closed_form).find("\"ok\": true"),
+              std::string::npos)
+        << closed_form;
+  }
+  EXPECT_EQ(service.stats().deadline_exceeded, 3);
+}
+
+TEST(QueryService, CdagAnswersWithoutBuilding) {
+  // Every field of a cdag answer is closed-form: the census renders it,
+  // and no CDAG is built, cached or published.
+  const std::string dir = testing::TempDir() + "fmm_service_cdag_census";
+  std::filesystem::remove_all(dir);
+  ServiceConfig config;
+  config.num_threads = 1;
+  config.snapshot_dir = dir;
+  QueryService service(config);
+  obs::Counter& builds = obs::Registry::instance().counter("cdag.builds");
+  const std::int64_t builds_before = builds.value();
+  const std::string response = service.handle_line(
+      "{\"op\": \"cdag\", \"algorithm\": \"strassen\", \"n\": 64}");
+  const JsonValue doc = parse_json(response);
+  ASSERT_TRUE(doc.at("ok").as_bool()) << response;
+  const JsonValue& result = doc.at("result");
+  EXPECT_EQ(result.at("vertices").as_i64(), 807159);
+  EXPECT_EQ(result.at("edges").as_i64(), 1597934);
+  EXPECT_EQ(result.at("memory_bytes").as_i64(), 24423755);
+  EXPECT_EQ(builds.value(), builds_before);
+  EXPECT_EQ(service.cache().stats().entries, 1) << "the payload, no CDAG";
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(QueryService, QueueFullRejectionAtZeroCapacity) {

@@ -328,8 +328,9 @@ TEST(SnapshotSource, ServiceConfigMountsStore) {
   service::QueryService service(config);
   ASSERT_NE(service.snapshot_store(), nullptr);
   EXPECT_EQ(service.snapshot_store()->directory(), dir);
+  // A CDAG-building op publishes; cdag itself answers from the census.
   const std::string response = service.handle_line(
-      R"({"op": "cdag", "algorithm": "strassen", "n": 4})");
+      R"({"op": "liveness", "algorithm": "strassen", "n": 4})");
   EXPECT_NE(response.find("\"ok\": true"), std::string::npos) << response;
   EXPECT_TRUE(fs::exists(dir));
   std::size_t files = 0;

@@ -194,22 +194,44 @@ TEST(SweepDeterminism, UnknownAlgorithmFailsUpFront) {
 }
 
 TEST(SweepDeterminism, ZeroSizeFailsWithBuildError) {
-  SweepSpec spec;
-  spec.algorithms = {"strassen"};
-  spec.n_grid = {0};
-  spec.m_grid = {16};
-  spec.kinds = {TaskKind::kSimulate};
-  spec.num_threads = 2;
-  try {
-    run_sweep(spec);
-    FAIL() << "expected the n=0 cell to fail the sweep";
-  } catch (const CheckError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("sweep: CDAG build failed for strassen n=0: "),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("n=0 is not a power of base 2"), std::string::npos)
-        << what;
+  // An n the builder refuses fails the sweep with the build's error under
+  // any memory budget: a budget judges only the sizes the builder accepts.
+  struct BadCell {
+    std::string algorithm;
+    std::size_t n;
+    int base;
+  };
+  const std::string laderman =
+      std::string("file:") + FMM_SOURCE_ROOT + "/schemes/laderman_333_23.json";
+  const BadCell cells[] = {
+      {"strassen", 0, 2}, {"strassen", 3, 2}, {laderman, 8, 3}};
+  for (const std::int64_t budget : {0, 1}) {
+    for (const BadCell& cell : cells) {
+      const std::string n = std::to_string(cell.n);
+      SCOPED_TRACE(cell.algorithm + " n=" + n +
+                   " budget=" + std::to_string(budget));
+      SweepSpec spec;
+      spec.algorithms = {cell.algorithm};
+      spec.n_grid = {cell.n};
+      spec.m_grid = {16};
+      spec.kinds = {TaskKind::kSimulate};
+      spec.num_threads = 2;
+      spec.max_cell_bytes = budget;
+      try {
+        run_sweep(spec);
+        ADD_FAILURE() << "expected the bad cell to fail the sweep";
+      } catch (const CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("sweep: CDAG build failed for " + cell.algorithm +
+                            " n=" + n + ": "),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("n=" + n + " is not a power of base " +
+                            std::to_string(cell.base)),
+                  std::string::npos)
+            << what;
+      }
+    }
   }
 }
 
