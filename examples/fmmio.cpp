@@ -114,6 +114,7 @@
 #include "common/table.hpp"
 #include "fabric/router.hpp"
 #include "fabric/transport.hpp"
+#include "graph/csr.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -704,13 +705,20 @@ int cmd_cdag(const Args& args) {
       pick_positional(args, "cdag <algorithm> --n N [--dot [--force]]");
   const auto n =
       static_cast<std::size_t>(require_base_n(args, 4, "cdag", traits));
+  // Every count is closed-form: the census answers without a build.
+  const cdag::CdagCensus counts = cdag::census(alg, n);
   if (args.has("dot")) {
-    // Large CDAGs render to unusable multi-GB DOT; require --force.
+    // Large CDAGs render to unusable multi-GB DOT; require --force, and
+    // refuse before building anything.
+    if (counts.vertices > graph::kDotVertexLimit && !args.has("force")) {
+      usage_error("cdag: DOT output of " + std::to_string(counts.vertices) +
+                  " vertices exceeds " +
+                  std::to_string(graph::kDotVertexLimit) +
+                  "; pass --force to render it");
+    }
     std::cout << cdag::build_cdag(alg, n).to_dot(args.has("force"));
     return 0;
   }
-  // Every count is closed-form: the census answers without a build.
-  const cdag::CdagCensus counts = cdag::census(alg, n);
   std::printf("H^{%zux%zu} of %s: %zu vertices, %zu edges\n", n, n,
               alg.name().c_str(), counts.vertices, counts.edges);
   for (const auto& [role, count] : counts.roles) {

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   {
     const bool valid = alg.is_valid();
     all_ok &= valid;
-    std::printf("[%s] Brent-equation validity (exact integers)\n",
+    std::printf("[%s] Brent-equation validity (exact rationals)\n",
                 verdict(valid));
   }
 

@@ -1,10 +1,9 @@
 #include "bilinear/algorithm.hpp"
 
 #include <cmath>
-#include <sstream>
 
+#include "bilinear/scheme.hpp"
 #include "common/check.hpp"
-#include "common/math_util.hpp"
 
 namespace fmm::bilinear {
 
@@ -51,45 +50,8 @@ double BilinearAlgorithm::omega() const {
          std::log(static_cast<double>(n_));
 }
 
-namespace {
-
-int brent_lhs(const IntMat& u, const IntMat& v, const IntMat& w,
-              std::size_t a_idx, std::size_t b_idx, std::size_t c_idx) {
-  std::int64_t sum = 0;
-  for (std::size_t r = 0; r < u.rows; ++r) {
-    sum += static_cast<std::int64_t>(u.at(r, a_idx)) * v.at(r, b_idx) *
-           w.at(c_idx, r);
-  }
-  FMM_CHECK(sum >= INT32_MIN && sum <= INT32_MAX);
-  return static_cast<int>(sum);
-}
-
-}  // namespace
-
 std::optional<std::string> BilinearAlgorithm::first_brent_violation() const {
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t k = 0; k < m_; ++k) {
-      for (std::size_t k2 = 0; k2 < m_; ++k2) {
-        for (std::size_t j = 0; j < p_; ++j) {
-          for (std::size_t i2 = 0; i2 < n_; ++i2) {
-            for (std::size_t j2 = 0; j2 < p_; ++j2) {
-              const int expected = (i == i2 && j == j2 && k == k2) ? 1 : 0;
-              const int got =
-                  brent_lhs(u_, v_, w_, i * m_ + k, k2 * p_ + j, i2 * p_ + j2);
-              if (got != expected) {
-                std::ostringstream oss;
-                oss << "Brent equation violated at A[" << i << "," << k
-                    << "] B[" << k2 << "," << j << "] C[" << i2 << "," << j2
-                    << "]: got " << got << ", expected " << expected;
-                return oss.str();
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return std::nullopt;
+  return bilinear::first_brent_violation(scheme_from_algorithm(*this));
 }
 
 bool BilinearAlgorithm::is_valid() const {

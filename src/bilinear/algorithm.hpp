@@ -8,10 +8,11 @@
 //   V : t x (m*p)   — encoder of B:   B̃_r = sum_{k,j} V[r,(k,j)] B[k,j]
 //   W : (n*p) x t   — decoder:        C[i,j] = sum_r W[(i,j),r] Ã_r B̃_r
 //
-// Validity is decidable exactly via the Brent equations, which we check
-// with integer arithmetic — every algorithm in the catalog is certified,
-// not assumed.  The encoder bipartite graphs of Section II (Figure 2) are
-// derived straight from U and V.
+// Validity is decidable exactly via the Brent equations, checked by the
+// one exact verifier, bilinear::first_brent_violation (scheme.hpp) —
+// every algorithm in the catalog is certified, not assumed.  The encoder
+// bipartite graphs of Section II (Figure 2) are derived straight from U
+// and V.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +68,11 @@ class BilinearAlgorithm {
   /// The exponent log_base(t), e.g. log2(7) for Strassen.
   double omega() const;
 
-  /// Exact Brent-equation check over the integers.
+  /// Exact Brent-equation check: !first_brent_violation().
   bool is_valid() const;
 
-  /// First violated Brent equation as a human-readable string, or nullopt.
+  /// First violated Brent equation with its residual, or nullopt: the
+  /// scheme verifier bilinear::first_brent_violation on this algorithm.
   std::optional<std::string> first_brent_violation() const;
 
   /// Encoder bipartite graph (Lemma 3.1's G = (X, Y, E)): left = the n*m

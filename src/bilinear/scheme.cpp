@@ -66,20 +66,6 @@ bool Scheme::is_integer() const {
   return true;
 }
 
-namespace {
-
-std::string equation_name(const Scheme& s, std::size_t i, std::size_t k,
-                          std::size_t k2, std::size_t j, std::size_t i2,
-                          std::size_t j2) {
-  std::ostringstream oss;
-  oss << "A[" << i << "," << k << "] B[" << k2 << "," << j << "] C[" << i2
-      << "," << j2 << "]";
-  (void)s;
-  return oss.str();
-}
-
-}  // namespace
-
 std::optional<std::string> first_brent_violation(const Scheme& s) {
   const std::size_t t = s.rank();
   for (std::size_t i = 0; i < s.n; ++i) {
@@ -105,96 +91,10 @@ std::optional<std::string> first_brent_violation(const Scheme& s) {
                   (i == i2 && j == j2 && k == k2) ? 1 : 0;
               if (sum.num != expected || sum.den != 1) {
                 std::ostringstream oss;
-                oss << "Brent equation violated at "
-                    << equation_name(s, i, k, k2, j, i2, j2) << ": got "
-                    << rat_to_string(sum) << ", expected " << expected;
-                return oss.str();
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-namespace {
-
-std::uint64_t mod_pow(std::uint64_t base, std::uint64_t exp,
-                      std::uint64_t mod) {
-  // 64-bit-safe because callers use primes < 2^32.
-  std::uint64_t result = 1;
-  base %= mod;
-  while (exp > 0) {
-    if (exp & 1) {
-      result = result * base % mod;
-    }
-    base = base * base % mod;
-    exp >>= 1;
-  }
-  return result;
-}
-
-/// num/den as an element of Z_p; false when den ≡ 0 (mod p).
-bool rat_mod_p(const Rational& r, std::uint64_t p, std::uint64_t* out) {
-  const std::uint64_t den =
-      static_cast<std::uint64_t>(checked_abs(r.den)) % p;
-  if (den == 0) {
-    return false;
-  }
-  std::uint64_t num = static_cast<std::uint64_t>(checked_abs(r.num)) % p;
-  if (r.num < 0) {
-    num = (p - num) % p;
-  }
-  // Fermat inverse: den^(p-2) mod p.
-  *out = num * mod_pow(den, p - 2, p) % p;
-  return true;
-}
-
-}  // namespace
-
-std::optional<std::string> brent_spot_check_mod_p(const Scheme& s,
-                                                  std::uint64_t prime) {
-  FMM_CHECK_MSG(prime > 2 && prime < (1ULL << 32),
-                "scheme: spot-check prime must be in (2, 2^32)");
-  // Pre-reduce every coefficient once; bail to "inconclusive" if any
-  // denominator vanishes mod p (the exact pass still decides).
-  const std::size_t t = s.rank();
-  std::vector<std::uint64_t> u(t * s.n * s.m), v(t * s.m * s.p),
-      w(s.n * s.p * t);
-  for (std::size_t idx = 0; idx < s.u.data.size(); ++idx) {
-    if (!rat_mod_p(s.u.data[idx], prime, &u[idx])) return std::nullopt;
-  }
-  for (std::size_t idx = 0; idx < s.v.data.size(); ++idx) {
-    if (!rat_mod_p(s.v.data[idx], prime, &v[idx])) return std::nullopt;
-  }
-  for (std::size_t idx = 0; idx < s.w.data.size(); ++idx) {
-    if (!rat_mod_p(s.w.data[idx], prime, &w[idx])) return std::nullopt;
-  }
-  const std::size_t nm = s.n * s.m;
-  const std::size_t mp = s.m * s.p;
-  for (std::size_t i = 0; i < s.n; ++i) {
-    for (std::size_t k = 0; k < s.m; ++k) {
-      for (std::size_t k2 = 0; k2 < s.m; ++k2) {
-        for (std::size_t j = 0; j < s.p; ++j) {
-          for (std::size_t i2 = 0; i2 < s.n; ++i2) {
-            for (std::size_t j2 = 0; j2 < s.p; ++j2) {
-              const std::size_t a_idx = i * s.m + k;
-              const std::size_t b_idx = k2 * s.p + j;
-              const std::size_t c_idx = i2 * s.p + j2;
-              std::uint64_t sum = 0;
-              for (std::size_t r = 0; r < t; ++r) {
-                sum = (sum + u[r * nm + a_idx] * v[r * mp + b_idx] % prime *
-                                 w[c_idx * t + r]) %
-                      prime;
-              }
-              const std::uint64_t expected =
-                  (i == i2 && j == j2 && k == k2) ? 1 : 0;
-              if (sum != expected) {
-                std::ostringstream oss;
-                oss << "Brent equation violated (mod " << prime << ") at "
-                    << equation_name(s, i, k, k2, j, i2, j2);
+                oss << "Brent equation violated at A[" << i << "," << k
+                    << "] B[" << k2 << "," << j << "] C[" << i2 << "," << j2
+                    << "]: got " << rat_to_string(sum) << ", expected "
+                    << expected;
                 return oss.str();
               }
             }
@@ -217,11 +117,6 @@ std::optional<std::string> verify_scheme(const Scheme& s) {
       s.v.rows != s.rank() || s.v.cols != s.m * s.p ||
       s.w.rows != s.n * s.p || s.w.cols != s.rank()) {
     return "coefficient matrix shapes do not match <n,m,p;rank>";
-  }
-  // Fast path first: one pass of int64 arithmetic catches corrupted
-  // coefficients without touching rational arithmetic.
-  if (auto violation = brent_spot_check_mod_p(s)) {
-    return violation;
   }
   // The certificate: exact over the rationals.
   return first_brent_violation(s);
@@ -375,15 +270,17 @@ Scheme load_scheme_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   Scheme s;
+  std::optional<std::string> violation;
+  // Verification may throw too (a coefficient product beyond int64), so
+  // it runs inside the try: every refusal names the file.
   try {
     s = parse_scheme_json(buffer.str());
+    violation = verify_scheme(s);
   } catch (const CheckError& e) {
     FMM_CHECK_MSG(false, "scheme file '" << path << "': " << e.what());
   }
-  if (const auto violation = verify_scheme(s)) {
-    FMM_CHECK_MSG(false,
-                  "scheme file '" << path << "' refused: " << *violation);
-  }
+  FMM_CHECK_MSG(!violation,
+                "scheme file '" << path << "' refused: " << *violation);
   return s;
 }
 

@@ -10,9 +10,10 @@
 //
 // Validity is certified by the Brent equations
 //     sum_r U[r,(i,k)] V[r,(k',j)] W[(i',j'),r] = [i==i'][j==j'][k==k']
-// checked twice at load: a mod-p spot check first (fast necessary
-// condition; rejects corrupted files in one pass of int64 arithmetic)
-// and then exactly over the rationals (the certificate).  Invalid
+// checked once at load, exactly over the rationals, by
+// first_brent_violation — the one Brent verifier of the stack
+// (BilinearAlgorithm::first_brent_violation runs it too).  A refusal
+// names the first violated equation and its exact residual.  Invalid
 // schemes are refused at load — nothing downstream ever sees one.
 //
 // Identity is content-addressed: `scheme_fingerprint` hashes the
@@ -115,19 +116,12 @@ struct SchemeTraits {
 };
 
 /// Exact rational Brent verification; nullopt means valid.  The string
-/// names the first violated equation with its exact residual.
+/// names the first violated equation with its exact residual.  Throws
+/// CheckError when a partial sum leaves int64 rationals.
 std::optional<std::string> first_brent_violation(const Scheme& scheme);
 
-/// Mod-p spot check of the Brent equations (default prime 1e9+7): a
-/// fast necessary condition run before the exact pass.  Returns the
-/// first violation, or nullopt when consistent mod p.  Coefficients
-/// whose denominator is divisible by p make the check inconclusive and
-/// it returns nullopt (the exact pass still decides).
-std::optional<std::string> brent_spot_check_mod_p(
-    const Scheme& scheme, std::uint64_t prime = 1'000'000'007ULL);
-
-/// Full load-time verification: shape checks, the mod-p fast path, then
-/// the exact rational certificate.  nullopt means the scheme is valid.
+/// Full load-time verification: shape checks, then the exact rational
+/// certificate.  nullopt means the scheme is valid.
 std::optional<std::string> verify_scheme(const Scheme& scheme);
 
 /// Canonical fmm.scheme v1 JSON rendering — the fingerprint preimage

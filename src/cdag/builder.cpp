@@ -242,36 +242,51 @@ class Builder {
 
 }  // namespace
 
+std::vector<std::pair<std::size_t, std::size_t>> census_levels(
+    std::size_t base, std::size_t products, std::size_t n) {
+  const auto b = static_cast<std::int64_t>(base);
+  FMM_CHECK(b >= 2);
+  FMM_CHECK_MSG(is_power_of(static_cast<std::int64_t>(n), b),
+                "n=" << n << " is not a power of base " << b);
+  int depth = 0;
+  for (std::size_t s = n; s > 1; s /= base) {
+    ++depth;
+  }
+  const auto t = static_cast<std::int64_t>(products);
+  std::vector<std::pair<std::size_t, std::size_t>> levels;
+  for (int i = 0; i <= depth; ++i) {
+    levels.emplace_back(static_cast<std::size_t>(checked_pow(b, i)),
+                        static_cast<std::size_t>(checked_pow(t, depth - i)));
+  }
+  return levels;
+}
+
 CdagCensus census(const bilinear::BilinearAlgorithm& algorithm,
                   std::size_t n) {
   FMM_CHECK_MSG(algorithm.is_square(), "CDAG builder requires a square base");
-  const auto base = static_cast<std::int64_t>(algorithm.n());
-  FMM_CHECK(base >= 2);
+  CdagCensus result;
+  result.levels =
+      census_levels(algorithm.n(), algorithm.num_products(), n);
+  const std::size_t depth = result.levels.size() - 1;
   const auto side = static_cast<std::int64_t>(n);
-  FMM_CHECK_MSG(is_power_of(side, base),
-                "n=" << n << " is not a power of base " << base);
   const auto t = static_cast<std::int64_t>(algorithm.num_products());
   const auto coeffs = static_cast<std::int64_t>(
       algorithm.u().nnz() + algorithm.v().nnz() + algorithm.w().nnz());
-  int depth = 0;
-  for (std::int64_t s = side; s > 1; s /= base) {
-    ++depth;
-  }
   // Level i: count = t^{depth - i} sub-problems of size r = b^i, whose
   // count r^2 outputs are products (i = 0) or decoders.  Below the top,
   // their operands are encoded by count / t parents, with nnz(U) + nnz(V)
   // + nnz(W) edges per element of an r^2 block; each product adds 2
   // in-edges.  The pools hold r^2 outputs, 2 r^2 inputs and a span each.
   const auto to_size = [](auto v) { return static_cast<std::size_t>(v); };
-  CdagCensus result;
   const std::int64_t n2 = checked_mul(side, side);
-  const std::int64_t leaves = checked_pow(t, depth);
+  const auto leaves = static_cast<std::int64_t>(result.levels[0].second);
   std::int64_t below = 0;  // encA = encB = mul + dec
   std::int64_t edges = checked_mul(2, leaves);
   std::int64_t ids = checked_mul(3, n2);  // inputs_a, inputs_b, outputs
-  for (int i = 0; i <= depth; ++i) {
-    const std::int64_t count = checked_pow(t, depth - i);
-    const std::int64_t r2 = checked_pow(base, 2 * i);
+  for (std::size_t i = 0; i <= depth; ++i) {
+    const auto r = static_cast<std::int64_t>(result.levels[i].first);
+    const auto count = static_cast<std::int64_t>(result.levels[i].second);
+    const std::int64_t r2 = r * r;  // r <= n, and n^2 fits
     if (i < depth) {
       below = checked_add(below, checked_mul(count, r2));
       edges = checked_add(edges,
@@ -279,7 +294,6 @@ CdagCensus census(const bilinear::BilinearAlgorithm& algorithm,
     }
     ids = checked_add(ids,
                       checked_mul(count, checked_add(checked_mul(3, r2), 2)));
-    result.levels.emplace_back(to_size(checked_pow(base, i)), to_size(count));
   }
   const std::int64_t vertices = checked_mul(3, checked_add(n2, below));
   FMM_CHECK_MSG(vertices < graph::kNoVertex,
@@ -319,13 +333,17 @@ std::size_t expected_sub_output_count(
                     is_power_of(static_cast<std::int64_t>(n / r),
                                 static_cast<std::int64_t>(algorithm.n())),
                 "r=" << r << " is not a sub-problem size of n=" << n);
-  std::int64_t count = 1;
-  for (std::size_t ratio = n / r; ratio > 1; ratio /= algorithm.n()) {
-    count = checked_mul(count,
-                        static_cast<std::int64_t>(algorithm.num_products()));
+  // n / r is a power of the base, so r is one of the level sizes, all of
+  // them at most n.
+  const auto levels =
+      census_levels(algorithm.n(), algorithm.num_products(), n);
+  std::size_t i = 0;
+  while (levels[i].first < r) {
+    ++i;
   }
   return static_cast<std::size_t>(
-      checked_mul(count, static_cast<std::int64_t>(r * r)));
+      checked_mul(static_cast<std::int64_t>(levels[i].second),
+                  static_cast<std::int64_t>(r * r)));
 }
 
 }  // namespace fmm::cdag

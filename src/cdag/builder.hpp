@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "bilinear/algorithm.hpp"
 #include "cdag/cdag.hpp"
@@ -15,11 +17,20 @@ struct CdagCensus {
   std::size_t edges = 0;
   /// Cdag::role_histogram(): only the roles that occur.
   std::map<Role, std::size_t> roles;
-  /// (r, count) of Cdag::subproblem_levels, ascending r.
+  /// (r, count) of Cdag::subproblem_levels: census_levels.
   std::vector<std::pair<std::size_t, std::size_t>> levels;
   /// service::cdag_memory_bytes of the built Cdag.
   std::size_t memory_bytes = 0;
 };
+
+/// Lemma 2.2's levels of H^{n x n} for a base-b scheme with t products:
+/// (r, count) = (b^i, t^{log_b(n/r)}) for i = 0 .. log_b n, ascending r —
+/// the one level count that census, Cdag::validate,
+/// expected_sub_output_count and the snapshot reader compare against.
+/// Refuses, with census's CheckError texts, a base below 2, an n that is
+/// not a power of it (n = 0 included) and counts beyond int64.
+std::vector<std::pair<std::size_t, std::size_t>> census_levels(
+    std::size_t base, std::size_t products, std::size_t n);
 
 /// Counts H^{n x n} without building it, in checked int64 arithmetic.
 /// Refuses exactly what build_cdag refuses, with the same CheckError

@@ -1,10 +1,9 @@
 #include "cdag/cdag.hpp"
 
-#include <cmath>
 #include <sstream>
 
+#include "cdag/builder.hpp"
 #include "common/check.hpp"
-#include "common/math_util.hpp"
 
 namespace fmm::cdag {
 
@@ -95,20 +94,35 @@ std::string Cdag::to_dot(bool allow_large) const {
 }
 
 void Cdag::validate() const {
-  FMM_CHECK(graph.num_vertices() == roles.size());
-  FMM_CHECK(graph.is_dag());
-  FMM_CHECK(inputs_a.size() == n * n);
-  FMM_CHECK(inputs_b.size() == n * n);
-  FMM_CHECK(outputs.size() == n * n);
+  FMM_CHECK_MSG(graph.num_vertices() == roles.size(),
+                "cdag: " << roles.size() << " roles for "
+                         << graph.num_vertices() << " vertices");
+  FMM_CHECK_MSG(inputs_a.size() == n * n && inputs_b.size() == n * n &&
+                    outputs.size() == n * n,
+                "cdag: " << inputs_a.size() << " A inputs, "
+                         << inputs_b.size() << " B inputs and "
+                         << outputs.size() << " outputs for n=" << n);
 
   for (const graph::VertexId v : inputs_a) {
-    FMM_CHECK(roles[v] == Role::kInputA && graph.in_degree(v) == 0);
+    FMM_CHECK_MSG(roles[v] == Role::kInputA && graph.in_degree(v) == 0,
+                  "cdag: input-A vertex " << v << " has role "
+                                          << role_name(roles[v])
+                                          << " and in-degree "
+                                          << graph.in_degree(v));
   }
   for (const graph::VertexId v : inputs_b) {
-    FMM_CHECK(roles[v] == Role::kInputB && graph.in_degree(v) == 0);
+    FMM_CHECK_MSG(roles[v] == Role::kInputB && graph.in_degree(v) == 0,
+                  "cdag: input-B vertex " << v << " has role "
+                                          << role_name(roles[v])
+                                          << " and in-degree "
+                                          << graph.in_degree(v));
   }
   for (const graph::VertexId v : outputs) {
-    FMM_CHECK(roles[v] == Role::kOutput && graph.out_degree(v) == 0);
+    FMM_CHECK_MSG(roles[v] == Role::kOutput && graph.out_degree(v) == 0,
+                  "cdag: output vertex " << v << " has role "
+                                         << role_name(roles[v])
+                                         << " and out-degree "
+                                         << graph.out_degree(v));
   }
   // Every product vertex multiplies exactly two operands.
   for (graph::VertexId v = 0; v < graph.num_vertices(); ++v) {
@@ -119,28 +133,28 @@ void Cdag::validate() const {
     }
   }
 
-  // Lemma 2.2: |V_out(SUB_H^{r x r})| = (n/r)^{log_b t} * r^2, i.e. the
-  // number of r x r sub-problems is t^{log_b(n/r)}.
-  for (const SubproblemLevel& level : subproblem_levels) {
-    const std::size_t r = level.r;
-    FMM_CHECK(n % r == 0);
-    // levels = log_base(n / r), computed exactly by repeated division.
-    int levels = 0;
-    for (std::size_t ratio = n / r; ratio > 1; ratio /= base) {
-      FMM_CHECK(ratio % base == 0);
-      ++levels;
-    }
-    const auto expected =
-        static_cast<std::size_t>(checked_pow(
-            static_cast<std::int64_t>(num_products), levels));
-    FMM_CHECK_MSG(level.count == expected,
-                  "size-" << r << " sub-problem count " << level.count
-                          << " != " << expected);
-    FMM_CHECK(level.output_pool.size() ==
-              level.count * level.outputs_per_sub());
-    FMM_CHECK(level.input_pool.size() == level.count * level.inputs_per_sub());
-    FMM_CHECK(level.span_begin.size() == level.count &&
-              level.span_end.size() == level.count);
+  // Lemma 2.2: the levels are exactly census_levels — every size r = b^i
+  // up to n, with t^{log_b(n/r)} sub-problems each.
+  const auto expected = census_levels(base, num_products, n);
+  FMM_CHECK_MSG(subproblem_levels.size() == expected.size(),
+                "cdag: " << subproblem_levels.size()
+                         << " sub-problem levels, Lemma 2.2 has "
+                         << expected.size() << " for n=" << n);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const SubproblemLevel& level = subproblem_levels[i];
+    const auto [r, count] = expected[i];
+    FMM_CHECK_MSG(level.r == r && level.count == count,
+                  "cdag: level " << i << " has " << level.count
+                                 << " sub-problems of size " << level.r
+                                 << ", Lemma 2.2 has " << count
+                                 << " of size " << r);
+    FMM_CHECK_MSG(
+        level.output_pool.size() == count * level.outputs_per_sub() &&
+            level.input_pool.size() == count * level.inputs_per_sub() &&
+            level.span_begin.size() == count &&
+            level.span_end.size() == count,
+        "cdag: level " << i << " pools disagree with its " << count
+                       << " sub-problems of size " << r);
   }
 }
 

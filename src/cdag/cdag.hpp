@@ -126,8 +126,10 @@ struct Cdag {
   /// graphs like the underlying to_dot (pass allow_large to override).
   std::string to_dot(bool allow_large = false) const;
 
-  /// Structural sanity checks: acyclicity, role-consistent degrees,
-  /// Lemma 2.2 cardinalities.  Throws CheckError on violation.
+  /// Structural sanity checks: role-consistent degrees, and the levels
+  /// of census_levels (builder.hpp), Lemma 2.2's, with pools to match.
+  /// The CSR graph is acyclic by construction.  Throws a one-line
+  /// CheckError naming the vertex or the level on violation.
   void validate() const;
 };
 

@@ -246,7 +246,7 @@ std::string QueryService::state_response(const Request& request) {
 
 std::optional<std::string> QueryService::pre_compute_response(
     const Request& request, bool* is_shutdown,
-    obs::RequestTelemetry* telemetry) {
+    obs::RequestTelemetry& telemetry) {
   if (auto response = control_response(request)) {
     if (request.op == Op::kShutdown) {
       *is_shutdown = true;
@@ -282,9 +282,7 @@ std::optional<std::string> QueryService::pre_compute_response(
     }
     if (!problem.empty()) {
       record_response(op_name(request.op), false);
-      if (telemetry != nullptr) {
-        telemetry->ok = false;
-      }
+      telemetry.ok = false;
       return error_response(request.has_id, request.id,
                             "usage_error: " + problem);
     }
@@ -297,9 +295,7 @@ std::optional<std::string> QueryService::pre_compute_response(
         ++totals_.deadline_exceeded;
       }
       record_response(op_name(request.op), false);
-      if (telemetry != nullptr) {
-        telemetry->ok = false;
-      }
+      telemetry.ok = false;
       return error_response(
           request.has_id, request.id,
           "deadline_exceeded: estimated cost " + std::to_string(cost) +
@@ -406,7 +402,7 @@ std::string QueryService::compute_result(const Request& request) {
 }
 
 std::string QueryService::compute_response(
-    const Request& request, obs::RequestTelemetry* telemetry) {
+    const Request& request, obs::RequestTelemetry& telemetry) {
   FMM_TRACE_SPAN("service.request", "service");
   // The frame collects cdag-build / simulate / single-flight-wait time
   // attributed by ContentCache and sweep::run_task on this thread.
@@ -431,67 +427,57 @@ std::string QueryService::compute_response(
       key = ContentCache::result_key(canonical_request(normalized));
       cached = cache_.get_payload(key);
     }
-    if (telemetry != nullptr) {
-      telemetry->phase(obs::Phase::kCacheLookup) = lookup_ns;
-    }
+    telemetry.phase(obs::Phase::kCacheLookup) = lookup_ns;
     if (cached) {
-      if (telemetry != nullptr) {
-        telemetry->cache = obs::CacheVerdict::kHit;
-      }
+      telemetry.cache = obs::CacheVerdict::kHit;
       record_response(op_name(request.op), true);
       response = ok_response(request, *cached);
     } else {
       std::string result = compute_result(normalized);
       cache_.put_payload(key, result);
-      if (telemetry != nullptr) {
-        telemetry->cache = frame.singleflight_wait_ns > 0
-                               ? obs::CacheVerdict::kMissCoalesced
-                               : obs::CacheVerdict::kMiss;
-      }
+      telemetry.cache = frame.singleflight_wait_ns > 0
+                            ? obs::CacheVerdict::kMissCoalesced
+                            : obs::CacheVerdict::kMiss;
       record_response(op_name(request.op), true);
       response = ok_response(request, result);
     }
   } catch (const std::exception& e) {
     record_response(op_name(request.op), false);
-    if (telemetry != nullptr) {
-      telemetry->ok = false;
-    }
+    telemetry.ok = false;
     response = error_response(request.has_id, request.id,
                               std::string("internal_error: ") + e.what());
   }
-  if (telemetry != nullptr) {
-    // Single-flight wait counts as cdag-build time from this request's
-    // point of view: it spent that long waiting for the CDAG to exist.
-    const std::int64_t cdag_ns =
-        frame.cdag_build_ns + frame.singleflight_wait_ns;
-    telemetry->phase(obs::Phase::kCdagBuild) = cdag_ns;
-    telemetry->phase(obs::Phase::kSimulate) = frame.simulate_ns;
-    const std::int64_t render_ns =
-        run.nanoseconds() - telemetry->phase(obs::Phase::kCacheLookup) -
-        cdag_ns - frame.simulate_ns;
-    telemetry->phase(obs::Phase::kRender) = render_ns < 0 ? 0 : render_ns;
-  }
+  // Single-flight wait counts as cdag-build time from this request's
+  // point of view: it spent that long waiting for the CDAG to exist.
+  const std::int64_t cdag_ns =
+      frame.cdag_build_ns + frame.singleflight_wait_ns;
+  telemetry.phase(obs::Phase::kCdagBuild) = cdag_ns;
+  telemetry.phase(obs::Phase::kSimulate) = frame.simulate_ns;
+  const std::int64_t render_ns =
+      run.nanoseconds() - telemetry.phase(obs::Phase::kCacheLookup) -
+      cdag_ns - frame.simulate_ns;
+  telemetry.phase(obs::Phase::kRender) = render_ns < 0 ? 0 : render_ns;
   return response;
 }
 
 std::optional<std::string> QueryService::admit(
     const std::string& line, Request* request, bool* is_shutdown,
-    obs::RequestTelemetry* telemetry) {
+    obs::RequestTelemetry& telemetry) {
   record_request();
-  telemetry->bytes_in = static_cast<std::int64_t>(line.size());
+  telemetry.bytes_in = static_cast<std::int64_t>(line.size());
   try {
     const ScopedNsAccumulator parse_timer(
-        &telemetry->phase(obs::Phase::kParse));
+        &telemetry.phase(obs::Phase::kParse));
     *request = parse_request(line);
   } catch (const ProtocolError& e) {
     record_response("invalid", false);
-    telemetry->op = "invalid";
-    telemetry->ok = false;
+    telemetry.op = "invalid";
+    telemetry.ok = false;
     return error_response(false, 0, e.what());
   }
-  telemetry->op = op_name(request->op);
-  telemetry->has_id = request->has_id;
-  telemetry->id = request->id;
+  telemetry.op = op_name(request->op);
+  telemetry.has_id = request->has_id;
+  telemetry.id = request->id;
   return pre_compute_response(*request, is_shutdown, telemetry);
 }
 
@@ -501,10 +487,10 @@ std::string QueryService::handle_line(const std::string& line) {
   Request request;
   bool is_shutdown = false;
   std::string response;
-  if (auto early = admit(line, &request, &is_shutdown, &rec)) {
+  if (auto early = admit(line, &request, &is_shutdown, rec)) {
     response = std::move(*early);
   } else {
-    response = compute_response(request, &rec);
+    response = compute_response(request, rec);
   }
   rec.bytes_out = static_cast<std::int64_t>(response.size());
   rec.total_ns = total.nanoseconds();
@@ -552,7 +538,7 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
     obs::RequestTelemetry rec;
     const Stopwatch admitted;
     Request request;
-    if (auto response = admit(line, &request, &shutdown, &rec)) {
+    if (auto response = admit(line, &request, &shutdown, rec)) {
       rec.total_ns = admitted.nanoseconds();
       emit.push(index, {std::move(*response), rec});
       continue;
@@ -581,7 +567,7 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
                   queued = Stopwatch()]() mutable {
       rec.phase(obs::Phase::kQueueWait) = queued.nanoseconds();
       const Stopwatch run;
-      std::string response = compute_response(request, &rec);
+      std::string response = compute_response(request, rec);
       rec.total_ns = rec.phase(obs::Phase::kParse) +
                      rec.phase(obs::Phase::kQueueWait) +
                      run.nanoseconds();

@@ -205,9 +205,9 @@ class QueryService {
   /// bound/simulate/liveness/cdag through the result cache; catches
   /// everything into internal_error responses.  Tallies the response.
   /// Fills `telemetry`'s cache verdict and cache-lookup/cdag-build/
-  /// simulate/render phases (nullptr skips all telemetry).
+  /// simulate/render phases.
   std::string compute_response(const Request& request,
-                               obs::RequestTelemetry* telemetry);
+                               obs::RequestTelemetry& telemetry);
   /// Renders the deterministic result object (cache miss path).
   std::string compute_result(const Request& request);
   /// Deterministic virtual-clock cost estimate of a request: the census
@@ -222,7 +222,7 @@ class QueryService {
   /// compute_response.
   std::optional<std::string> admit(const std::string& line,
                                    Request* request, bool* is_shutdown,
-                                   obs::RequestTelemetry* telemetry);
+                                   obs::RequestTelemetry& telemetry);
   /// Everything except pool-dispatched compute: control and
   /// point-in-time ops and virtual-clock deadline rejection.  Returns the tallied
   /// response, or nullopt when the request needs compute_response.
@@ -230,7 +230,7 @@ class QueryService {
   /// on deadline rejection.
   std::optional<std::string> pre_compute_response(
       const Request& request, bool* is_shutdown,
-      obs::RequestTelemetry* telemetry);
+      obs::RequestTelemetry& telemetry);
 
   ServiceConfig config_;
   ContentCache cache_;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -12,10 +13,12 @@
 #include <unistd.h>
 #endif
 
+#include "cdag/builder.hpp"
 #include "common/check.hpp"
 #include "common/file_io.hpp"
 #include "common/frozen_array.hpp"
 #include "common/hash.hpp"
+#include "common/math_util.hpp"
 #include "graph/csr.hpp"
 
 namespace fmm::snapshot {
@@ -73,24 +76,6 @@ std::uint64_t get_u64(const std::byte* p) {
   std::uint64_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
-}
-
-bool mul_overflows(std::uint64_t a, std::uint64_t b) {
-  return b != 0 && a > UINT64_MAX / b;
-}
-
-/// base^exp with overflow refusal; returns false instead of wrapping.
-bool checked_pow(std::uint64_t base, std::uint64_t exp,
-                 std::uint64_t* result) {
-  std::uint64_t r = 1;
-  for (std::uint64_t i = 0; i < exp; ++i) {
-    if (mul_overflows(r, base)) {
-      return false;
-    }
-    r *= base;
-  }
-  *result = r;
-  return true;
 }
 
 }  // namespace
@@ -357,36 +342,35 @@ cdag::Cdag deserialize_snapshot(std::span<const std::byte> bytes,
   FMM_CHECK_MSG(name_len <= kMaxNameBytes &&
                     entries[0].length == 56 + name_len,
                 "snapshot: meta section length disagrees with name length");
-  std::uint64_t expected_n = 0;
-  FMM_CHECK_MSG(checked_pow(base, num_levels - 1, &expected_n) &&
-                    expected_n == n,
-                "snapshot: n " << n << " is not base " << base
-                               << " to the power " << (num_levels - 1));
+  // Lemma 2.2 fixes every level from (n, base, num_products).
+  std::vector<std::pair<std::size_t, std::size_t>> levels;
+  try {
+    levels = cdag::census_levels(base, num_products, n);
+  } catch (const CheckError& e) {
+    FMM_CHECK_MSG(false, "snapshot: meta has no Lemma 2.2 levels: "
+                             << e.what());
+  }
+  FMM_CHECK_MSG(num_levels == levels.size(),
+                "snapshot: level count " << num_levels << " disagrees with "
+                    << levels.size() << " Lemma 2.2 levels of n " << n
+                    << " in base " << base);
 
   // --- level meta -------------------------------------------------------
   FMM_CHECK_MSG(entries[1].length == num_levels * 16,
                 "snapshot: level_meta length disagrees with level count");
-  std::vector<std::uint64_t> level_r(num_levels);
-  std::vector<std::uint64_t> level_count(num_levels);
   const std::byte* lm = base_ptr + entries[1].offset;
   for (std::size_t i = 0; i < num_levels; ++i) {
-    level_r[i] = get_u64(lm + i * 16);
-    level_count[i] = get_u64(lm + i * 16 + 8);
-    std::uint64_t expected_r = 0;
-    std::uint64_t expected_count = 0;
-    FMM_CHECK_MSG(checked_pow(base, i, &expected_r) &&
-                      expected_r == level_r[i],
-                  "snapshot: level " << i << " size " << level_r[i]
-                      << " breaks the base^i progression");
-    FMM_CHECK_MSG(checked_pow(num_products, num_levels - 1 - i,
-                              &expected_count) &&
-                      expected_count == level_count[i],
-                  "snapshot: level " << i << " sub-problem count "
-                      << level_count[i] << " disagrees with Lemma 2.2");
+    const std::uint64_t r = get_u64(lm + i * 16);
+    const std::uint64_t count = get_u64(lm + i * 16 + 8);
+    FMM_CHECK_MSG(r == levels[i].first && count == levels[i].second,
+                  "snapshot: level " << i << " (r " << r << ", count "
+                      << count << ") disagrees with Lemma 2.2 (r "
+                      << levels[i].first << ", count " << levels[i].second
+                      << ")");
     // Every sub-problem owns at least one distinct vertex, so any
     // genuine writer satisfies count <= V; refusing here also bounds
     // the pool-length products below.
-    FMM_CHECK_MSG(level_count[i] <= nv,
+    FMM_CHECK_MSG(count <= nv,
                   "snapshot: level " << i << " count exceeds vertex count");
   }
 
@@ -395,8 +379,8 @@ cdag::Cdag deserialize_snapshot(std::span<const std::byte> bytes,
                 "snapshot: section count " << section_count
                     << " disagrees with level count " << num_levels);
   const std::uint64_t vid = sizeof(graph::VertexId);
-  FMM_CHECK_MSG(!mul_overflows(n, n), "snapshot: n*n overflows");
-  const std::uint64_t n2 = n * n;
+  const auto n2 = static_cast<std::uint64_t>(checked_mul(
+      static_cast<std::int64_t>(n), static_cast<std::int64_t>(n)));
   struct Expect {
     std::uint32_t kind;
     std::uint32_t level;
@@ -412,16 +396,16 @@ cdag::Cdag deserialize_snapshot(std::span<const std::byte> bytes,
   expect.push_back({kInputsB, 0, n2 * vid});
   expect.push_back({kOutputs, 0, n2 * vid});
   for (std::size_t i = 0; i < num_levels; ++i) {
-    const std::uint64_t r2 = level_r[i] * level_r[i];  // <= n*n, no overflow
-    FMM_CHECK_MSG(!mul_overflows(level_count[i], r2) &&
-                      !mul_overflows(level_count[i] * r2, 2 * vid),
-                  "snapshot: level " << i << " pool size overflows");
-    const std::uint64_t pool = level_count[i] * r2;
+    const auto [r, count] = levels[i];  // r <= n <= kMaxN
+    const auto input_pool = static_cast<std::uint64_t>(
+        checked_mul(checked_mul(static_cast<std::int64_t>(count),
+                                static_cast<std::int64_t>(r * r)),
+                    static_cast<std::int64_t>(2 * vid)));
     const auto li = static_cast<std::uint32_t>(i);
-    expect.push_back({kOutputPool, li, pool * vid});
-    expect.push_back({kInputPool, li, 2 * pool * vid});
-    expect.push_back({kSpanBegin, li, level_count[i] * vid});
-    expect.push_back({kSpanEnd, li, level_count[i] * vid});
+    expect.push_back({kOutputPool, li, input_pool / 2});
+    expect.push_back({kInputPool, li, input_pool});
+    expect.push_back({kSpanBegin, li, count * vid});
+    expect.push_back({kSpanEnd, li, count * vid});
   }
   for (std::size_t i = 0; i < expect.size(); ++i) {
     const Entry& e = entries[i + 2];
@@ -506,8 +490,7 @@ cdag::Cdag deserialize_snapshot(std::span<const std::byte> bytes,
   cdag.subproblem_levels.resize(num_levels);
   for (std::size_t i = 0; i < num_levels; ++i) {
     cdag::SubproblemLevel& level = cdag.subproblem_levels[i];
-    level.r = static_cast<std::size_t>(level_r[i]);
-    level.count = static_cast<std::size_t>(level_count[i]);
+    std::tie(level.r, level.count) = levels[i];
     level.output_pool = {u32_view(entry_at(8 + 4 * i)), keep_alive};
     level.input_pool = {u32_view(entry_at(9 + 4 * i)), keep_alive};
     level.span_begin = {u32_view(entry_at(10 + 4 * i)), keep_alive};

@@ -21,7 +21,7 @@ using linalg::max_abs_diff;
 using linalg::multiply_naive;
 
 // ---------------------------------------------------------------------
-// Validity of the catalog (Brent equations, exact integer arithmetic).
+// Validity of the catalog (Brent equations, exact rational arithmetic).
 // ---------------------------------------------------------------------
 
 struct AlgCase {
@@ -67,7 +67,9 @@ TEST(Validity, BrokenAlgorithmDetected) {
   u.at(0, 0) = -u.at(0, 0);
   const BilinearAlgorithm broken("broken", 2, 2, 2, u, bad.v(), bad.w());
   EXPECT_FALSE(broken.is_valid());
-  EXPECT_TRUE(broken.first_brent_violation().has_value());
+  EXPECT_EQ(broken.first_brent_violation().value_or(""),
+            "Brent equation violated at A[0,0] B[0,0] C[0,0]: got -1, "
+            "expected 1");
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <array>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bilinear/catalog.hpp"
 #include "cdag/builder.hpp"
@@ -60,6 +62,25 @@ TEST(Builder, ValidatesForAllCatalogAlgorithms) {
   }
 }
 
+TEST(Builder, ValidateNamesTheVertexOrLevel) {
+  // Each refusal is one line naming the vertex or the level at fault.
+  Cdag cdag = build_cdag(strassen(), 4);
+  cdag.roles[cdag.inputs_a[3]] = Role::kEncodeA;
+  const std::string role = check_error_of([&] { cdag.validate(); });
+  EXPECT_NE(role.find("input-A vertex 3 has role encA"), std::string::npos)
+      << role;
+  EXPECT_EQ(role.find('\n'), std::string::npos) << role;
+
+  // A missing level is caught: the levels must be census_levels' list.
+  Cdag short_levels = build_cdag(strassen(), 4);
+  short_levels.subproblem_levels.pop_back();
+  const std::string level =
+      check_error_of([&] { short_levels.validate(); });
+  EXPECT_NE(level.find("2 sub-problem levels, Lemma 2.2 has 3"),
+            std::string::npos)
+      << level;
+}
+
 TEST(Builder, Lemma22OutputCounts) {
   // |V_out(SUB_H^{r x r})| = (n/r)^{log2 7} * r^2.
   const Cdag cdag = build_cdag(strassen(), 8);
@@ -93,6 +114,9 @@ TEST(Builder, SubproblemCountsMatchLemma22) {
   EXPECT_EQ(cdag.subproblems(4).count, 7u);
   EXPECT_EQ(cdag.subproblems(2).count, 49u);
   EXPECT_EQ(cdag.subproblems(1).count, 343u);
+  using Levels = std::vector<std::pair<std::size_t, std::size_t>>;
+  EXPECT_EQ(census_levels(2, 7, 8),
+            (Levels{{1, 343}, {2, 49}, {4, 7}, {8, 1}}));
   EXPECT_TRUE(cdag.has_subproblems(4));
   EXPECT_FALSE(cdag.has_subproblems(3));
   EXPECT_THROW(cdag.subproblems(16), CheckError);

@@ -83,13 +83,10 @@ TEST(BrentVerifier, RejectsCorruptedCoefficient) {
   scheme.u.at(0, 0) = rat_make(2, 1);  // flip one Strassen coefficient
   const auto exact = first_brent_violation(scheme);
   ASSERT_TRUE(exact.has_value());
-  // The fast mod-p necessary condition catches the same corruption.
-  EXPECT_TRUE(brent_spot_check_mod_p(scheme).has_value());
-}
-
-TEST(BrentVerifier, SpotCheckPassesValidSchemes) {
-  EXPECT_EQ(brent_spot_check_mod_p(scheme_from_algorithm(winograd())),
-            std::nullopt);
+  // Load-time verification refuses it with the exact residual.
+  EXPECT_EQ(verify_scheme(scheme).value_or(""),
+            "Brent equation violated at A[0,0] B[0,0] C[0,0]: got 2, "
+            "expected 1");
 }
 
 TEST(SchemeFile, CorruptedZooFileIsRefusedAtLoad) {
@@ -110,6 +107,51 @@ TEST(SchemeFile, CorruptedZooFileIsRefusedAtLoad) {
   }
   EXPECT_THROW(load_scheme_file(path), CheckError);
   std::remove(path.c_str());
+}
+
+TEST(SchemeFile, OverflowRefusalNamesTheFile) {
+  // Strassen plus two products (c A[0,0]) (c B[0,0]) into C[0,0], with
+  // c = 2^31: each extra term c^3 leaves int64, so the exact pass throws.
+  // With W = +c and -c the two terms cancel over Z; with +c twice they
+  // do not.  Either way the refusal is one line naming the file.
+  const Rational c = rat_make(std::int64_t{1} << 31, 1);
+  for (const bool cancelling : {true, false}) {
+    Scheme scheme = scheme_from_algorithm(strassen());
+    const std::size_t t = scheme.rank() + 2;
+    RatMat w(scheme.w.rows, t);
+    for (std::size_t q = 0; q < scheme.w.rows; ++q) {
+      for (std::size_t r = 0; r + 2 < t; ++r) {
+        w.at(q, r) = scheme.w.at(q, r);
+      }
+    }
+    for (RatMat* mat : {&scheme.u, &scheme.v}) {
+      mat->rows = t;
+      mat->data.resize(t * mat->cols);
+      mat->at(t - 2, 0) = c;
+      mat->at(t - 1, 0) = c;
+    }
+    w.at(0, t - 2) = c;
+    w.at(0, t - 1) = cancelling ? rat_make(-c.num, 1) : c;
+    scheme.w = w;
+
+    const std::string path = testing::TempDir() + "overflow_scheme_" +
+                             (cancelling ? "cancelling" : "additive") +
+                             ".json";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << scheme_to_json(scheme);
+    }
+    try {
+      load_scheme_file(path);
+      ADD_FAILURE() << path << " was accepted";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("scheme file '" + path + "'"), std::string::npos)
+          << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(SchemeFile, JsonRoundTripPreservesFingerprint) {

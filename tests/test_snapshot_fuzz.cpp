@@ -243,17 +243,35 @@ TEST(SnapshotFuzz, OversizedCountsWithForgedChecksumsAreRefused) {
 
 TEST(SnapshotFuzz, TamperedLevelStructureIsRefused) {
   const std::string& bytes = pristine_bytes();
-  // level_meta is canonically section 1; its (r, count) pairs must obey
-  // the base^i / t^(L-1-i) progressions even with forged checksums.
+  // level_meta is canonically section 1; its (r, count) pairs must be
+  // cdag::census_levels' (b^i, t^(L-1-i)) even with forged checksums.
+  // Strassen n = 8 has four levels; tamper r and count at each, both
+  // ways.
   const std::uint64_t lm_offset =
       read_u64(bytes, kHeaderBytes + kSectionEntryBytes + 8);
-  for (const std::size_t field : {std::size_t{0}, std::size_t{8}}) {
+  ASSERT_EQ(read_u64(bytes, kHeaderBytes + kSectionEntryBytes + 16), 64u);
+  for (std::size_t level = 0; level < 4; ++level) {
+    for (const std::size_t field : {std::size_t{0}, std::size_t{8}}) {
+      for (const std::uint64_t delta : {std::uint64_t{1}, ~std::uint64_t{0}}) {
+        const std::size_t at = lm_offset + 16 * level + field;
+        std::string mutant = bytes;
+        write_u64(mutant, at, read_u64(mutant, at) + delta);
+        fix_checksums(mutant);
+        expect_refused(mutant, ("tampered level " + std::to_string(level) +
+                                (field == 0 ? " r " : " count ") +
+                                (delta == 1 ? "+1" : "-1"))
+                                   .c_str());
+      }
+    }
+  }
+  // The meta section's level count (its sixth u64) off by one.
+  const std::uint64_t meta_offset = read_u64(bytes, kHeaderBytes + 8);
+  for (const std::uint64_t delta : {std::uint64_t{1}, ~std::uint64_t{0}}) {
     std::string mutant = bytes;
-    write_u64(mutant, lm_offset + field,
-              read_u64(mutant, lm_offset + field) + 1);
+    write_u64(mutant, meta_offset + 40,
+              read_u64(mutant, meta_offset + 40) + delta);
     fix_checksums(mutant);
-    expect_refused(mutant, field == 0 ? "tampered level r"
-                                      : "tampered level count");
+    expect_refused(mutant, delta == 1 ? "meta levels +1" : "meta levels -1");
   }
 }
 
