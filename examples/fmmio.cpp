@@ -35,8 +35,7 @@
 //                  [--snapshot-dir DIR] [--snapshot-budget B]
 //                  [--out report.json]
 //   fmmio router   [--workers N] [--queue-depth Q] [--retries K]
-//                  [--backoff-base T] [--backoff-mult X]
-//                  [--max-respawns R] [--heartbeat-ms MS]
+//                  [--backoff-base T] [--backoff-mult X] [--max-respawns R]
 //                  [--transport inproc|process] [--worker-cmd PATH]
 //                  [--kill K@J,...] [--drop-rate R] [--chaos-seed S]
 //                  [--threads T] [--queue Q] [--cache-bytes B]
@@ -1182,8 +1181,6 @@ int cmd_router(const Args& args) {
   config.retry = retry_policy_from(args, "router", config.retry);
   config.max_respawns = static_cast<int>(
       read_int(args, "router", {"max-respawns", 2, 0, ""}));
-  config.heartbeat_interval_ms = static_cast<int>(
-      read_int(args, "router", {"heartbeat-ms", 0, 0, "0 disables"}));
   config.chaos.seed =
       static_cast<std::uint64_t>(args.get_int("chaos-seed", 1));
   config.chaos.drop_response_rate = read_drop_rate(args, "router");
@@ -1196,9 +1193,6 @@ int cmd_router(const Args& args) {
 
   service::ServiceConfig worker_config =
       service_config_from(args, "router");
-  if (!args.has("threads")) {
-    worker_config.num_threads = 1;  // N single-threaded workers
-  }
 
   const std::string transport_name = args.get("transport", "inproc");
   std::unique_ptr<fabric::Transport> transport;
@@ -1385,9 +1379,7 @@ int cmd_query(const Args& args) {
   } else {
     // In-process single shot: the same parse/cache/compute path the
     // daemon runs, so one-off queries and served queries cannot drift.
-    service::ServiceConfig config = service_config_from(args, "query");
-    config.num_threads = 1;
-    service::QueryService service(config);
+    service::QueryService service(service_config_from(args, "query"));
     response = service.handle_line(line);
   }
   std::printf("%s\n", response.c_str());

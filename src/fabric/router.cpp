@@ -47,11 +47,11 @@ struct Router::Job {
 };
 
 struct Router::Slot {
-  // The channel is serialized behind channel_mutex (dispatcher RPCs vs
-  // heartbeat probes); queue/tally/respawns_left live under the
-  // router-wide mutex_.
+  // The channel needs no lock: only this slot's dispatcher touches it
+  // once serve() has connected it, until serve() closes it after the
+  // dispatchers join (reroute moves jobs, never channels).  queue/tally/
+  // respawns_left live under the router-wide mutex_.
   std::unique_ptr<Channel> channel;
-  std::mutex channel_mutex;
   std::deque<Job> queue;
   WorkerTally tally;
   int respawns_left = 0;
@@ -70,9 +70,6 @@ Router::Router(FabricConfig config, Transport& transport)
   FMM_CHECK_MSG(config_.max_respawns >= 0,
                 "fabric max_respawns must be >= 0, got "
                     << config_.max_respawns);
-  FMM_CHECK_MSG(config_.heartbeat_interval_ms >= 0,
-                "fabric heartbeat_interval_ms must be >= 0, got "
-                    << config_.heartbeat_interval_ms);
   resilience::validate(config_.retry);
   validate(config_.chaos);
 }
@@ -124,7 +121,6 @@ std::optional<std::size_t> Router::route_locked(
 
 bool Router::ensure_worker(std::size_t k) {
   Slot& slot = *slots_[k];
-  const std::scoped_lock channel_lock(slot.channel_mutex);
   for (;;) {
     {
       const std::scoped_lock lock(mutex_);
@@ -235,11 +231,8 @@ void Router::process_job(std::size_t k, Job job, Emitter& emit) {
     // send — the attempt below then fails and takes the supervision
     // path for real.
     if (chaos_ && chaos_->should_kill(k, dispatched_before)) {
-      {
-        const std::scoped_lock channel_lock(slot.channel_mutex);
-        if (slot.channel) {
-          slot.channel->kill();
-        }
+      if (slot.channel) {
+        slot.channel->kill();
       }
       {
         const std::scoped_lock lock(mutex_);
@@ -247,20 +240,15 @@ void Router::process_job(std::size_t k, Job job, Emitter& emit) {
       }
       registry.counter("fabric.kills_injected").increment();
     }
-    std::string response;
-    bool rpc_ok = false;
-    std::int64_t attempt_ns = 0;
     {
-      const std::scoped_lock channel_lock(slot.channel_mutex);
-      {
-        const std::scoped_lock lock(mutex_);
-        ++slot.tally.dispatched;
-      }
-      const Stopwatch attempt_timer;
-      rpc_ok = slot.channel && slot.channel->send_line(job.line) &&
-               slot.channel->recv_line(&response);
-      attempt_ns = attempt_timer.nanoseconds();
+      const std::scoped_lock lock(mutex_);
+      ++slot.tally.dispatched;
     }
+    std::string response;
+    const Stopwatch attempt_timer;
+    bool rpc_ok = slot.channel && slot.channel->send_line(job.line) &&
+                  slot.channel->recv_line(&response);
+    const std::int64_t attempt_ns = attempt_timer.nanoseconds();
     bool dropped = false;
     if (rpc_ok && chaos_ &&
         chaos_->should_drop_response(job.seq, job.retry.attempts)) {
@@ -370,55 +358,6 @@ bool Router::serve(std::istream& in, std::ostream& out) {
           slot.queue.pop_front();
         }
         process_job(k, std::move(job), emit);
-      }
-    });
-  }
-
-  // Optional heartbeat prober: pings idle workers and counts failed
-  // probes; the dispatcher's own supervision performs the respawn on
-  // the next job (probing never steals the channel from an RPC).
-  std::mutex hb_mutex;
-  std::condition_variable hb_cv;
-  bool hb_stop = false;
-  std::thread heartbeat;
-  if (config_.heartbeat_interval_ms > 0) {
-    heartbeat = std::thread([this, &hb_mutex, &hb_cv, &hb_stop] {
-      std::unique_lock<std::mutex> lock(hb_mutex);
-      for (;;) {
-        if (hb_cv.wait_for(
-                lock,
-                std::chrono::milliseconds(config_.heartbeat_interval_ms),
-                [&hb_stop] { return hb_stop; })) {
-          return;
-        }
-        lock.unlock();
-        for (std::size_t k = 0; k < slots_.size(); ++k) {
-          Slot& slot = *slots_[k];
-          bool alive = false;
-          {
-            const std::scoped_lock state_lock(mutex_);
-            alive = slot.tally.alive;
-          }
-          if (!alive) {
-            continue;
-          }
-          std::unique_lock<std::mutex> channel_lock(slot.channel_mutex,
-                                                    std::try_to_lock);
-          if (!channel_lock.owns_lock()) {
-            continue;  // mid-RPC: the worker is demonstrably alive
-          }
-          if (!slot.channel || !probe(*slot.channel)) {
-            {
-              const std::scoped_lock state_lock(mutex_);
-              ++slot.tally.heartbeat_failures;
-              ++stats_.heartbeat_failures;
-            }
-            obs::Registry::instance()
-                .counter("fabric.heartbeat_failures")
-                .increment();
-          }
-        }
-        lock.lock();
       }
     });
   }
@@ -549,21 +488,12 @@ bool Router::serve(std::istream& in, std::ostream& out) {
       slot->dispatcher.join();
     }
   }
-  if (heartbeat.joinable()) {
-    {
-      const std::scoped_lock lock(hb_mutex);
-      hb_stop = true;
-    }
-    hb_cv.notify_all();
-    heartbeat.join();
-  }
   emit.finish(seq);
   out.flush();
 
   // Graceful worker teardown: close each channel so workers drain and
   // exit; channel destructors reap them.
   for (auto& slot : slots_) {
-    const std::scoped_lock channel_lock(slot->channel_mutex);
     if (slot->channel) {
       slot->channel->shutdown();
       slot->channel.reset();
@@ -629,8 +559,6 @@ std::string Router::fabric_json() const {
      << ",\n";
   os << "      \"rejected_queue_full\": " << totals.rejected_queue_full
      << ",\n";
-  os << "      \"heartbeat_failures\": " << totals.heartbeat_failures
-     << ",\n";
   os << "      \"dead_workers\": " << totals.dead_workers << ",\n";
   os << "      \"workers\": [";
   for (std::size_t k = 0; k < tallies.size(); ++k) {
@@ -641,8 +569,7 @@ std::string Router::fabric_json() const {
        << ", \"completed\": " << row.completed
        << ", \"requeued\": " << row.requeued
        << ", \"gave_up\": " << row.gave_up
-       << ", \"respawns\": " << row.respawns
-       << ", \"heartbeat_failures\": " << row.heartbeat_failures << "}";
+       << ", \"respawns\": " << row.respawns << "}";
   }
   os << (tallies.empty() ? "" : "\n      ") << "]\n";
   os << "    }";

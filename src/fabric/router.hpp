@@ -8,9 +8,8 @@
 // good.  Robustness semantics:
 //
 //   supervision — every slot is spawned through a Transport and health
-//     -probed with a ping before accepting work; an optional heartbeat
-//     thread re-probes idle workers.  A failed RPC triggers respawn
-//     (bounded by max_respawns per slot) with a fresh probe.
+//     -probed with a ping before accepting work.  A failed RPC triggers
+//     respawn (bounded by max_respawns per slot) with a fresh probe.
 //
 //   retry-with-requeue — a request whose worker died is requeued and
 //     retried under resilience::RetryPolicy (virtual-clock backoff,
@@ -43,10 +42,12 @@
 // worker kills and response drops.
 #pragma once
 
+#include <condition_variable>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -70,8 +71,6 @@ struct FabricConfig {
   resilience::RetryPolicy retry{3, 1, 2, 0};
   /// Respawn budget per worker slot; 0 = any death is permanent.
   int max_respawns = 2;
-  /// Idle-worker ping cadence; 0 disables the heartbeat prober.
-  int heartbeat_interval_ms = 0;
   ChaosSpec chaos;
   /// Cooperative stop (e.g. SIGTERM): when set, serve() stops reading
   /// and drains, exactly like EOF.
@@ -87,7 +86,6 @@ struct WorkerTally {
   std::int64_t requeued = 0;
   std::int64_t gave_up = 0;
   std::int64_t respawns = 0;
-  std::int64_t heartbeat_failures = 0;
   bool alive = true;
 };
 
@@ -105,7 +103,6 @@ struct FabricStats {
   std::int64_t kills_injected = 0;
   std::int64_t dropped_responses = 0;
   std::int64_t rejected_queue_full = 0;
-  std::int64_t heartbeat_failures = 0;
   std::int64_t dead_workers = 0;
 };
 

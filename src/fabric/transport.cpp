@@ -1,6 +1,6 @@
 #include "fabric/transport.hpp"
 
-#include <thread>
+#include <deque>
 #include <utility>
 
 #include "common/check.hpp"
@@ -14,91 +14,42 @@
 
 namespace fmm::fabric {
 
-void LineQueue::push(std::string line) {
-  {
-    const std::scoped_lock lock(mutex_);
-    if (closed_) {
-      return;
-    }
-    lines_.push_back(std::move(line));
-  }
-  cv_.notify_all();
-}
-
-bool LineQueue::pop(std::string* line) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return closed_ || !lines_.empty(); });
-  if (lines_.empty()) {
-    return false;  // closed and drained
-  }
-  *line = std::move(lines_.front());
-  lines_.pop_front();
-  return true;
-}
-
-void LineQueue::close() {
-  {
-    const std::scoped_lock lock(mutex_);
-    closed_ = true;
-  }
-  cv_.notify_all();
-}
-
 namespace {
 
-// One worker thread running a private QueryService off a line queue.
-// "Death" (kill == shutdown) closes both queues: the in-flight request
-// may still be computed, but its response is discarded and every
-// subsequent recv fails — exactly how a dead process looks from the
-// router's side of the pipe.
+// A private QueryService that answers on the caller's thread: send_line
+// queues the request, recv_line answers the oldest queued one.  "Death"
+// (kill == shutdown) fails every later send and recv — exactly how a
+// dead process looks from the router's side of the pipe.
 class InProcessChannel : public Channel {
  public:
   explicit InProcessChannel(const service::ServiceConfig& config)
-      : service_(config), worker_([this] {
-          std::string line;
-          while (requests_.pop(&line)) {
-            responses_.push(service_.handle_line(line));
-          }
-          responses_.close();
-        }) {}
-
-  ~InProcessChannel() override {
-    requests_.close();
-    responses_.close();
-    if (worker_.joinable()) {
-      worker_.join();
-    }
-  }
+      : service_(config) {}
 
   bool send_line(const std::string& line) override {
-    {
-      const std::scoped_lock lock(state_mutex_);
-      if (dead_) {
-        return false;
-      }
+    if (dead_) {
+      return false;
     }
-    requests_.push(line);
+    requests_.push_back(line);
     return true;
   }
 
-  bool recv_line(std::string* line) override { return responses_.pop(line); }
-
-  void shutdown() override {
-    {
-      const std::scoped_lock lock(state_mutex_);
-      dead_ = true;
+  // With no request queued a pipe would block forever; report the
+  // channel broken instead.
+  bool recv_line(std::string* line) override {
+    if (dead_ || requests_.empty()) {
+      return false;
     }
-    requests_.close();
-    responses_.close();
+    *line = service_.handle_line(requests_.front());
+    requests_.pop_front();
+    return true;
   }
+
+  void shutdown() override { dead_ = true; }
 
  private:
   service::QueryService service_;
-  LineQueue requests_;
-  LineQueue responses_;
-  std::mutex state_mutex_;
+  std::deque<std::string> requests_;
   bool dead_ = false;
-  std::thread worker_;
 };
 
 }  // namespace

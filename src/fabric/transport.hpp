@@ -6,48 +6,30 @@
 // re-spawns) worker slot k and returns its channel.  Two transports
 // ship:
 //
-//   InProcessTransport — each connect() starts a worker thread running
-//     a fresh service::QueryService fed through blocking line queues.
-//     Fully deterministic, no OS processes: this is what the chaos
-//     tests and the byte-identity gate run on.
+//   InProcessTransport — each connect() makes a fresh
+//     service::QueryService that answers each request on the caller's
+//     thread.  Fully deterministic, no OS processes and no threads: this
+//     is what the chaos tests and the byte-identity gate run on.
 //
 //   ProcessTransport (Unix) — each connect() fork/execs a real worker
 //     process (`fmmio worker`) wired up through stdin/stdout pipes.
 //     kill() delivers SIGKILL, so supervision is exercised against
 //     genuine process death.
 //
-// Channels are NOT thread-safe; the router serializes each channel
-// behind a per-worker mutex (dispatcher vs heartbeat prober).
+// Channels are NOT thread-safe.  The router needs no lock for them:
+// slot k's channel is touched only by slot k's dispatcher thread, and
+// serve() connects every channel before the dispatchers start and
+// closes them after the dispatchers join.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "service/service.hpp"
 
 namespace fmm::fabric {
-
-/// Unbounded blocking queue of protocol lines.  close() wakes all
-/// blocked poppers; pushes after close are dropped.
-class LineQueue {
- public:
-  void push(std::string line);
-  /// Blocks until a line is available or the queue is closed.  Returns
-  /// false only when closed and drained.
-  bool pop(std::string* line);
-  void close();
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::string> lines_;
-  bool closed_ = false;
-};
 
 /// One synchronous request/response conversation with a worker.
 class Channel {
@@ -74,7 +56,7 @@ class Transport {
 };
 
 /// Deterministic in-process transport: one QueryService per spawned
-/// worker, served by a dedicated thread off a blocking line queue.
+/// worker, answering on the thread that calls recv_line.
 class InProcessTransport : public Transport {
  public:
   explicit InProcessTransport(service::ServiceConfig worker_config = {});

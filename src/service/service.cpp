@@ -16,6 +16,7 @@
 #include "common/timing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "pebble/optimal.hpp"
 #include "service/emitter.hpp"
 
@@ -125,7 +126,6 @@ QueryService::QueryService(ServiceConfig config)
                            config_.snapshot_budget_bytes,
                            snapshot::Verify::kFull})),
       cdag_source_(cache_, store_.get()),
-      pool_(config.num_threads),
       telemetry_(telemetry_config_from(config)) {}
 
 void QueryService::record_request() {
@@ -522,6 +522,9 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
     pending.telemetry.total_ns += pending.telemetry.phase(obs::Phase::kEmit);
     telemetry_.record(pending.telemetry);
   });
+  // Declared after the emitter, so an unwinding serve() joins the
+  // pool's workers before the emitter they push to goes.
+  parallel::ThreadPool pool(config_.num_threads);
   auto& queue_depth_gauge =
       obs::Registry::instance().gauge("service.queue_depth");
   std::size_t seq = 0;
@@ -563,8 +566,8 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
         in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1);
     // emit is captured by reference: serve() joins the pool
     // (wait_idle) before it goes out of scope.
-    pool_.submit([this, &emit, request, index, rec,
-                  queued = Stopwatch()]() mutable {
+    pool.submit([this, &emit, request, index, rec,
+                 queued = Stopwatch()]() mutable {
       rec.phase(obs::Phase::kQueueWait) = queued.nanoseconds();
       const Stopwatch run;
       std::string response = compute_response(request, rec);
@@ -578,7 +581,7 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
 
   // Graceful drain: no new admissions past this point; every admitted
   // request finishes on the pool and reaches the client before return.
-  pool_.wait_idle();
+  pool.wait_idle();
   emit.finish(seq);
   out.flush();
 

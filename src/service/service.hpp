@@ -1,12 +1,13 @@
 // Long-running query engine over the certification stack.
 //
-// A QueryService owns a parallel::ThreadPool, a content-addressed
-// ContentCache (cache.hpp) and the session tallies behind the
-// `extra.service` run-report section.  Requests arrive as
-// newline-delimited JSON (protocol.hpp) on any istream — stdin under
-// `fmmio serve`, a Unix-domain socket connection under
-// `fmmio serve --socket` — and responses are emitted IN REQUEST ORDER
-// even though compute requests run concurrently on the pool.
+// A QueryService owns a content-addressed ContentCache (cache.hpp) and
+// the session tallies behind the `extra.service` run-report section.
+// Requests arrive as newline-delimited JSON (protocol.hpp) on any
+// istream — stdin under `fmmio serve`, a Unix-domain socket connection
+// under `fmmio serve --socket` — and responses are emitted IN REQUEST
+// ORDER even though compute requests run concurrently on a
+// parallel::ThreadPool that lives for one serve() session.
+// handle_line answers on the caller's thread and starts no thread.
 //
 // Flow of one compute request (bound/simulate/liveness/optimal/cdag):
 //
@@ -46,7 +47,6 @@
 
 #include "obs/run_report.hpp"
 #include "obs/telemetry.hpp"
-#include "parallel/thread_pool.hpp"
 #include "service/cache.hpp"
 #include "service/protocol.hpp"
 #include "snapshot/store.hpp"
@@ -79,7 +79,8 @@ class CachingCdagSource final : public sweep::CdagSource {
 };
 
 struct ServiceConfig {
-  /// Pool workers; 0 = hardware concurrency.
+  /// Workers of each serve() session's pool; 0 = hardware concurrency.
+  /// handle_line runs on the caller's thread and uses none.
   std::size_t num_threads = 0;
   /// Max compute requests queued-or-running before new ones are
   /// answered `rejected: queue_full` (0 rejects every compute request —
@@ -142,9 +143,10 @@ class QueryService {
 
 #ifdef __unix__
   /// Binds a Unix-domain stream socket at `path` and serves one
-  /// accepted connection at a time (same cache/pool/tallies across
-  /// connections) until a client sends shutdown.  Returns true iff
-  /// stopped by shutdown (vs accept failure).
+  /// accepted connection at a time (same cache and tallies across
+  /// connections, a fresh serve() pool for each) until a client sends
+  /// shutdown.  Returns true iff stopped by shutdown (vs accept
+  /// failure).
   bool serve_unix_socket(const std::string& path);
 #endif
 
@@ -237,7 +239,6 @@ class QueryService {
   // Constructed before cdag_source_, which captures the raw pointer.
   std::unique_ptr<snapshot::SnapshotStore> store_;
   CachingCdagSource cdag_source_;
-  parallel::ThreadPool pool_;
   obs::TelemetrySink telemetry_;
   /// Compute requests queued-or-running (admission bound + stats).
   std::atomic<std::int64_t> in_flight_{0};

@@ -8,7 +8,10 @@
 // an emitter thread and chaos racing for real.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -33,6 +36,12 @@ std::vector<std::string> lines_of(const std::string& text) {
     lines.push_back(line);
   }
   return lines;
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+std::ptrdiff_t thread_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
 }
 
 /// Byte-identity is modulo the id echo (the router does not renumber,
@@ -166,6 +175,31 @@ TEST(FabricChaos, DropDecisionsAreSeeded) {
   }
   EXPECT_GT(drops, 0);
   EXPECT_LT(drops, 128);
+}
+
+// --- The in-process transport ---------------------------------------
+
+// An in-process worker answers on the dispatcher's own thread: connecting
+// a 4-thread worker and round-tripping a compute request starts no
+// thread, and a killed channel refuses every later send.
+TEST(FabricTransport, InProcessWorkerAnswersOnTheCallersThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  service::ServiceConfig worker_config;
+  worker_config.num_threads = 4;
+  InProcessTransport transport(worker_config);
+  const std::ptrdiff_t before = thread_count();
+  const std::unique_ptr<Channel> channel = transport.connect(0);
+  const std::string request =
+      R"({"op": "simulate", "algorithm": "strassen", "n": 8, "m": 16})";
+  std::string response;
+  ASSERT_TRUE(channel->send_line(request));
+  ASSERT_TRUE(channel->recv_line(&response));
+  EXPECT_NE(response.find("\"ok\": true"), std::string::npos) << response;
+  EXPECT_EQ(thread_count(), before);
+  channel->kill();
+  EXPECT_FALSE(channel->send_line(request));
 }
 
 // --- The chaos gate --------------------------------------------------

@@ -4,6 +4,7 @@
 // `CsrGraph` and `GraphBuilder` suites pin the frozen layout and freeze().
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -210,6 +211,22 @@ TEST(GraphBuilder, FreezeRejectsParallelEdges) {
   builder.add_edge(1, 2);
   builder.add_edge(0, 1);
   EXPECT_THROW(builder.freeze(), CheckError);
+}
+
+// A refusal names src/<module>/<file>:<line>, not the checkout it was
+// built in, so two checkouts of one commit print the same bytes.
+TEST(GraphBuilder, RefusalNamesTheSourceFileUnderSrc) {
+  GraphBuilder builder(2);
+  builder.add_edge(0, 1);
+  builder.add_edge(0, 1);
+  try {
+    builder.freeze();
+    FAIL() << "freeze accepted a parallel edge";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(" at src/graph/csr.cpp:"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(GraphBuilder, FreezeRejectsNonTopologicalEdge) {

@@ -2,6 +2,8 @@
 // workloads — broad invariants rather than targeted unit checks.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "altbasis/alt_basis.hpp"
 #include "bilinear/catalog.hpp"
 #include "bilinear/executor.hpp"
@@ -284,6 +286,43 @@ TEST(DegenerateGrid, CacheLargerThanWholeCdagHitsTrivialFloor) {
   EXPECT_EQ(result.tasks[0].total_io, pebble::trivial_io_floor(cdag));
   // Zero-spill requirement is certainly below such an M.
   EXPECT_LT(result.tasks[1].liveness_peak, spec.m_grid[0]);
+}
+
+// ------------------------------------------------------------------
+// Replacement policies on a sweep grid.
+// ------------------------------------------------------------------
+
+// Belady's MIN minimizes faults, and a first reference faults under every
+// policy, so on every cell of a sweep grid Belady loads no more than LRU
+// on the same schedule and M (Machine.BeladyNeverLoadsMoreThanLru checks
+// the MachineGolden cells).
+TEST(SweepGrid, BeladyNeverLoadsMoreThanLru) {
+  std::size_t cells = 0;
+  for (const sweep::SchedulePolicy schedule :
+       {sweep::SchedulePolicy::kDfs, sweep::SchedulePolicy::kBfs,
+        sweep::SchedulePolicy::kRandom}) {
+    sweep::SweepSpec spec;
+    spec.algorithms = {"strassen", "winograd", "strassen-dual", "classic"};
+    spec.n_grid = {4, 8, 16, 32};
+    spec.m_grid = {8, 16, 64, 256};
+    spec.schedule = schedule;
+    const sweep::SweepResult lru = sweep::run_sweep(spec);
+    spec.replacement = pebble::ReplacementPolicy::kBelady;
+    const sweep::SweepResult belady = sweep::run_sweep(spec);
+    ASSERT_EQ(lru.tasks.size(), belady.tasks.size());
+    for (std::size_t i = 0; i < lru.tasks.size(); ++i) {
+      const sweep::TaskResult& l = lru.tasks[i];
+      const sweep::TaskResult& b = belady.tasks[i];
+      const std::string cell =
+          l.cell.algorithm + " n=" + std::to_string(l.cell.n) +
+          " M=" + std::to_string(l.cell.m) + " " +
+          sweep::schedule_policy_name(schedule);
+      ASSERT_TRUE(l.ok && b.ok) << cell << ": " << l.error << b.error;
+      EXPECT_LE(b.loads, l.loads) << cell;
+      ++cells;
+    }
+  }
+  EXPECT_EQ(cells, 192u);
 }
 
 }  // namespace

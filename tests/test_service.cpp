@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -32,6 +33,12 @@
 
 namespace fmm::service {
 namespace {
+
+/// Threads of this process: the entries of /proc/self/task.
+std::ptrdiff_t thread_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> lines;
@@ -219,6 +226,21 @@ TEST(QueryService, UsageErrorsAreOneLine) {
   EXPECT_EQ(stats.requests, static_cast<std::int64_t>(bad.size()));
   EXPECT_EQ(stats.errors, static_cast<std::int64_t>(bad.size()));
   EXPECT_EQ(stats.responded, stats.requests);
+}
+
+// Only serve() runs requests in parallel, so only serve() starts a pool:
+// handle_line answers on the caller's thread whatever num_threads says.
+TEST(QueryService, HandleLineStartsNoThreads) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  const std::ptrdiff_t before = thread_count();
+  ServiceConfig config;
+  config.num_threads = 4;
+  QueryService service(config);
+  EXPECT_NE(service.handle_line(R"({"op": "ping"})").find("\"pong\": true"),
+            std::string::npos);
+  EXPECT_EQ(thread_count(), before);
 }
 
 TEST(QueryService, CdagResponseEscapesSchemeName) {

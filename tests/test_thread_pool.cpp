@@ -153,6 +153,18 @@ TEST(ThreadPoolStress, CooperativeCancellationMidQueue) {
   std::atomic<int> executed{0};
   for (int i = 0; i < 1000; ++i) {
     pool.submit([&token, &executed, i] {
+      // The pool promises no order between workers, so pin the one this
+      // test needs: task 10 waits for tasks 0..9 (dequeued first, never
+      // blocking) to count, and every later task waits for the token.
+      if (i == 10) {
+        while (executed.load() < 10) {
+          std::this_thread::yield();
+        }
+      } else if (i > 10) {
+        while (!token.cancelled()) {
+          std::this_thread::yield();
+        }
+      }
       if (token.cancelled()) {
         return;
       }
@@ -163,11 +175,8 @@ TEST(ThreadPoolStress, CooperativeCancellationMidQueue) {
     });
   }
   pool.wait_idle();
-  // At least the triggering task ran; once the token flipped, the tail of
-  // the queue was skipped (can't assert an exact count — workers race the
-  // flag — but a full run of 1000 would mean cancellation never took).
-  EXPECT_GE(executed.load(), 11);
-  EXPECT_LT(executed.load(), 1000);
+  // Tasks 0..10 ran; the token skipped the whole tail of the queue.
+  EXPECT_EQ(executed.load(), 11);
 }
 
 TEST(ThreadPoolStress, ManyWaitCyclesReuse) {

@@ -559,8 +559,7 @@ def check_fabric_section(path, fabric, results):
                   "responded", "ok", "errors", "routed", "local",
                   "requeues", "respawns", "gave_up", "unroutable",
                   "kills_injected", "dropped_responses",
-                  "rejected_queue_full", "heartbeat_failures",
-                  "dead_workers"):
+                  "rejected_queue_full", "dead_workers"):
         value = fabric.get(count)
         if not isinstance(value, int) or isinstance(value, bool) or \
                 value < 0:
@@ -577,7 +576,7 @@ def check_fabric_section(path, fabric, results):
         ok = fail(path, f"fabric.num_workers {fabric['num_workers']} != "
                         f"len(workers) {len(workers)}")
     sums = {"dispatched": 0, "completed": 0, "requeued": 0,
-            "gave_up": 0, "respawns": 0, "heartbeat_failures": 0}
+            "gave_up": 0, "respawns": 0}
     n_dead = 0
     for i, row in enumerate(workers):
         if not isinstance(row, dict):
@@ -619,10 +618,6 @@ def check_fabric_section(path, fabric, results):
     if fabric["respawns"] != sums["respawns"]:
         ok = fail(path, f"fabric.respawns {fabric['respawns']} != sum of "
                         f"worker rows {sums['respawns']}")
-    if fabric["heartbeat_failures"] != sums["heartbeat_failures"]:
-        ok = fail(path, f"fabric.heartbeat_failures "
-                        f"{fabric['heartbeat_failures']} != sum of worker "
-                        f"rows {sums['heartbeat_failures']}")
     if fabric["gave_up"] != sums["gave_up"] + fabric["unroutable"]:
         ok = fail(path, f"fabric.gave_up {fabric['gave_up']} != per-row "
                         f"gave_up {sums['gave_up']} + unroutable "
