@@ -103,12 +103,10 @@ int main(int argc, char** argv) {
                                                 direct_start)
           .count();
 
-  // Fabric arm: router + 4 single-threaded workers, chaos kill on
-  // worker 1 after its first dispatch.
+  // Fabric arm: router + 4 in-process workers, chaos kill on worker 1
+  // after its first dispatch.
   obs::Registry::instance().reset();
-  service::ServiceConfig worker_config;
-  worker_config.num_threads = 1;
-  fabric::InProcessTransport transport(worker_config);
+  fabric::InProcessTransport transport;
   fabric::FabricConfig fabric_config;
   fabric_config.num_workers = 4;
   fabric_config.chaos.seed = 7;

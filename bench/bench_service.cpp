@@ -82,7 +82,6 @@ int main(int argc, char** argv) {
 
   // Cold arm: zero budget, every pass recomputes everything.
   service::ServiceConfig cold_config;
-  cold_config.num_threads = 1;
   cold_config.cache.memory_budget_bytes = 0;
   service::QueryService cold(cold_config);
   std::vector<std::string> cold_responses;
@@ -96,9 +95,7 @@ int main(int argc, char** argv) {
   // reset between arms so each arm's latency histograms (and the
   // report's metrics snapshot) describe that arm alone.
   obs::Registry::instance().reset();
-  service::ServiceConfig warm_config;
-  warm_config.num_threads = 1;
-  service::QueryService warm(warm_config);
+  service::QueryService warm;
   std::vector<std::string> warm_responses;
   run_passes(warm, 1, &warm_responses);
   const double warm_ms = run_passes(warm, kPasses, nullptr);

@@ -38,7 +38,7 @@
 //                  [--backoff-base T] [--backoff-mult X] [--max-respawns R]
 //                  [--transport inproc|process] [--worker-cmd PATH]
 //                  [--kill K@J,...] [--drop-rate R] [--chaos-seed S]
-//                  [--threads T] [--queue Q] [--cache-bytes B]
+//                  [--queue Q] [--cache-bytes B]
 //                  [--cache-shards S] [--deadline-ticks D]
 //                  [--slow-ms MS] [--telemetry-ring N]
 //                  [--snapshot-dir DIR] [--snapshot-budget B]
@@ -358,8 +358,9 @@ std::unique_ptr<snapshot::SnapshotStore> snapshot_store_from(
 }
 
 /// The integer flags that shape a QueryService.  Together with
-/// --snapshot-dir they are exactly what service_config_from reads and
-/// what `router --transport process` forwards to its worker processes.
+/// --snapshot-dir they are exactly what service_config_from reads and,
+/// but for --threads, what `router --transport process` forwards to its
+/// worker processes.
 constexpr IntFlag kServiceFlags[] = {
     {"threads", 0, 0, "0 = hardware concurrency"},
     {"queue", 256, 0, ""},
@@ -1191,6 +1192,12 @@ int cmd_router(const Args& args) {
   }
   config.stop_flag = &g_stop_requested;
 
+  // The router sends a worker one request at a time, so a worker has
+  // no use for more than one thread.
+  if (args.has("threads")) {
+    usage_error("router: --threads is not a router flag; each worker "
+                "answers one request at a time");
+  }
   service::ServiceConfig worker_config =
       service_config_from(args, "router");
 
@@ -1224,10 +1231,8 @@ int cmd_router(const Args& args) {
       forward(flag.name);
     }
     forward("snapshot-dir");
-    if (!args.has("threads")) {
-      worker_argv.push_back("--threads");
-      worker_argv.push_back("1");
-    }
+    worker_argv.push_back("--threads");
+    worker_argv.push_back("1");
     transport = std::make_unique<fabric::ProcessTransport>(worker_argv);
 #else
     usage_error("router: --transport process needs a Unix platform");

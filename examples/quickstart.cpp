@@ -95,9 +95,7 @@ int main() {
   // 6. The same stack as a query service (what `fmmio serve` runs).
   //    The first answer builds and caches; the repeat is a cache hit —
   //    and the protocol guarantees the bytes are identical either way.
-  service::ServiceConfig service_config;
-  service_config.num_threads = 1;
-  service::QueryService service(service_config);
+  service::QueryService service;
   const std::string query =
       "{\"op\": \"simulate\", \"algorithm\": \"strassen\", \"n\": 16, "
       "\"m\": 64}";

@@ -16,7 +16,6 @@
 #include "common/timing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "pebble/optimal.hpp"
 #include "service/emitter.hpp"
 
@@ -499,6 +498,12 @@ std::string QueryService::handle_line(const std::string& line) {
 }
 
 bool QueryService::serve(std::istream& in, std::ostream& out) {
+  parallel::ThreadPool pool(config_.num_threads);
+  return serve_session(in, out, pool);
+}
+
+bool QueryService::serve_session(std::istream& in, std::ostream& out,
+                                 parallel::ThreadPool& pool) {
   FMM_TRACE_SPAN("service.serve", "service");
 
   // Ordered emission: every admitted line gets a sequence number and the
@@ -522,9 +527,6 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
     pending.telemetry.total_ns += pending.telemetry.phase(obs::Phase::kEmit);
     telemetry_.record(pending.telemetry);
   });
-  // Declared after the emitter, so an unwinding serve() joins the
-  // pool's workers before the emitter they push to goes.
-  parallel::ThreadPool pool(config_.num_threads);
   auto& queue_depth_gauge =
       obs::Registry::instance().gauge("service.queue_depth");
   std::size_t seq = 0;
@@ -564,7 +566,7 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
     }
     queue_depth_gauge.record_max(
         in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1);
-    // emit is captured by reference: serve() joins the pool
+    // emit is captured by reference: the session joins the pool
     // (wait_idle) before it goes out of scope.
     pool.submit([this, &emit, request, index, rec,
                  queued = Stopwatch()]() mutable {
@@ -792,6 +794,9 @@ bool QueryService::serve_unix_socket(const std::string& path) {
     FMM_CHECK_MSG(false, "service: cannot bind/listen on " << path);
   }
   FMM_LOG_INFO("service: listening on " << path);
+  // One pool for every connection: a client that opens a connection per
+  // request (`fmmio query --connect`) must not pay for starting threads.
+  parallel::ThreadPool pool(config_.num_threads);
   bool shutdown = false;
   while (!shutdown && !stop_requested()) {
     // A signal arriving mid-accept fails it with EINTR (no SA_RESTART);
@@ -803,7 +808,7 @@ bool QueryService::serve_unix_socket(const std::string& path) {
     FdStreambuf buf(client);
     std::istream client_in(&buf);
     std::ostream client_out(&buf);
-    shutdown = serve(client_in, client_out);
+    shutdown = serve_session(client_in, client_out, pool);
     client_out.flush();
     ::close(client);
   }

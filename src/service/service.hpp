@@ -6,8 +6,9 @@
 // istream — stdin under `fmmio serve`, a Unix-domain socket connection
 // under `fmmio serve --socket` — and responses are emitted IN REQUEST
 // ORDER even though compute requests run concurrently on a
-// parallel::ThreadPool that lives for one serve() session.
-// handle_line answers on the caller's thread and starts no thread.
+// parallel::ThreadPool: serve() starts one for its session, and
+// serve_unix_socket() one for its whole accept loop.  handle_line
+// answers on the caller's thread and starts no thread.
 //
 // Flow of one compute request (bound/simulate/liveness/optimal/cdag):
 //
@@ -47,6 +48,7 @@
 
 #include "obs/run_report.hpp"
 #include "obs/telemetry.hpp"
+#include "parallel/thread_pool.hpp"
 #include "service/cache.hpp"
 #include "service/protocol.hpp"
 #include "snapshot/store.hpp"
@@ -79,8 +81,9 @@ class CachingCdagSource final : public sweep::CdagSource {
 };
 
 struct ServiceConfig {
-  /// Workers of each serve() session's pool; 0 = hardware concurrency.
-  /// handle_line runs on the caller's thread and uses none.
+  /// Workers of the pool that serve() and serve_unix_socket() start;
+  /// 0 = hardware concurrency.  handle_line runs on the caller's thread
+  /// and uses none.
   std::size_t num_threads = 0;
   /// Max compute requests queued-or-running before new ones are
   /// answered `rejected: queue_full` (0 rejects every compute request —
@@ -135,18 +138,17 @@ class QueryService {
   std::string handle_line(const std::string& line);
 
   /// NDJSON session: reads request lines from `in` until EOF or a
-  /// shutdown op, dispatching compute requests onto the pool, and
-  /// writes one response line per request to `out` in request order.
-  /// Drains gracefully before returning.  Returns true iff the session
-  /// ended via the shutdown op (vs EOF).
+  /// shutdown op, dispatching compute requests onto a pool it starts
+  /// for the session, and writes one response line per request to
+  /// `out` in request order.  Drains gracefully before returning.
+  /// Returns true iff the session ended via the shutdown op (vs EOF).
   bool serve(std::istream& in, std::ostream& out);
 
 #ifdef __unix__
   /// Binds a Unix-domain stream socket at `path` and serves one
-  /// accepted connection at a time (same cache and tallies across
-  /// connections, a fresh serve() pool for each) until a client sends
-  /// shutdown.  Returns true iff stopped by shutdown (vs accept
-  /// failure).
+  /// accepted connection at a time (same cache, pool and tallies
+  /// across connections) until a client sends shutdown.  Returns true
+  /// iff stopped by shutdown (vs accept failure).
   bool serve_unix_socket(const std::string& path);
 #endif
 
@@ -233,6 +235,10 @@ class QueryService {
   std::optional<std::string> pre_compute_response(
       const Request& request, bool* is_shutdown,
       obs::RequestTelemetry& telemetry);
+  /// One serve() session, computing on `pool`; drains `pool` before it
+  /// returns.
+  bool serve_session(std::istream& in, std::ostream& out,
+                     parallel::ThreadPool& pool);
 
   ServiceConfig config_;
   ContentCache cache_;

@@ -213,9 +213,7 @@ TEST(FabricChaosGate, ByteIdenticalUnderKillsAndDrops) {
   const std::string expected = strip_ids(single_process_output(mix));
 
   obs::Registry::instance().reset();
-  service::ServiceConfig worker_config;
-  worker_config.num_threads = 1;
-  InProcessTransport transport(worker_config);
+  InProcessTransport transport;
 
   FabricConfig config;
   config.num_workers = 4;
@@ -265,9 +263,7 @@ TEST(FabricChaosGate, ByteIdenticalWithExplicitIds) {
   const std::string expected = single_process_output(mix);
 
   obs::Registry::instance().reset();
-  service::ServiceConfig worker_config;
-  worker_config.num_threads = 1;
-  InProcessTransport transport(worker_config);
+  InProcessTransport transport;
   FabricConfig config;
   config.num_workers = 4;
   config.chaos.seed = 3;
@@ -282,9 +278,7 @@ TEST(FabricChaosGate, ByteIdenticalWithExplicitIds) {
 
 TEST(FabricChaosGate, ShutdownOpDrainsAndStops) {
   obs::Registry::instance().reset();
-  service::ServiceConfig worker_config;
-  worker_config.num_threads = 1;
-  InProcessTransport transport(worker_config);
+  InProcessTransport transport;
   FabricConfig config;
   config.num_workers = 2;
   Router router(config, transport);
@@ -304,9 +298,7 @@ TEST(FabricChaosGate, ShutdownOpDrainsAndStops) {
 
 TEST(FabricBackpressure, ShedsWithWorkerProvenance) {
   obs::Registry::instance().reset();
-  service::ServiceConfig worker_config;
-  worker_config.num_threads = 1;
-  InProcessTransport transport(worker_config);
+  InProcessTransport transport;
   FabricConfig config;
   config.num_workers = 1;  // one slot, so depth is the only admission
   config.worker_queue_depth = 1;
@@ -342,9 +334,7 @@ TEST(FabricDegradation, ZeroRespawnBudgetDegradesToSurvivors) {
   const std::string expected = strip_ids(single_process_output(mix));
 
   obs::Registry::instance().reset();
-  service::ServiceConfig worker_config;
-  worker_config.num_threads = 1;
-  InProcessTransport transport(worker_config);
+  InProcessTransport transport;
   FabricConfig config;
   config.num_workers = 4;
   config.max_respawns = 0;  // any death is permanent
@@ -372,9 +362,7 @@ TEST(FabricDegradation, ZeroRespawnBudgetDegradesToSurvivors) {
 TEST(FabricAccounting, TalliesBalanceAndReportEmbeds) {
   const std::vector<std::string> mix = chaos_mix();
   obs::Registry::instance().reset();
-  service::ServiceConfig worker_config;
-  worker_config.num_threads = 1;
-  InProcessTransport transport(worker_config);
+  InProcessTransport transport;
   FabricConfig config;
   config.num_workers = 4;
   config.chaos.seed = 11;
@@ -423,9 +411,7 @@ TEST(FabricAccounting, TalliesBalanceAndReportEmbeds) {
 
 TEST(FabricAccounting, RouterIsSingleShot) {
   obs::Registry::instance().reset();
-  service::ServiceConfig worker_config;
-  worker_config.num_threads = 1;
-  InProcessTransport transport(worker_config);
+  InProcessTransport transport;
   Router router(FabricConfig{}, transport);
   std::istringstream in1("{\"op\": \"ping\"}\n");
   std::ostringstream out1;

@@ -49,9 +49,7 @@ void expect_single_line_error(const std::string& mutant,
 QueryService& shared_service() {
   static QueryService* service = [] {
     obs::Registry::instance().reset();
-    ServiceConfig config;
-    config.num_threads = 1;
-    return new QueryService(config);
+    return new QueryService();
   }();
   return *service;
 }

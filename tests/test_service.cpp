@@ -203,9 +203,7 @@ TEST(ServiceCache, HitMissEvictStress) {
 
 TEST(QueryService, UsageErrorsAreOneLine) {
   obs::Registry::instance().reset();
-  ServiceConfig config;
-  config.num_threads = 1;
-  service::QueryService service(config);
+  service::QueryService service;
   const std::vector<std::string> bad = {
       "not json at all",
       "{\"op\": \"frobnicate\"}",
@@ -257,9 +255,7 @@ TEST(QueryService, CdagResponseEscapesSchemeName) {
     std::ofstream out(path, std::ios::binary);
     out << text;
   }
-  ServiceConfig config;
-  config.num_threads = 1;
-  QueryService service(config);
+  QueryService service;
   const std::string response = service.handle_line(
       "{\"op\": \"cdag\", \"algorithm\": \"file:" + path +
       "\", \"n\": 2}");
@@ -282,7 +278,6 @@ TEST(QueryService, ByteIdenticalAcrossCacheStatesAndThreadCounts) {
   {
     obs::Registry::instance().reset();
     ServiceConfig config;
-    config.num_threads = 1;
     config.cache.memory_budget_bytes = 0;
     service::QueryService cold(config);
     for (const std::string& line : requests) {
@@ -345,7 +340,6 @@ TEST(QueryService, ServeAnswersInRequestOrder) {
 TEST(QueryService, DeadlineExceededIsDeterministic) {
   obs::Registry::instance().reset();
   ServiceConfig config;
-  config.num_threads = 1;
   // liveness costs the census |V(H^{n x n})| in ticks: n=4 costs 279,
   // n=16 costs 15783.  A deadline of 1000 admits exactly the n=4 request
   // — a pure function of (config, request), never of load.
@@ -383,7 +377,6 @@ TEST(QueryService, CdagAnswersWithoutBuilding) {
   const std::string dir = testing::TempDir() + "fmm_service_cdag_census";
   std::filesystem::remove_all(dir);
   ServiceConfig config;
-  config.num_threads = 1;
   config.snapshot_dir = dir;
   QueryService service(config);
   obs::Counter& builds = obs::Registry::instance().counter("cdag.builds");

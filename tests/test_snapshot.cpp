@@ -323,7 +323,6 @@ TEST(SnapshotSource, CachingCdagSourceFallsBackToStore) {
 TEST(SnapshotSource, ServiceConfigMountsStore) {
   const std::string dir = fresh_dir("service_mount");
   service::ServiceConfig config;
-  config.num_threads = 1;
   config.snapshot_dir = dir;
   service::QueryService service(config);
   ASSERT_NE(service.snapshot_store(), nullptr);

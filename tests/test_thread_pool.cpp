@@ -148,23 +148,15 @@ TEST(ThreadPoolStress, CancellationTokenIsSticky) {
 }
 
 TEST(ThreadPoolStress, CooperativeCancellationMidQueue) {
-  ThreadPool pool(2);
+  // One worker runs the queue in submission order: tasks 0..10 count,
+  // task 10 flips the token, and every task still queued skips on it.
+  // Two workers promise no order, so a stalled task 9 could see task
+  // 10's cancel and skip too.
+  ThreadPool pool(1);
   CancellationToken token;
   std::atomic<int> executed{0};
   for (int i = 0; i < 1000; ++i) {
     pool.submit([&token, &executed, i] {
-      // The pool promises no order between workers, so pin the one this
-      // test needs: task 10 waits for tasks 0..9 (dequeued first, never
-      // blocking) to count, and every later task waits for the token.
-      if (i == 10) {
-        while (executed.load() < 10) {
-          std::this_thread::yield();
-        }
-      } else if (i > 10) {
-        while (!token.cancelled()) {
-          std::this_thread::yield();
-        }
-      }
       if (token.cancelled()) {
         return;
       }
@@ -175,7 +167,6 @@ TEST(ThreadPoolStress, CooperativeCancellationMidQueue) {
     });
   }
   pool.wait_idle();
-  // Tasks 0..10 ran; the token skipped the whole tail of the queue.
   EXPECT_EQ(executed.load(), 11);
 }
 
