@@ -15,6 +15,13 @@
 //   2. drain: the fabric answers every request (responded == requests,
 //      gave_up == 0) and the injected kill actually fired.
 //
+// Each arm runs kSessions times, alternating direct and fabric, each
+// session on a fresh QueryService or a fresh transport + router (Router
+// is single-shot).  Both gates apply to every session; the report
+// records each arm's median session time.  One session per arm is too
+// noisy to compare: on a 4-core VM, three runs of one binary read the
+// ratio as 0.64, 0.76 and 2.32.
+//
 // There is deliberately NO speedup gate: the mix is CDAG-build-bound
 // and each worker owns a private cache, so fabric throughput depends
 // on how rendezvous happens to shard the mix.  The report records both
@@ -23,9 +30,11 @@
 // `bench_fabric --out report.json` writes a versioned run report whose
 // extra.fabric section carries the router's supervision accounting for
 // the schema checker.  The committed BENCH_fabric.json is this report.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <memory>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -44,6 +53,11 @@ namespace {
 std::string strip_ids(const std::string& text) {
   static const std::regex id_pattern("\"id\": (null|-?[0-9]+)");
   return std::regex_replace(text, id_pattern, "\"id\": X");
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 }  // namespace
@@ -90,82 +104,97 @@ int main(int argc, char** argv) {
   }
   const std::size_t total_requests = queries.size() * kRounds;
 
-  // Direct arm: one single-process session.
-  service::ServiceConfig direct_config;
-  direct_config.num_threads = 2;
-  service::QueryService direct(direct_config);
-  std::istringstream direct_in(session);
-  std::ostringstream direct_out;
-  const auto direct_start = Clock::now();
-  direct.serve(direct_in, direct_out);
-  const double direct_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() -
-                                                direct_start)
-          .count();
+  const auto elapsed_ms = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
 
   // Fabric arm: router + 4 in-process workers, chaos kill on worker 1
   // after its first dispatch.
-  obs::Registry::instance().reset();
-  fabric::InProcessTransport transport;
   fabric::FabricConfig fabric_config;
   fabric_config.num_workers = 4;
   fabric_config.chaos.seed = 7;
   fabric_config.chaos.kills.push_back({1, 1});
-  fabric_config.retry.max_attempts = 5;
-  fabric::Router router(fabric_config, transport);
-  std::istringstream fabric_in(session);
-  std::ostringstream fabric_out;
-  const auto fabric_start = Clock::now();
-  router.serve(fabric_in, fabric_out);
-  const double fabric_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() -
-                                                fabric_start)
-          .count();
+  fabric_config.max_attempts = 5;
 
-  // Gate 1: byte-identity after id strip.  Abort on divergence — a
-  // fabric that changes bytes is wrong no matter how fast it is.
-  if (strip_ids(fabric_out.str()) != strip_ids(direct_out.str())) {
-    std::fprintf(stderr,
-                 "FATAL: fabric output diverges from direct serving\n");
+  constexpr int kSessions = 5;
+  std::vector<double> direct_times;
+  std::vector<double> fabric_times;
+  // The last fabric session's router and its transport, for the report.
+  std::unique_ptr<fabric::InProcessTransport> transport;
+  std::unique_ptr<fabric::Router> router;
+  for (int run = 0; run < kSessions; ++run) {
+    // Direct arm: one single-process session.
+    service::ServiceConfig direct_config;
+    direct_config.num_threads = 2;
+    service::QueryService direct(direct_config);
+    std::istringstream direct_in(session);
+    std::ostringstream direct_out;
+    const auto direct_start = Clock::now();
+    direct.serve(direct_in, direct_out);
+    direct_times.push_back(elapsed_ms(direct_start));
+
+    // The report's metrics cover the last fabric session.
+    obs::Registry::instance().reset();
+    router.reset();
+    transport = std::make_unique<fabric::InProcessTransport>();
+    router = std::make_unique<fabric::Router>(fabric_config, *transport);
+    std::istringstream fabric_in(session);
+    std::ostringstream fabric_out;
+    const auto fabric_start = Clock::now();
+    router->serve(fabric_in, fabric_out);
+    fabric_times.push_back(elapsed_ms(fabric_start));
+
+    // Gate 1: byte-identity after id strip.  Abort on divergence — a
+    // fabric that changes bytes is wrong no matter how fast it is.
     const std::string a = strip_ids(direct_out.str());
     const std::string b = strip_ids(fabric_out.str());
-    std::istringstream as(a);
-    std::istringstream bs(b);
-    std::string al;
-    std::string bl;
-    int line = 0;
-    while (std::getline(as, al) && std::getline(bs, bl)) {
-      if (al != bl) {
-        std::fprintf(stderr, "  first divergence at line %d:\n"
-                             "    direct: %.120s\n    fabric: %.120s\n",
-                     line, al.c_str(), bl.c_str());
-        break;
+    if (a != b) {
+      std::fprintf(stderr,
+                   "FATAL: fabric output diverges from direct serving "
+                   "(session %d)\n",
+                   run);
+      std::istringstream as(a);
+      std::istringstream bs(b);
+      std::string al;
+      std::string bl;
+      int line = 0;
+      while (std::getline(as, al) && std::getline(bs, bl)) {
+        if (al != bl) {
+          std::fprintf(stderr, "  first divergence at line %d:\n"
+                               "    direct: %.120s\n    fabric: %.120s\n",
+                       line, al.c_str(), bl.c_str());
+          break;
+        }
+        ++line;
       }
-      ++line;
+      return 1;
     }
-    return 1;
-  }
 
-  // Gate 2: the drain guarantee held and the chaos path really ran.
-  const fabric::FabricStats stats = router.stats();
-  if (stats.responded != static_cast<std::int64_t>(total_requests) ||
-      stats.gave_up != 0) {
-    std::fprintf(stderr, "FATAL: fabric dropped work: responded=%lld of "
-                         "%zu, gave_up=%lld\n",
-                 static_cast<long long>(stats.responded), total_requests,
-                 static_cast<long long>(stats.gave_up));
-    return 1;
+    // Gate 2: the drain guarantee held and the chaos path really ran.
+    const fabric::FabricStats stats = router->stats();
+    if (stats.responded != static_cast<std::int64_t>(total_requests) ||
+        stats.gave_up != 0) {
+      std::fprintf(stderr, "FATAL: fabric dropped work in session %d: "
+                           "responded=%lld of %zu, gave_up=%lld\n",
+                   run, static_cast<long long>(stats.responded),
+                   total_requests, static_cast<long long>(stats.gave_up));
+      return 1;
+    }
+    if (stats.kills_injected < 1 || stats.respawns < 1) {
+      std::fprintf(stderr, "FATAL: chaos kill never exercised the respawn "
+                           "path in session %d (kills=%lld respawns=%lld)\n",
+                   run, static_cast<long long>(stats.kills_injected),
+                   static_cast<long long>(stats.respawns));
+      return 1;
+    }
   }
-  if (stats.kills_injected < 1 || stats.respawns < 1) {
-    std::fprintf(stderr, "FATAL: chaos kill never exercised the respawn "
-                         "path (kills=%lld respawns=%lld)\n",
-                 static_cast<long long>(stats.kills_injected),
-                 static_cast<long long>(stats.respawns));
-    return 1;
-  }
+  const double direct_ms = median(direct_times);
+  const double fabric_ms = median(fabric_times);
+  const fabric::FabricStats stats = router->stats();
 
   const double ratio = fabric_ms > 0.0 ? direct_ms / fabric_ms : 0.0;
-  Table table({"Arm", "Requests", "ms total", "Requests/s", "Requeues",
+  Table table({"Arm", "Requests", "ms (median)", "Requests/s", "Requeues",
                "Respawns"});
   table.begin_row();
   table.add_cell("direct");
@@ -185,10 +214,11 @@ int main(int argc, char** argv) {
   table.add_cell(stats.respawns);
   table.print_console(std::cout);
 
-  std::printf("\nbyte-identical output across arms (after id strip): "
+  std::printf("\n%d sessions per arm, medians above\n", kSessions);
+  std::printf("byte-identical output across arms (after id strip): "
               "yes\n");
-  std::printf("chaos: %lld kill(s) injected, %lld requeue(s), %lld "
-              "respawn(s), 0 gave up\n",
+  std::printf("chaos (last session): %lld kill(s) injected, %lld "
+              "requeue(s), %lld respawn(s), 0 gave up\n",
               static_cast<long long>(stats.kills_injected),
               static_cast<long long>(stats.requeues),
               static_cast<long long>(stats.respawns));
@@ -207,7 +237,7 @@ int main(int argc, char** argv) {
     report.set_result("fabric_ms", fabric_ms);
     report.set_result("fabric_over_direct", ratio);
     report.set_result("byte_identical", true);
-    router.attach_to(report);
+    router->attach_to(report);
     obs::finalize_run(cli, report);
   }
   return 0;

@@ -18,12 +18,10 @@
 //                  [--kinds simulate,liveness,dominator,boundcheck,optimal]
 //                  [--schedule dfs|bfs|random] [--policy lru|opt] [--remat]
 //                  [--threads T] [--keep-going] [--seed S]
-//                  [--retries K] [--backoff-base T] [--backoff-mult X]
-//                  [--deadline-ticks D] [--inject-failures R]
-//                  [--inject-seed S] [--max-cell-bytes B]
-//                  [--checkpoint path.jsonl] [--checkpoint-every K]
-//                  [--cache-bytes B] [--resume] [--snapshot-dir DIR]
-//                  [--snapshot-budget B] [--out report.json]
+//                  [--max-cell-bytes B] [--checkpoint path.jsonl]
+//                  [--checkpoint-every K] [--cache-bytes B] [--resume]
+//                  [--snapshot-dir DIR] [--snapshot-budget B]
+//                  [--out report.json]
 //   fmmio serve    [--threads T] [--queue Q] [--cache-bytes B]
 //                  [--cache-shards S] [--deadline-ticks D]
 //                  [--slow-ms MS] [--telemetry-ring N]
@@ -35,7 +33,7 @@
 //                  [--snapshot-dir DIR] [--snapshot-budget B]
 //                  [--out report.json]
 //   fmmio router   [--workers N] [--queue-depth Q] [--retries K]
-//                  [--backoff-base T] [--backoff-mult X] [--max-respawns R]
+//                  [--max-respawns R]
 //                  [--transport inproc|process] [--worker-cmd PATH]
 //                  [--kill K@J,...] [--drop-rate R] [--chaos-seed S]
 //                  [--queue Q] [--cache-bytes B]
@@ -79,15 +77,21 @@
 // --out or --trace also enables the tracer and writes its spans as
 // Chrome trace-event JSON viewable in Perfetto (--trace names the file;
 // the default is the report path with .trace.json).
+//
+// A flag the command does not read (above) exits 2 with one usage line
+// before the command runs.
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -124,7 +128,6 @@
 #include "pebble/machine.hpp"
 #include "pebble/optimal.hpp"
 #include "resilience/fault.hpp"
-#include "resilience/retry.hpp"
 #include "service/service.hpp"
 #include "snapshot/store.hpp"
 #include "sweep/sweep.hpp"
@@ -358,11 +361,10 @@ std::unique_ptr<snapshot::SnapshotStore> snapshot_store_from(
 }
 
 /// The integer flags that shape a QueryService.  Together with
-/// --snapshot-dir they are exactly what service_config_from reads and,
-/// but for --threads, what `router --transport process` forwards to its
-/// worker processes.
+/// --snapshot-dir they are exactly what service_config_from reads and
+/// what `router --transport process` forwards to its worker processes.
+/// --threads is not one of them: only serve and worker start a pool.
 constexpr IntFlag kServiceFlags[] = {
-    {"threads", 0, 0, "0 = hardware concurrency"},
     {"queue", 256, 0, ""},
     kCacheBytesFlag,
     {"cache-shards", 8, 1, ""},
@@ -384,7 +386,6 @@ service::ServiceConfig service_config_from(const Args& args,
                      " is missing from kServiceFlags");
   };
   service::ServiceConfig config;
-  config.num_threads = static_cast<std::size_t>(value("threads"));
   config.max_queue = static_cast<std::size_t>(value("queue"));
   config.cache.memory_budget_bytes =
       static_cast<std::size_t>(value("cache-bytes"));
@@ -398,20 +399,6 @@ service::ServiceConfig service_config_from(const Args& args,
     config.snapshot_dir = require_snapshot_dir(args, command);
   }
   return config;
-}
-
-/// --retries/--backoff-base/--backoff-mult over `policy`'s defaults:
-/// sweep retries tasks, the router requests.
-resilience::RetryPolicy retry_policy_from(const Args& args,
-                                          const char* command,
-                                          resilience::RetryPolicy policy) {
-  policy.max_attempts = static_cast<int>(read_int(
-      args, command, {"retries", policy.max_attempts, 1, "total attempts"}));
-  policy.base_backoff_ticks = read_int(
-      args, command, {"backoff-base", policy.base_backoff_ticks, 0, ""});
-  policy.backoff_multiplier = static_cast<int>(read_int(
-      args, command, {"backoff-mult", policy.backoff_multiplier, 1, ""}));
-  return policy;
 }
 
 int cmd_list() {
@@ -929,9 +916,9 @@ int cmd_sweep(const Args& args) {
                  "usage: fmmio sweep --alg A[,A2] --n N1[,N2] --m M1[,M2] "
                  "[--kinds simulate,liveness,dominator,boundcheck,optimal] "
                  "[--schedule dfs|bfs|random] [--policy lru|opt] [--remat] "
-                 "[--threads T] [--keep-going] [--seed S] [--retries K] "
-                 "[--inject-failures R] [--max-cell-bytes B] "
-                 "[--checkpoint path.jsonl] [--resume] [--out r.json]\n");
+                 "[--threads T] [--keep-going] [--seed S] "
+                 "[--max-cell-bytes B] [--checkpoint path.jsonl] [--resume] "
+                 "[--out r.json]\n");
     return 2;
   }
   const obs::ReportCli cli = report_cli_from(args);
@@ -996,17 +983,6 @@ int cmd_sweep(const Args& args) {
   spec.keep_going = args.has("keep-going");
 
   // Resilience knobs (docs/RESILIENCE.md).
-  spec.retry = retry_policy_from(args, "sweep", spec.retry);
-  spec.retry.deadline_ticks =
-      read_int(args, "sweep", {"deadline-ticks", 0, 0, "0 = no deadline"});
-  spec.inject_failure_rate =
-      std::atof(args.get("inject-failures", "0").c_str());
-  if (spec.inject_failure_rate < 0.0 || spec.inject_failure_rate > 1.0) {
-    usage_error("sweep: --inject-failures must be in [0, 1], got " +
-                args.get("inject-failures", "0"));
-  }
-  spec.inject_seed =
-      static_cast<std::uint64_t>(args.get_int("inject-seed", 0));
   spec.max_cell_bytes =
       read_int(args, "sweep", {"max-cell-bytes", 0, 0, "0 = unlimited"});
   spec.checkpoint_path = args.get("checkpoint", "");
@@ -1132,16 +1108,13 @@ int run_service_session(const Args& args, const char* command) {
   obs::Registry::instance().reset();
   install_stop_signals();
   service::ServiceConfig config = service_config_from(args, command);
+  config.num_threads = static_cast<std::size_t>(read_int(
+      args, command, {"threads", 0, 0, "0 = hardware concurrency"}));
   config.stop_flag = &g_stop_requested;
   service::QueryService service(config);
   bool shutdown = false;
-  if (args.has("socket")) {
+  if (args.has("socket")) {  // serve only: workers speak stdin/stdout
 #ifdef __unix__
-    if (std::string(command) != "serve") {
-      usage_error(std::string(command) +
-                  ": --socket is a serve-only flag (workers speak "
-                  "stdin/stdout to their router)");
-    }
     shutdown = service.serve_unix_socket(args.get("socket", ""));
 #else
     usage_error("serve: --socket needs a Unix platform; use stdin mode");
@@ -1179,7 +1152,8 @@ int cmd_router(const Args& args) {
       read_int(args, "router", {"workers", 4, 1, ""}));
   config.worker_queue_depth = static_cast<std::size_t>(
       read_int(args, "router", {"queue-depth", 64, 1, ""}));
-  config.retry = retry_policy_from(args, "router", config.retry);
+  config.max_attempts = static_cast<int>(read_int(
+      args, "router", {"retries", config.max_attempts, 1, "total attempts"}));
   config.max_respawns = static_cast<int>(
       read_int(args, "router", {"max-respawns", 2, 0, ""}));
   config.chaos.seed =
@@ -1192,12 +1166,6 @@ int cmd_router(const Args& args) {
   }
   config.stop_flag = &g_stop_requested;
 
-  // The router sends a worker one request at a time, so a worker has
-  // no use for more than one thread.
-  if (args.has("threads")) {
-    usage_error("router: --threads is not a router flag; each worker "
-                "answers one request at a time");
-  }
   service::ServiceConfig worker_config =
       service_config_from(args, "router");
 
@@ -1231,6 +1199,7 @@ int cmd_router(const Args& args) {
       forward(flag.name);
     }
     forward("snapshot-dir");
+    // The router sends a worker one request at a time.
     worker_argv.push_back("--threads");
     worker_argv.push_back("1");
     transport = std::make_unique<fabric::ProcessTransport>(worker_argv);
@@ -1253,7 +1222,7 @@ int cmd_router(const Args& args) {
     report.set_param("queue_depth",
                      static_cast<std::int64_t>(config.worker_queue_depth));
     report.set_param("retries",
-                     static_cast<std::int64_t>(config.retry.max_attempts));
+                     static_cast<std::int64_t>(config.max_attempts));
     report.set_param("max_respawns",
                      static_cast<std::int64_t>(config.max_respawns));
     report.set_result("shutdown_requested", shutdown);
@@ -1547,6 +1516,70 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string& command = args.positional[0];
+
+  // The flags each command reads: through args.get/has/get_int or
+  // read_int, report_cli_from's --out/--trace/--seed, and, where the
+  // command builds a QueryService (service_config_from), kServiceFlags
+  // and --snapshot-dir.  Any other flag exits 2 before the command runs,
+  // so a misspelt or retired flag cannot run silently with defaults.
+  // Only serve and worker start a --threads pool: a router worker and
+  // query's in-process service answer one request at a time.
+  struct CommandFlags {
+    std::string_view command;
+    bool service;
+    std::vector<std::string_view> flags;
+  };
+  static const CommandFlags kCommandFlags[] = {
+      {"list", false, {}},
+      {"certify", false, {"out", "trace", "seed"}},
+      {"bounds", false, {"n", "m", "p", "alg"}},
+      {"simulate", false,
+       {"out", "trace", "seed", "n", "m", "schedule", "policy", "remat",
+        "write-cost"}},
+      {"optimal", false,
+       {"out", "trace", "seed", "n", "m", "remat", "max-states",
+        "snapshot-dir", "snapshot-budget"}},
+      {"cdag", false, {"n", "dot", "force"}},
+      {"parallel", false,
+       {"out", "trace", "seed", "n", "p", "m", "faults", "drop-rate",
+        "wipes", "wipe-count", "max-retransmissions"}},
+      {"sweep", false,
+       {"out", "trace", "seed", "alg", "n", "m", "kinds", "schedule",
+        "policy", "remat", "threads", "keep-going", "max-cell-bytes",
+        "checkpoint", "checkpoint-every", "resume", "cache-bytes",
+        "snapshot-dir", "snapshot-budget"}},
+      {"serve", true, {"out", "trace", "seed", "threads", "socket"}},
+      {"worker", true, {"out", "trace", "seed", "threads"}},
+      {"router", true,
+       {"out", "trace", "seed", "workers", "queue-depth", "retries",
+        "max-respawns", "chaos-seed", "drop-rate", "kill", "transport",
+        "worker-cmd"}},
+      {"query", true,
+       {"op", "id", "alg", "n", "m", "p", "seed", "schedule", "policy",
+        "remat", "connect", "print"}},
+      {"metrics", false, {"connect"}},
+      {"tail", false, {"connect", "limit", "slow"}},
+      {"scheme", false, {"name", "out"}},
+      {"version", false, {}},
+  };
+  const auto* const known = std::find_if(
+      std::begin(kCommandFlags), std::end(kCommandFlags),
+      [&](const CommandFlags& entry) { return entry.command == command; });
+  if (known != std::end(kCommandFlags)) {
+    for (const auto& [flag, value] : args.flags) {
+      const auto reads = [&](std::string_view name) { return name == flag; };
+      const bool read =
+          std::any_of(known->flags.begin(), known->flags.end(), reads) ||
+          (known->service &&
+           (reads("snapshot-dir") ||
+            std::any_of(std::begin(kServiceFlags), std::end(kServiceFlags),
+                        [&](const IntFlag& f) { return reads(f.name); })));
+      if (!read) {
+        usage_error(command + ": --" + flag + " is not a " + command +
+                    " flag");
+      }
+    }
+  }
   try {
     if (command == "list") return cmd_list();
     if (command == "certify") return cmd_certify(args);

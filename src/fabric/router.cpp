@@ -36,14 +36,15 @@ bool response_is_ok(const std::string& response) {
 
 /// One routed request in flight: the verbatim line (resent as-is on
 /// requeue — idempotent by the canonical byte-identity contract), its
-/// routing key, and the cross-worker retry budget.
+/// routing key, and the attempts made so far across workers.
 struct Router::Job {
   std::size_t seq = 0;
   std::string line;
   std::string canonical;
   bool has_id = false;
   std::int64_t id = 0;
-  resilience::RetryState retry;
+  /// 1 on admission, +1 per requeue; chaos keys its response drops on it.
+  int attempts = 1;
 };
 
 struct Router::Slot {
@@ -70,7 +71,9 @@ Router::Router(FabricConfig config, Transport& transport)
   FMM_CHECK_MSG(config_.max_respawns >= 0,
                 "fabric max_respawns must be >= 0, got "
                     << config_.max_respawns);
-  resilience::validate(config_.retry);
+  FMM_CHECK_MSG(config_.max_attempts >= 1,
+                "fabric max_attempts must be >= 1, got "
+                    << config_.max_attempts);
   validate(config_.chaos);
 }
 
@@ -251,7 +254,7 @@ void Router::process_job(std::size_t k, Job job, Emitter& emit) {
     const std::int64_t attempt_ns = attempt_timer.nanoseconds();
     bool dropped = false;
     if (rpc_ok && chaos_ &&
-        chaos_->should_drop_response(job.seq, job.retry.attempts)) {
+        chaos_->should_drop_response(job.seq, job.attempts)) {
       // The worker answered but the answer is "lost in transit".  The
       // channel stays in sync (the response was consumed), so the
       // retry resends on the same worker without a respawn.
@@ -274,7 +277,7 @@ void Router::process_job(std::size_t k, Job job, Emitter& emit) {
       deliver_routed(job.seq, std::move(response), ok, emit);
       return;
     }
-    if (!resilience::try_advance(config_.retry, job.retry)) {
+    if (job.attempts >= config_.max_attempts) {
       {
         const std::scoped_lock lock(mutex_);
         ++slot.tally.gave_up;
@@ -285,11 +288,12 @@ void Router::process_job(std::size_t k, Job job, Emitter& emit) {
           service::error_response(
               job.has_id, job.id,
               "internal_error: fabric: request failed after " +
-                  std::to_string(job.retry.attempts) +
+                  std::to_string(job.attempts) +
                   " attempts (last worker " + std::to_string(k) + ")"),
           false, emit);
       return;
     }
+    ++job.attempts;
     {
       const std::scoped_lock lock(mutex_);
       ++slot.tally.requeued;
@@ -415,11 +419,6 @@ bool Router::serve(std::istream& in, std::ostream& out) {
     job.canonical = service::canonical_request(request);
     job.has_id = request.has_id;
     job.id = request.id;
-    // First attempt consumes retry budget up front so the requeue path
-    // shares one accounting scheme (attempts, not "retries").
-    const bool first_attempt_ok =
-        resilience::try_advance(config_.retry, job.retry);
-    FMM_CHECK(first_attempt_ok);
     bool no_workers = false;
     bool shed = false;
     std::size_t target = 0;
@@ -541,7 +540,7 @@ std::string Router::fabric_json() const {
   os << "      \"num_workers\": " << config_.num_workers << ",\n";
   os << "      \"worker_queue_depth\": " << config_.worker_queue_depth
      << ",\n";
-  os << "      \"retry_max_attempts\": " << config_.retry.max_attempts
+  os << "      \"retry_max_attempts\": " << config_.max_attempts
      << ",\n";
   os << "      \"max_respawns\": " << config_.max_respawns << ",\n";
   os << "      \"requests\": " << totals.requests << ",\n";

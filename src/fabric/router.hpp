@@ -11,9 +11,9 @@
 //     -probed with a ping before accepting work.  A failed RPC triggers
 //     respawn (bounded by max_respawns per slot) with a fresh probe.
 //
-//   retry-with-requeue — a request whose worker died is requeued and
-//     retried under resilience::RetryPolicy (virtual-clock backoff,
-//     bounded attempts).  Safe because compute responses are pure
+//   retry-with-requeue — a request whose worker died, or whose answer
+//     was dropped, is requeued at once, up to max_attempts attempts in
+//     all (no backoff).  Safe because compute responses are pure
 //     functions of the canonical request: a replay is byte-identical
 //     to the lost answer.  When a slot's respawn budget is exhausted
 //     the slot is marked dead and its queue drains onto the surviving
@@ -55,7 +55,6 @@
 #include "fabric/chaos.hpp"
 #include "fabric/transport.hpp"
 #include "obs/run_report.hpp"
-#include "resilience/retry.hpp"
 #include "service/emitter.hpp"
 
 namespace fmm::fabric {
@@ -67,8 +66,8 @@ struct FabricConfig {
   std::size_t num_workers = 4;
   /// Router-side per-worker queue bound; admission past it is shed.
   std::size_t worker_queue_depth = 64;
-  /// Requeue budget per request (attempts across all workers).
-  resilience::RetryPolicy retry{3, 1, 2, 0};
+  /// Attempts per request across all workers (>= 1; 1 = no requeue).
+  int max_attempts = 3;
   /// Respawn budget per worker slot; 0 = any death is permanent.
   int max_respawns = 2;
   ChaosSpec chaos;

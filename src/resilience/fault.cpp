@@ -98,19 +98,6 @@ std::vector<int> FaultInjector::wiped_at(int step) const {
   return procs;
 }
 
-bool FaultInjector::inject_task_failure(std::uint64_t seed,
-                                        std::uint64_t task_index,
-                                        int attempt, double rate) {
-  if (rate <= 0.0) {
-    return false;
-  }
-  if (rate >= 1.0) {
-    return true;
-  }
-  return splitmix_unit(seed, task_index,
-                       static_cast<std::uint64_t>(attempt)) < rate;
-}
-
 std::string fault_events_to_json(std::vector<FaultEvent> events) {
   std::sort(events.begin(), events.end(),
             [](const FaultEvent& a, const FaultEvent& b) {

@@ -4,9 +4,8 @@
 // recomputation the natural recovery mechanism for a faulted execution:
 // a processor that loses its memory can recompute lost intermediates,
 // and the extra I/O the recovery incurs must still sit above the same
-// lower bound.  This header supplies the fault model shared by the
-// faulted distributed simulator (parallel/distsim) and the resilient
-// sweep engine (sweep/):
+// lower bound.  This header supplies the fault model of the faulted
+// distributed simulator (parallel/distsim):
 //
 //   - FaultSpec describes WHAT goes wrong: per-processor memory-wipe
 //     events pinned to BFS steps, and a per-transfer message-drop
@@ -98,14 +97,6 @@ class FaultInjector {
   /// The processors wiped at BFS step `step` (sorted ascending;
   /// duplicates in the spec collapse to one wipe).
   std::vector<int> wiped_at(int step) const;
-
-  /// Injected transient *task* failure: used by the sweep engine to
-  /// exercise retry paths.  True iff attempt `attempt` (1-based) of task
-  /// `task_index` should fail, with probability `rate` drawn from the
-  /// (seed, task_index, attempt) stream.
-  static bool inject_task_failure(std::uint64_t seed,
-                                  std::uint64_t task_index, int attempt,
-                                  double rate);
 
  private:
   FaultSpec spec_;

@@ -16,12 +16,11 @@
 //   result-cache lookup → (miss: CDAG fetch through the cache +
 //   compute + render + retain) → ordered emission
 //
-// Deadlines ride the repo's resilience virtual clock philosophy
-// (resilience/retry.hpp): a request's cost is ESTIMATED in deterministic
-// ticks (|V(H^{n x n})| by cdag::census for simulate and liveness; the
-// branch-and-bound state budget for optimal, whose search is capped by
-// that budget rather than the CDAG size; 1 for closed-form ops, cdag
-// included) and compared against deadline_ticks at admission.  No
+// Deadlines run on a virtual clock: a request's cost is ESTIMATED in
+// deterministic ticks (|V(H^{n x n})| by cdag::census for simulate and
+// liveness; the branch-and-bound state budget for optimal, whose search
+// is capped by that budget rather than the CDAG size; 1 for closed-form
+// ops, cdag included) and compared against deadline_ticks at admission.  No
 // wall-clock is ever consulted, so a given (config, request) pair always
 // gets the same deadline_exceeded verdict — deterministic, testable
 // backpressure.

@@ -28,7 +28,6 @@
 #include "pebble/optimal.hpp"
 #include "pebble/schedules.hpp"
 #include "resilience/checkpoint.hpp"
-#include "resilience/fault.hpp"
 
 namespace fmm::sweep {
 
@@ -40,6 +39,13 @@ inline constexpr int kCheckpointSchemaVersion = 1;
 /// The deterministic spec echo (excludes num_threads, keep_going and the
 /// checkpoint knobs — those must not change the payload).  Also the
 /// preimage of spec_fingerprint().
+///
+/// "retry", "inject_failure_rate" and "inject_seed" are fixed text: the
+/// values a sweep without retries or injected faults always wrote.
+/// perfbench's seed-1 grid digests hash SweepResult::to_json(), which
+/// holds this echo, and spec_fingerprint() hashes it too, so dropping
+/// the text would fail every seed-1 grid run as outputs-incorrect and
+/// refuse every existing checkpoint.
 std::string spec_to_json(const SweepSpec& spec) {
   std::ostringstream oss;
   const auto string_array = [&oss](const auto& items, auto&& render) {
@@ -71,13 +77,9 @@ std::string spec_to_json(const SweepSpec& spec) {
       << ", \"base_seed\": " << spec.base_seed
       << ", \"dominator_r\": " << spec.dominator_r
       << ", \"dominator_samples\": " << spec.dominator_samples
-      << ", \"retry\": {\"max_attempts\": " << spec.retry.max_attempts
-      << ", \"base_backoff_ticks\": " << spec.retry.base_backoff_ticks
-      << ", \"backoff_multiplier\": " << spec.retry.backoff_multiplier
-      << ", \"deadline_ticks\": " << spec.retry.deadline_ticks
-      << "}, \"inject_failure_rate\": ";
-  write_double(oss, spec.inject_failure_rate);
-  oss << ", \"inject_seed\": " << spec.inject_seed
+      << ", \"retry\": {\"max_attempts\": 1, \"base_backoff_ticks\": 1, "
+         "\"backoff_multiplier\": 2, \"deadline_ticks\": 0}, "
+         "\"inject_failure_rate\": 0, \"inject_seed\": 0"
       << ", \"max_cell_bytes\": " << spec.max_cell_bytes << "}";
   return oss.str();
 }
@@ -365,46 +367,6 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
   return result;
 }
 
-TaskResult run_task_with_retry(const TaskCell& cell, const cdag::Cdag& cdag,
-                               const SweepSpec& spec) {
-  resilience::validate(spec.retry);
-  const std::uint64_t inject_seed =
-      spec.inject_seed != 0 ? spec.inject_seed : spec.base_seed;
-  resilience::RetryState state;
-  TaskResult result;
-  while (resilience::try_advance(spec.retry, state)) {
-    if (resilience::FaultInjector::inject_task_failure(
-            inject_seed, cell.index, state.attempts,
-            spec.inject_failure_rate)) {
-      result = TaskResult{};
-      result.cell = cell;
-      result.ok = false;
-      result.error = cell_prefix(cell) + ": injected transient fault (attempt " +
-                     std::to_string(state.attempts) + ")";
-    } else {
-      result = run_task(cell, cdag, spec);
-    }
-    result.attempts = state.attempts;
-    result.backoff_ticks = state.clock_ticks;
-    if (result.ok) {
-      if (state.attempts > 1) {
-        obs::Registry::instance().counter("sweep.retry.recovered")
-            .increment();
-      }
-      return result;
-    }
-  }
-  // Retry budget exhausted (attempts or virtual deadline); the final
-  // attempt's error already names the cell's coordinates.
-  result.gave_up = spec.retry.retries_enabled();
-  if (result.gave_up) {
-    result.error += " — giving up after " + std::to_string(state.attempts) +
-                    " attempt(s)";
-    obs::Registry::instance().counter("sweep.retry.gave_up").increment();
-  }
-  return result;
-}
-
 std::string task_row_json(const TaskResult& task) {
   std::ostringstream oss;
   oss << "{\"index\": " << task.cell.index << ", \"kind\": \""
@@ -418,14 +380,10 @@ std::string task_row_json(const TaskResult& task) {
     write_double(oss, task.omega0);
   }
   oss << ", \"ok\": " << (task.ok ? "true" : "false");
-  if (task.attempts != 1) {
-    oss << ", \"attempts\": " << task.attempts;
-  }
-  if (task.backoff_ticks != 0) {
-    oss << ", \"backoff_ticks\": " << task.backoff_ticks;
-  }
-  if (task.gave_up) {
-    oss << ", \"gave_up\": true";
+  if (task.skip_reason == "budget") {
+    // A budget skip never ran.  Its row keeps the "attempts": 0 it has
+    // always carried, so reports and checkpoints stay byte-identical.
+    oss << ", \"attempts\": 0";
   }
   if (task.skipped) {
     oss << ", \"skipped\": true";
@@ -550,15 +508,6 @@ std::vector<TaskResult> load_sweep_checkpoint(const std::string& path,
     if (const auto* v = row.find("omega0")) {
       r.omega0 = double_or_nan(*v);
     }
-    if (const auto* v = row.find("attempts")) {
-      r.attempts = static_cast<int>(v->as_i64());
-    }
-    if (const auto* v = row.find("backoff_ticks")) {
-      r.backoff_ticks = v->as_i64();
-    }
-    if (const auto* v = row.find("gave_up")) {
-      r.gave_up = v->as_bool();
-    }
     if (const auto* v = row.find("skipped")) {
       r.skipped = v->as_bool();
     }
@@ -674,11 +623,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
 SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
   FMM_TRACE_SPAN("sweep.run", "sweep");
   Stopwatch watch;
-  resilience::validate(spec.retry);
-  FMM_CHECK_MSG(
-      spec.inject_failure_rate >= 0.0 && spec.inject_failure_rate <= 1.0,
-      "inject_failure_rate must be in [0, 1], got "
-          << spec.inject_failure_rate);
   FMM_CHECK_MSG(spec.max_cell_bytes >= 0,
                 "max_cell_bytes must be >= 0, got " << spec.max_cell_bytes);
   SweepResult result;
@@ -797,7 +741,6 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
       slot.ok = true;
       slot.skipped = true;
       slot.skip_reason = "budget";
-      slot.attempts = 0;
       ++budget_skips;
       if (checkpoint) {
         // Workers submitted by earlier iterations may already be
@@ -815,7 +758,7 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
         slot.error = "cancelled";
         return;
       }
-      slot = run_task_with_retry(cell, cdag, spec);
+      slot = run_task(cell, cdag, spec);
       if (checkpoint) {
         const std::scoped_lock lock(checkpoint_mutex);
         checkpoint->append_row(task_row_json(slot));
@@ -969,47 +912,6 @@ std::string SweepResult::to_json() const {
   return oss.str();
 }
 
-std::string SweepResult::resilience_json() const {
-  std::int64_t total_attempts = 0;
-  std::int64_t total_backoff_ticks = 0;
-  std::size_t retried_tasks = 0;
-  std::size_t gave_up_tasks = 0;
-  std::size_t budget_skipped = 0;
-  for (const TaskResult& task : tasks) {
-    total_attempts += task.attempts;
-    total_backoff_ticks += task.backoff_ticks;
-    if (task.attempts > 1) {
-      ++retried_tasks;
-    }
-    if (task.gave_up) {
-      ++gave_up_tasks;
-    }
-    if (task.skip_reason == "budget") {
-      ++budget_skipped;
-    }
-  }
-  std::ostringstream oss;
-  oss << "{\n";
-  oss << "      \"schema\": \"fmm.resilience\",\n";
-  oss << "      \"schema_version\": 1,\n";
-  oss << "      \"retry\": {\"max_attempts\": " << spec.retry.max_attempts
-      << ", \"base_backoff_ticks\": " << spec.retry.base_backoff_ticks
-      << ", \"backoff_multiplier\": " << spec.retry.backoff_multiplier
-      << ", \"deadline_ticks\": " << spec.retry.deadline_ticks << "},\n";
-  oss << "      \"inject_failure_rate\": ";
-  write_double(oss, spec.inject_failure_rate);
-  oss << ",\n";
-  oss << "      \"max_cell_bytes\": " << spec.max_cell_bytes << ",\n";
-  oss << "      \"total_attempts\": " << total_attempts << ",\n";
-  oss << "      \"retried_tasks\": " << retried_tasks << ",\n";
-  oss << "      \"gave_up_tasks\": " << gave_up_tasks << ",\n";
-  oss << "      \"budget_skipped\": " << budget_skipped << ",\n";
-  oss << "      \"total_backoff_ticks\": " << total_backoff_ticks << ",\n";
-  oss << "      \"fault_events\": []\n";
-  oss << "    }";
-  return oss.str();
-}
-
 void SweepResult::attach_to(obs::RunReport& report) const {
   report.set_result("sweep_tasks", static_cast<std::int64_t>(num_tasks));
   report.set_result("sweep_completed", static_cast<std::int64_t>(completed));
@@ -1021,7 +923,6 @@ void SweepResult::attach_to(obs::RunReport& report) const {
   report.set_result("all_dominators_hold", all_dominators_hold);
   report.add_phase_seconds("sweep", wall_seconds);
   report.add_raw_section("sweep", to_json());
-  report.add_raw_section("resilience", resilience_json());
 }
 
 }  // namespace fmm::sweep

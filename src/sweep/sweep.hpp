@@ -25,15 +25,17 @@
 // and rethrows a CheckError naming the lowest-index failing cell; with
 // keep_going=true failures become rows of the report instead.
 //
-// Resilience layer (docs/RESILIENCE.md): failing tasks retry with
-// exponential backoff on a VIRTUAL clock (delays are computed and
-// recorded, never slept, so the report stays byte-identical across
-// thread counts), cells whose CDAG would blow the per-cell memory
-// budget degrade into skipped(reason=budget) rows instead of OOM-killing
-// the sweep, and completed rows stream into a JSON-lines checkpoint a
-// killed sweep can resume from — the resumed report is byte-identical
-// to an uninterrupted run.  checkpoint_path / checkpoint_every / resume
-// are, like num_threads, NOT part of the deterministic payload.
+// A task runs once.  Its result is a pure function of (scheme, n, M,
+// seed), so a second attempt would fail the same way; a failed task is
+// final.
+//
+// Resilience layer (docs/RESILIENCE.md): cells whose CDAG would blow
+// the per-cell memory budget degrade into skipped(reason=budget) rows
+// instead of OOM-killing the sweep, and completed rows stream into a
+// JSON-lines checkpoint a killed sweep can resume from — the resumed
+// report is byte-identical to an uninterrupted run.  checkpoint_path /
+// checkpoint_every / resume are, like num_threads, NOT part of the
+// deterministic payload.
 #pragma once
 
 #include <condition_variable>
@@ -51,7 +53,6 @@
 #include "cdag/cdag.hpp"
 #include "obs/run_report.hpp"
 #include "pebble/machine.hpp"
-#include "resilience/retry.hpp"
 
 namespace fmm::sweep {
 
@@ -107,14 +108,6 @@ struct SweepSpec {
   std::size_t dominator_samples = 3;
 
   // --- Resilience (deterministic payload) --------------------------------
-  /// Retry-with-backoff policy for failing tasks (virtual clock).
-  resilience::RetryPolicy retry;
-  /// Probability that an attempt fails with an injected transient fault,
-  /// drawn from the (inject_seed, task_index, attempt) SplitMix64 stream.
-  /// Chaos/testing knob; 0 disables injection.
-  double inject_failure_rate = 0.0;
-  /// Seed of the injection stream; 0 = reuse base_seed.
-  std::uint64_t inject_seed = 0;
   /// Per-cell memory budget in bytes; a cell whose cdag::census footprint
   /// exceeds it, or whose size the census refuses, becomes a
   /// skipped(reason=budget) row (a bad n stays a build error).  0 = off.
@@ -160,14 +153,6 @@ struct TaskResult {
   std::string scheme_name;
   std::string scheme_fingerprint;
   double omega0 = 0.0;
-
-  /// Attempts actually made (1 = first try; 0 = never ran, e.g. budget
-  /// skip).  Rendered in the row JSON only when != 1.
-  int attempts = 1;
-  /// Virtual backoff ticks accumulated across retries of this cell.
-  std::int64_t backoff_ticks = 0;
-  /// Failed after exhausting the retry budget (max_attempts/deadline).
-  bool gave_up = false;
 
   // kSimulate / kBoundCheck payload.
   std::int64_t loads = 0;
@@ -237,14 +222,7 @@ struct SweepResult {
   /// across num_threads values for a fixed spec.
   std::string to_json() const;
 
-  /// The `extra.resilience` section: retry configuration plus attempt /
-  /// give-up / budget aggregates re-derivable from the task rows.  Like
-  /// to_json(), deterministic across thread counts and across
-  /// checkpoint-resume (checkpoint state is deliberately excluded).
-  std::string resilience_json() const;
-
-  /// Embeds to_json() under extra.sweep (and resilience_json() under
-  /// extra.resilience) and records headline results
+  /// Embeds to_json() under extra.sweep and records headline results
   /// (sweep_tasks/sweep_failed/total_io) so `fmmio sweep --out` emits one
   /// schema-validated file.
   void attach_to(obs::RunReport& report) const;
@@ -284,15 +262,6 @@ pebble::SimResult run_simulation(const TaskCell& cell, const cdag::Cdag& cdag,
 /// recorded in the result with the cell's coordinates.
 TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
                     const SweepSpec& spec);
-
-/// run_task wrapped in the spec's retry policy (plus injected transient
-/// faults when spec.inject_failure_rate > 0): re-attempts a failing cell
-/// with exponential backoff on the task's virtual clock until it
-/// succeeds or the retry budget is exhausted, in which case the final
-/// error is annotated with the attempt count (the cell's (algorithm, n,
-/// M) coordinates are already in it).  Never throws.
-TaskResult run_task_with_retry(const TaskCell& cell, const cdag::Cdag& cdag,
-                               const SweepSpec& spec);
 
 /// Renders one task row exactly as it appears in to_json()'s "tasks"
 /// array — also the checkpoint row format.

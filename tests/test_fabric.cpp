@@ -225,7 +225,7 @@ TEST(FabricChaosGate, ByteIdenticalUnderKillsAndDrops) {
   config.chaos.kills.push_back({2, 0});
   // Drops consume attempts too; leave plenty of budget so the gate
   // never gives up (gave_up must be 0 for byte-identity).
-  config.retry.max_attempts = 6;
+  config.max_attempts = 6;
 
   Router router(config, transport);
   std::istringstream in(joined(mix));
@@ -268,7 +268,7 @@ TEST(FabricChaosGate, ByteIdenticalWithExplicitIds) {
   config.num_workers = 4;
   config.chaos.seed = 3;
   config.chaos.kills.push_back({1, 1});
-  config.retry.max_attempts = 4;
+  config.max_attempts = 4;
   Router router(config, transport);
   std::istringstream in(joined(mix));
   std::ostringstream out;
@@ -339,7 +339,7 @@ TEST(FabricDegradation, ZeroRespawnBudgetDegradesToSurvivors) {
   config.num_workers = 4;
   config.max_respawns = 0;  // any death is permanent
   config.chaos.kills.push_back({3, 0});
-  config.retry.max_attempts = 4;
+  config.max_attempts = 4;
   Router router(config, transport);
   std::istringstream in(joined(mix));
   std::ostringstream out;
@@ -368,7 +368,7 @@ TEST(FabricAccounting, TalliesBalanceAndReportEmbeds) {
   config.chaos.seed = 11;
   config.chaos.drop_response_rate = 0.25;
   config.chaos.kills.push_back({0, 1});
-  config.retry.max_attempts = 6;
+  config.max_attempts = 6;
   Router router(config, transport);
   std::istringstream in(joined(mix));
   std::ostringstream out;
@@ -398,7 +398,7 @@ TEST(FabricAccounting, TalliesBalanceAndReportEmbeds) {
   EXPECT_EQ(stats.respawns, respawns);
   EXPECT_EQ(stats.gave_up, gave_up_rows + stats.unroutable);
   EXPECT_LE(stats.requeues,
-            stats.routed * (config.retry.max_attempts - 1));
+            stats.routed * (config.max_attempts - 1));
 
   // The report section embeds and the registry gauges were finalized.
   obs::RunReport report("fabric-test");

@@ -1,9 +1,8 @@
-// Fault injection, retry, checkpoint/resume, and recovery-by-
-// recomputation: the resilience layer's determinism contracts.
+// Fault injection, checkpoint/resume, and recovery-by-recomputation:
+// the resilience layer's determinism contracts.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "parallel/distsim.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
-#include "resilience/retry.hpp"
 #include "sweep/sweep.hpp"
 
 namespace {
@@ -251,97 +249,6 @@ TEST(ResilienceDistSim, RejectsBadFaultArguments) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry with virtual-clock backoff
-
-TEST(ResilienceRetry, BackoffGrowsGeometrically) {
-  resilience::RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.base_backoff_ticks = 3;
-  policy.backoff_multiplier = 2;
-  EXPECT_EQ(resilience::backoff_before_attempt(policy, 2), 3);
-  EXPECT_EQ(resilience::backoff_before_attempt(policy, 3), 6);
-  EXPECT_EQ(resilience::backoff_before_attempt(policy, 4), 12);
-  EXPECT_EQ(resilience::backoff_before_attempt(policy, 5), 24);
-}
-
-TEST(ResilienceRetry, TryAdvanceStopsAtMaxAttempts) {
-  resilience::RetryPolicy policy;
-  policy.max_attempts = 3;
-  resilience::RetryState state;
-  EXPECT_TRUE(resilience::try_advance(policy, state));   // attempt 1
-  EXPECT_EQ(state.attempts, 1);
-  EXPECT_EQ(state.clock_ticks, 0);
-  EXPECT_TRUE(resilience::try_advance(policy, state));   // attempt 2
-  EXPECT_EQ(state.clock_ticks, 1);
-  EXPECT_TRUE(resilience::try_advance(policy, state));   // attempt 3
-  EXPECT_EQ(state.clock_ticks, 3);
-  EXPECT_FALSE(resilience::try_advance(policy, state));  // exhausted
-  EXPECT_TRUE(state.gave_up);
-  EXPECT_EQ(state.attempts, 3);
-}
-
-TEST(ResilienceRetry, VirtualDeadlineCutsRetriesShort) {
-  resilience::RetryPolicy policy;
-  policy.max_attempts = 10;
-  policy.base_backoff_ticks = 3;
-  policy.backoff_multiplier = 2;
-  policy.deadline_ticks = 4;  // allows the first 3-tick backoff only
-  resilience::RetryState state;
-  EXPECT_TRUE(resilience::try_advance(policy, state));   // attempt 1
-  EXPECT_TRUE(resilience::try_advance(policy, state));   // attempt 2, clock 3
-  EXPECT_FALSE(resilience::try_advance(policy, state));  // +6 > deadline
-  EXPECT_TRUE(state.gave_up);
-  EXPECT_EQ(state.attempts, 2);
-  EXPECT_EQ(state.clock_ticks, 3);
-}
-
-TEST(ResilienceRetry, OverflowingBackoffSaturatesInsteadOfThrowing) {
-  // A long retry budget legitimately overflows int64 backoff around
-  // attempt 64; try_advance must saturate, not throw, and without a
-  // deadline the task keeps its full attempt budget.
-  resilience::RetryPolicy policy;
-  policy.max_attempts = 80;
-  policy.base_backoff_ticks = 1;
-  policy.backoff_multiplier = 2;
-  policy.deadline_ticks = 0;
-  resilience::RetryState state;
-  for (int i = 0; i < 80; ++i) {
-    EXPECT_TRUE(resilience::try_advance(policy, state)) << "attempt "
-                                                        << (i + 1);
-  }
-  EXPECT_EQ(state.attempts, 80);
-  EXPECT_EQ(state.clock_ticks, std::numeric_limits<std::int64_t>::max());
-  EXPECT_FALSE(resilience::try_advance(policy, state));
-  EXPECT_TRUE(state.gave_up);
-}
-
-TEST(ResilienceRetry, SaturatedBackoffTripsNonzeroDeadline) {
-  resilience::RetryPolicy policy;
-  policy.max_attempts = 200;
-  policy.base_backoff_ticks = 1;
-  policy.backoff_multiplier = 2;
-  policy.deadline_ticks = std::int64_t{1} << 62;
-  resilience::RetryState state;
-  while (resilience::try_advance(policy, state)) {
-  }
-  EXPECT_TRUE(state.gave_up);
-  EXPECT_LT(state.attempts, 80) << "deadline should cut the budget short";
-  EXPECT_LE(state.clock_ticks, policy.deadline_ticks);
-}
-
-TEST(ResilienceRetry, ValidateRejectsMalformedPolicies) {
-  resilience::RetryPolicy policy;
-  policy.max_attempts = 0;
-  EXPECT_THROW(resilience::validate(policy), CheckError);
-  policy.max_attempts = 1;
-  policy.backoff_multiplier = 0;
-  EXPECT_THROW(resilience::validate(policy), CheckError);
-  policy.backoff_multiplier = 2;
-  policy.base_backoff_ticks = -1;
-  EXPECT_THROW(resilience::validate(policy), CheckError);
-}
-
-// ---------------------------------------------------------------------------
 // Resilient sweep engine
 
 sweep::SweepSpec tiny_spec() {
@@ -362,65 +269,6 @@ std::int64_t n8_footprint() {
       cdag::census(bilinear::strassen(), 8).memory_bytes);
 }
 
-TEST(ResilienceSweep, InjectedFailuresRecoverDeterministically) {
-  sweep::SweepSpec spec = tiny_spec();
-  spec.retry.max_attempts = 4;
-  spec.inject_failure_rate = 0.4;
-  spec.inject_seed = 7;
-  spec.keep_going = true;
-
-  const sweep::SweepResult reference = sweep::run_sweep(spec);
-  EXPECT_EQ(reference.failed, 0u)
-      << "40% transient faults with 4 attempts should always recover";
-  bool any_retried = false;
-  for (const auto& task : reference.tasks) {
-    any_retried = any_retried || task.attempts > 1;
-  }
-  EXPECT_TRUE(any_retried)
-      << "seed 7 at 40% should fault at least one attempt";
-
-  for (const std::size_t threads : {2u, 8u}) {
-    sweep::SweepSpec parallel_spec = spec;
-    parallel_spec.num_threads = threads;
-    const sweep::SweepResult run = sweep::run_sweep(parallel_spec);
-    EXPECT_EQ(run.to_json(), reference.to_json())
-        << "retry path not deterministic at " << threads << " threads";
-    EXPECT_EQ(run.resilience_json(), reference.resilience_json());
-  }
-}
-
-TEST(ResilienceSweep, GivesUpWithCoordinatesAfterMaxAttempts) {
-  sweep::SweepSpec spec = tiny_spec();
-  spec.retry.max_attempts = 3;
-  spec.inject_failure_rate = 1.0;  // every attempt faults
-  spec.keep_going = true;
-
-  const sweep::SweepResult result = sweep::run_sweep(spec);
-  EXPECT_EQ(result.failed, result.num_tasks);
-  for (const auto& task : result.tasks) {
-    EXPECT_FALSE(task.ok);
-    EXPECT_TRUE(task.gave_up);
-    EXPECT_EQ(task.attempts, 3);
-    // The error names the cell and the attempt count.
-    EXPECT_NE(task.error.find("strassen"), std::string::npos) << task.error;
-    EXPECT_NE(task.error.find("(n=" + std::to_string(task.cell.n) +
-                              ", M=16)"),
-              std::string::npos)
-        << task.error;
-    EXPECT_NE(task.error.find("giving up after 3 attempt(s)"),
-              std::string::npos)
-        << task.error;
-  }
-}
-
-TEST(ResilienceSweep, FailFastStillThrowsWhenRetriesExhaust) {
-  sweep::SweepSpec spec = tiny_spec();
-  spec.retry.max_attempts = 2;
-  spec.inject_failure_rate = 1.0;
-  spec.keep_going = false;
-  EXPECT_THROW(sweep::run_sweep(spec), CheckError);
-}
-
 TEST(ResilienceSweep, BudgetDegradesOversizedCellsToSkippedRows) {
   sweep::SweepSpec spec = tiny_spec();
   spec.max_cell_bytes = n8_footprint() - 1;
@@ -434,12 +282,14 @@ TEST(ResilienceSweep, BudgetDegradesOversizedCellsToSkippedRows) {
       EXPECT_TRUE(task.ok);
       EXPECT_TRUE(task.skipped);
       EXPECT_EQ(task.skip_reason, "budget");
-      EXPECT_EQ(task.attempts, 0);
+      // The cell never ran, and its row says so as it always has.
+      EXPECT_NE(sweep::task_row_json(task).find(
+                    "\"ok\": true, \"attempts\": 0, \"skipped\": true"),
+                std::string::npos)
+          << sweep::task_row_json(task);
     }
   }
-  // The aggregates re-derive from the rows.
-  const auto section = parse_json(result.resilience_json());
-  EXPECT_EQ(section.at("budget_skipped").as_i64(), 2);
+  EXPECT_EQ(result.skipped, 2u);
 }
 
 TEST(ResilienceSweep, BudgetBoundaryIsTheCensusFootprint) {
@@ -675,20 +525,29 @@ TEST(ResilienceCheckpoint, KilledSweepResumesByteIdentical) {
     const sweep::SweepResult result = sweep::run_sweep(resumed);
     EXPECT_EQ(result.to_json(), reference.to_json())
         << "resumed sweep diverged at " << threads << " threads";
-    EXPECT_EQ(result.resilience_json(), reference.resilience_json());
   }
   std::remove(path.c_str());
 }
 
-TEST(ResilienceCheckpoint, ResumeRestoresRetriedRowsVerbatim) {
+TEST(ResilienceCheckpoint, ResumeRestoresRowsVerbatim) {
+  // M = 2 fails every n = 4 cell ("M too small"); the budget skips every
+  // n = 8 cell; n = 4, M = 16 runs.
   sweep::SweepSpec spec = tiny_spec();
-  spec.retry.max_attempts = 4;
-  spec.inject_failure_rate = 0.4;
-  spec.inject_seed = 7;
+  spec.m_grid = {2, 16};
+  spec.max_cell_bytes = n8_footprint() - 1;
   spec.keep_going = true;
   const sweep::SweepResult reference = sweep::run_sweep(spec);
+  bool any_failed = false;
+  bool any_budget = false;
+  bool any_ran = false;
+  for (const auto& task : reference.tasks) {
+    any_failed = any_failed || !task.ok;
+    any_budget = any_budget || task.skip_reason == "budget";
+    any_ran = any_ran || (task.ok && !task.skipped);
+  }
+  ASSERT_TRUE(any_failed && any_budget && any_ran);
 
-  const std::string path = temp_path("retry_resume.jsonl");
+  const std::string path = temp_path("rows_resume.jsonl");
   sweep::write_sweep_checkpoint(path, spec, reference.tasks);
   const auto restored = sweep::load_sweep_checkpoint(path, spec);
   ASSERT_EQ(restored.size(), reference.tasks.size());
@@ -704,6 +563,54 @@ TEST(ResilienceCheckpoint, ResumeRestoresRetriedRowsVerbatim) {
   resumed.resume = true;
   const sweep::SweepResult result = sweep::run_sweep(resumed);
   EXPECT_EQ(result.to_json(), reference.to_json());
+  std::remove(path.c_str());
+}
+
+TEST(ResilienceCheckpoint, SpecFingerprintIsStable) {
+  // The spec echo still carries the retired retry/injection fields as
+  // fixed text, so fingerprints, and with them every checkpoint written
+  // before tasks stopped retrying, stay valid.
+  EXPECT_EQ(sweep::spec_fingerprint(tiny_spec()), "d6c4ac3cbf8395d1");
+
+  // Header, a failed row and a budget row as `fmmio sweep --alg strassen
+  // --n 4,8 --m 2,16 --kinds simulate,boundcheck --seed 42
+  // --max-cell-bytes 64132 --keep-going --checkpoint` wrote them while
+  // tasks could still retry (64132 = n8_footprint() - 1).
+  const std::vector<std::string> lines = {
+      "{\"schema\": \"fmm.sweep.checkpoint\", \"schema_version\": 1, "
+      "\"fingerprint\": \"e91e4019d92122c5\", \"num_tasks\": 8}",
+      "{\"index\": 0, \"kind\": \"simulate\", \"algorithm\": \"strassen\", "
+      "\"n\": 4, \"m\": 2, \"seed\": 13679457532755275413, \"scheme\": "
+      "\"strassen\", \"scheme_fingerprint\": \"25b0fc71bc9be9ea\", "
+      "\"omega0\": 2.80735492206, \"ok\": false, \"error\": \"simulate "
+      "strassen (n=4, M=2): FMM_CHECK failed: (victim != sentinel_ && "
+      "(flags_[victim] & kPinned) == 0) at src/pebble/machine.cpp:368 "
+      "\u2014 fast memory of size 2 fully pinned at step 0 (vertex 32 "
+      "with 2 operands): M too small\"}",
+      "{\"index\": 4, \"kind\": \"simulate\", \"algorithm\": \"strassen\", "
+      "\"n\": 8, \"m\": 2, \"seed\": 701532786141963250, \"scheme\": "
+      "\"strassen\", \"scheme_fingerprint\": \"25b0fc71bc9be9ea\", "
+      "\"omega0\": 2.80735492206, \"ok\": true, \"attempts\": 0, "
+      "\"skipped\": true, \"skip_reason\": \"budget\"}",
+  };
+  const std::string path = temp_path("literal.jsonl");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const std::string& line : lines) {
+      out << line << '\n';
+    }
+  }
+  sweep::SweepSpec spec = tiny_spec();
+  spec.m_grid = {2, 16};
+  spec.max_cell_bytes = 64132;
+  EXPECT_EQ(sweep::spec_fingerprint(spec), "e91e4019d92122c5");
+  const auto rows = sweep::load_sweep_checkpoint(path, spec);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_FALSE(rows[0].ok);
+  EXPECT_EQ(rows[1].skip_reason, "budget");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(sweep::task_row_json(rows[i]), lines[i + 1]);
+  }
   std::remove(path.c_str());
 }
 
