@@ -11,10 +11,7 @@
 #include "altbasis/alt_basis.hpp"
 #include "bilinear/catalog.hpp"
 #include "bilinear/executor.hpp"
-#include "bounds/dominator_cert.hpp"
-#include "bounds/encoder_lemmas.hpp"
-#include "cdag/builder.hpp"
-#include "common/rng.hpp"
+#include "bounds/report.hpp"
 #include "linalg/matmul.hpp"
 
 int main() {
@@ -28,13 +25,15 @@ int main() {
               custom.name().c_str(), custom.n(), custom.m(), custom.p(),
               custom.num_products());
 
-  // ---- 2. Certify it is a real matmul algorithm (Brent equations).
-  const auto violation = custom.first_brent_violation();
-  if (violation) {
-    std::printf("INVALID: %s\n", violation->c_str());
+  // ---- 2. Certify it: Theorem 1.1's verdict runs the Brent equations,
+  //         the paper's encoder lemmas, Hopcroft-Kerr and an exact
+  //         dominator sample (Lemma 3.7) on H^{8x8}.
+  const bounds::CertificationReport verdict =
+      bounds::certify_algorithm(custom);
+  std::printf("%s", verdict.to_text().c_str());
+  if (!verdict.all_pass()) {
     return 1;
   }
-  std::printf("Brent equations: PASS (it computes C = A*B exactly)\n");
 
   // ---- 3. Use it on data.
   linalg::Mat a(32, 32), b(32, 32);
@@ -45,37 +44,15 @@ int main() {
                                           linalg::multiply_naive(a, b));
   std::printf("Numerical check at n=32: max error %.2e\n", err);
 
-  // ---- 4. The paper's encoder lemmas hold automatically.
-  for (const auto side : {bilinear::Side::kA, bilinear::Side::kB}) {
-    const auto cert = bounds::certify_encoder(custom, side);
-    std::printf("Encoder %c: Lemma 3.1 %s (min slack %d), Lemma 3.2 %s, "
-                "Lemma 3.3 %s\n",
-                side == bilinear::Side::kA ? 'A' : 'B',
-                cert.lemma31_matching ? "PASS" : "FAIL",
-                cert.min_matching_slack,
-                cert.lemma32_degrees && cert.lemma32_pairs ? "PASS" : "FAIL",
-                cert.lemma33_distinct ? "PASS" : "FAIL");
-  }
-  const auto hk = bounds::certify_hopcroft_kerr(custom);
-  std::printf("Hopcroft-Kerr sets: %s\n", hk.pass ? "PASS" : "FAIL");
-
-  // ---- 5. So the I/O lower bound applies: sample an exact dominator.
-  Rng rng(3);
-  const cdag::Cdag cdag = cdag::build_cdag(custom, 8);
-  const auto dom = bounds::certify_dominator_bound(
-      cdag, 2, 5, bounds::ZChoice::kUniformRandom, rng);
-  std::printf("Lemma 3.7 on H^{8x8}: worst |Gamma|/(|Z|/2) = %.2f -> %s\n",
-              dom.worst_ratio, dom.all_hold ? "holds" : "VIOLATED");
-
-  // ---- 6. Bonus: find its sparsest alternative basis (Section IV).
-  const auto ab = altbasis::make_alternative_basis(custom);
+  // ---- 4. Bonus: find its sparsest alternative basis (Section IV).
+  altbasis::AltBasisExecutor ab_exec(custom);
+  const altbasis::AlternativeBasis& ab = ab_exec.basis();
   std::printf("\nAlternative basis found: %zu base linear ops (leading "
               "coefficient %.2f; naive was %zu ops / %.2f)\n",
               ab.base_linear_ops,
               ab.transformed.leading_coefficient(),
               custom.base_linear_ops(), custom.leading_coefficient());
 
-  altbasis::AltBasisExecutor ab_exec(custom);
   const double ab_err = linalg::max_abs_diff(
       ab_exec.multiply(a, b), linalg::multiply_naive(a, b));
   std::printf("Alternative-basis execution error: %.2e\n", ab_err);

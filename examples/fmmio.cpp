@@ -50,14 +50,12 @@
 //                  [--name NEWNAME] [--out scheme.json]
 //   fmmio version
 //
-// Algorithms: any scheme registry key (docs/SCHEMES.md) — the catalog
-//             (strassen, winograd, strassen-dual, strassen-perm,
-//             winograd-dual, classic, classic-<n>x<m>x<p>,
-//             strassen-squared), the alternative-basis variants
-//             strassen-alt / winograd-alt (docs/SWEEPS.md), or
+// Algorithms: any scheme registry key (docs/SCHEMES.md) — a key
+//             `fmmio list` prints, classic-<n>x<m>x<p>, or
 //             `file:scheme.json` naming an fmm.scheme file, loaded and
 //             Brent-verified on first use.  `fmmio scheme` verifies and
-//             exports such files.
+//             exports such files.  `certify` exits 1 iff the key's
+//             Theorem 1.1 / 4.1 verdict fails.
 //
 // `serve` answers newline-delimited JSON queries on stdin (or a Unix
 // socket) through a content-addressed CDAG/result cache; `query`
@@ -101,9 +99,6 @@
 #include <unistd.h>
 #endif
 
-#include "bilinear/catalog.hpp"
-#include "bounds/dominator_cert.hpp"
-#include "bounds/encoder_lemmas.hpp"
 #include "bounds/formulas.hpp"
 #include "bounds/report.hpp"
 #include "bounds/segments.hpp"
@@ -113,7 +108,6 @@
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/math_util.hpp"
-#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "fabric/router.hpp"
 #include "fabric/transport.hpp"
@@ -402,11 +396,12 @@ service::ServiceConfig service_config_from(const Args& args,
 }
 
 int cmd_list() {
-  Table table({"Name", "Base", "Products", "Base adds", "Leading coef",
+  Table table({"Key", "Base", "Products", "Base adds", "Leading coef",
                "omega"});
-  const auto row = [&](const bilinear::BilinearAlgorithm& alg) {
+  for (const std::string& key : sweep::algorithm_keys()) {
+    const bilinear::BilinearAlgorithm alg = sweep::resolve_algorithm(key);
     table.begin_row();
-    table.add_cell(alg.name());
+    table.add_cell(key);
     table.add_cell(std::to_string(alg.n()) + "x" + std::to_string(alg.m()) +
                    "x" + std::to_string(alg.p()));
     table.add_cell(alg.num_products());
@@ -416,14 +411,7 @@ int cmd_list() {
                        : std::string("-"));
     table.add_cell(alg.is_square() ? format_double(alg.omega())
                                    : std::string("-"));
-  };
-  for (const auto& alg : bilinear::all_fast_2x2_algorithms()) {
-    row(alg);
   }
-  row(bilinear::classic(2, 2, 2));
-  row(bilinear::strassen_squared());
-  row(bilinear::strassen_bordered_3x3());
-  row(bilinear::rect_2x2x4());
   table.print_console(std::cout);
   return 0;
 }
@@ -435,51 +423,16 @@ int cmd_certify(const Args& args) {
   std::printf("Certifying %s\n", alg.name().c_str());
   std::printf("  Scheme: <%zu,%zu,%zu;%zu>  fingerprint %s\n", traits.n,
               traits.m, traits.p, traits.rank, traits.fingerprint.c_str());
-  std::printf("  Brent equations:        %s\n",
-              alg.is_valid() ? "PASS" : "FAIL");
-  if (alg.n() * alg.m() == 4) {
-    for (const auto side : {bilinear::Side::kA, bilinear::Side::kB}) {
-      const auto cert = bounds::certify_encoder(alg, side);
-      std::printf("  Lemmas 3.1-3.3 (%c):     %s%s%s\n",
-                  side == bilinear::Side::kA ? 'A' : 'B',
-                  cert.all_pass() ? "PASS" : "FAIL",
-                  cert.failure.empty() ? "" : " — ",
-                  cert.failure.c_str());
-    }
-    const auto hk = bounds::certify_hopcroft_kerr(alg);
-    std::printf("  Hopcroft-Kerr sets:     %s\n",
-                hk.pass ? "PASS" : "FAIL");
-  }
-  bool dom_checked = false;
-  bool dom_all_hold = false;
-  double dom_worst_ratio = 0.0;
-  if (traits.base >= 2) {
-    // Three recursion levels of the scheme's own base dim (8 for 2x2
-    // schemes, 27 for 3x3) — rectangular bases have no H^{n x n}.
-    const std::size_t n = traits.base * traits.base * traits.base;
-    const cdag::Cdag cdag = cdag::build_cdag(alg, n);
-    Rng rng(1);
-    const auto dom = bounds::certify_dominator_bound(
-        cdag, 2, 5, bounds::ZChoice::kUniformRandom, rng);
-    dom_checked = true;
-    dom_all_hold = dom.all_hold;
-    dom_worst_ratio = dom.worst_ratio;
-    std::printf("  Lemma 3.7 (H^{%zux%zu}):    %s (worst ratio %.2f)\n", n, n,
-                dom.all_hold ? "PASS" : "FAIL", dom.worst_ratio);
-  } else {
-    std::printf("  Lemma 3.7:              skipped (rectangular base)\n");
-  }
+  const bounds::CertificationReport verdict =
+      sweep::certify_key(args.positional[1]);
+  std::printf("%s", verdict.to_text().c_str());
   if (cli.wants_report() || !cli.trace_path.empty()) {
     obs::RunReport report("fmmio.certify");
-    bounds::certify_algorithm(alg).attach_to(report);
+    verdict.attach_to(report);
     report.set_param("scheme_fingerprint", traits.fingerprint);
-    if (dom_checked) {
-      report.set_result("dominator_lemma37", dom_all_hold);
-      report.set_result("dominator_worst_ratio", dom_worst_ratio);
-    }
     obs::finalize_run(cli, report);
   }
-  return 0;
+  return verdict.all_pass() ? 0 : 1;
 }
 
 int cmd_bounds(const Args& args) {
@@ -1421,8 +1374,12 @@ int cmd_tail(const Args& args) {
 /// A scheme from a verify/export target.  `file:<path>` and anything
 /// that looks like a path (contains '/' or ends in .json) load an
 /// fmm.scheme file; everything else goes through the registry.  Either
-/// way the result has passed Brent verification.
-bilinear::Scheme scheme_from_target(const std::string& target) {
+/// way the result has passed Brent verification, except that, given
+/// `twisted`, an alternative-basis key passes on its Theorem 4.1
+/// validity check instead (its core computes the twisted product), and
+/// `*twisted` gets that check's detail.
+bilinear::Scheme scheme_from_target(const std::string& target,
+                                    std::string* twisted = nullptr) {
   std::string path = target;
   bool is_file = bilinear::SchemeRegistry::is_file_key(target);
   if (is_file) {
@@ -1438,7 +1395,13 @@ bilinear::Scheme scheme_from_target(const std::string& target) {
   bilinear::Scheme scheme =
       bilinear::scheme_from_algorithm(sweep::resolve_algorithm(target));
   if (const auto violation = bilinear::verify_scheme(scheme)) {
-    throw CheckError("scheme '" + target + "': " + *violation);
+    const bounds::CertificationCheck validity =
+        twisted == nullptr ? bounds::CertificationCheck{}
+                           : sweep::certify_key(target).checks.front();
+    if (validity.name != "twisted" || !validity.pass) {
+      throw CheckError("scheme '" + target + "': " + *violation);
+    }
+    *twisted = " twisted " + validity.detail;
   }
   return scheme;
 }
@@ -1460,12 +1423,14 @@ int cmd_scheme(const Args& args) {
     for (std::size_t i = 2; i < args.positional.size(); ++i) {
       const std::string& target = args.positional[i];
       try {
-        const bilinear::Scheme scheme = scheme_from_target(target);
+        std::string twisted;
+        const bilinear::Scheme scheme = scheme_from_target(target, &twisted);
         const bilinear::SchemeTraits traits = bilinear::traits_of(scheme);
         std::printf(
-            "%s: PASS  <%zu,%zu,%zu;%zu>  fingerprint=%s  omega0=%s  "
+            "%s: PASS%s  <%zu,%zu,%zu;%zu>  fingerprint=%s  omega0=%s  "
             "row-weights enc=%zu dec=%zu\n",
-            target.c_str(), traits.n, traits.m, traits.p, traits.rank,
+            target.c_str(), twisted.c_str(), traits.n, traits.m, traits.p,
+            traits.rank,
             traits.fingerprint.c_str(),
             traits.base >= 2 ? format_double(traits.omega0).c_str() : "-",
             traits.max_encoder_row_weight, traits.max_decoder_row_weight);

@@ -1,46 +1,26 @@
-// Runs the paper's full certification pipeline on one algorithm:
+// Runs the paper's full certification pipeline on one scheme key:
 //
-//   verify_lower_bound [strassen|winograd|strassen-dual|strassen-perm|
-//                       winograd-dual]
+//   verify_lower_bound [<algorithm>]     (default strassen)
 //
-// Steps mirror Section III's proof: encoder lemmas (3.1-3.3),
-// Hopcroft-Kerr sets (3.4/3.5), Lemma 2.2 cardinalities, exact minimum
-// dominators (3.7), disjoint paths (3.11), and segment analysis (3.6) on
-// a simulated schedule.
+// Steps mirror Section III's proof.  The key's certification verdict
+// (Theorem 1.1, or 4.1 for an alternative-basis key) covers validity,
+// the encoder lemmas (3.1-3.3), Hopcroft-Kerr sets (3.4/3.5) and exact
+// minimum dominators (3.7); then Lemma 2.2 cardinalities, disjoint paths
+// (3.11), and segment analysis (3.6) on a simulated schedule.  A key
+// that is unknown or that no theorem covers exits 2.
 #include <cstdio>
-#include <cstring>
+#include <string>
 
-#include "bilinear/catalog.hpp"
 #include "bounds/dominator_cert.hpp"
-#include "bounds/encoder_lemmas.hpp"
 #include "bounds/segments.hpp"
 #include "cdag/builder.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "pebble/machine.hpp"
 #include "pebble/schedules.hpp"
+#include "sweep/sweep.hpp"
 
 namespace {
-
-fmm::bilinear::BilinearAlgorithm pick_algorithm(const char* name) {
-  using namespace fmm::bilinear;
-  if (name == nullptr || std::strcmp(name, "strassen") == 0) {
-    return strassen();
-  }
-  if (std::strcmp(name, "winograd") == 0) {
-    return winograd();
-  }
-  if (std::strcmp(name, "strassen-dual") == 0) {
-    return strassen_transposed();
-  }
-  if (std::strcmp(name, "strassen-perm") == 0) {
-    return strassen_permuted();
-  }
-  if (std::strcmp(name, "winograd-dual") == 0) {
-    return winograd_transposed();
-  }
-  std::fprintf(stderr, "unknown algorithm '%s', using strassen\n", name);
-  return strassen();
-}
 
 const char* verdict(bool ok) { return ok ? "PASS" : "FAIL"; }
 
@@ -49,73 +29,43 @@ const char* verdict(bool ok) { return ok ? "PASS" : "FAIL"; }
 int main(int argc, char** argv) {
   using namespace fmm;
 
-  const bilinear::BilinearAlgorithm alg =
-      pick_algorithm(argc > 1 ? argv[1] : nullptr);
+  const std::string key = argc > 1 ? argv[1] : "strassen";
+  bounds::CertificationReport certification;
+  try {
+    certification = sweep::certify_key(key);
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "verify_lower_bound: %s\n", e.what());
+    return 2;
+  }
+  if (certification.theorem == bounds::Theorem::kNone) {
+    std::fprintf(stderr,
+                 "verify_lower_bound: no theorem covers '%s' (Theorems "
+                 "1.1 and 4.1 need a 2x2 rank-7 scheme)\n",
+                 key.c_str());
+    return 2;
+  }
+  const bilinear::BilinearAlgorithm alg = sweep::resolve_algorithm(key);
   std::printf("==== Certifying the I/O lower bound machinery for %s ====\n\n",
               alg.name().c_str());
 
-  bool all_ok = true;
+  // Steps 0-2: the verdict (validity, Lemmas 3.1-3.3, Hopcroft-Kerr,
+  // Lemma 3.7 on H^{8x8}).
+  std::printf("%s", certification.to_text().c_str());
+  bool all_ok = certification.all_pass();
 
-  // Step 0: the algorithm itself.
-  {
-    const bool valid = alg.is_valid();
-    all_ok &= valid;
-    std::printf("[%s] Brent-equation validity (exact rationals)\n",
-                verdict(valid));
-  }
-
-  // Step 1: encoder lemmas, both operands.
-  for (const auto side : {bilinear::Side::kA, bilinear::Side::kB}) {
-    const auto cert = bounds::certify_encoder(alg, side);
-    all_ok &= cert.all_pass();
-    std::printf("[%s] Lemmas 3.1-3.3 on the %c-encoder (127 subsets; min "
-                "matching slack %d)\n",
-                verdict(cert.all_pass()),
-                side == bilinear::Side::kA ? 'A' : 'B',
-                cert.min_matching_slack);
-    if (!cert.failure.empty()) {
-      std::printf("      %s\n", cert.failure.c_str());
-    }
-  }
-
-  // Step 2: Hopcroft-Kerr sets.
-  {
-    const auto cert = bounds::certify_hopcroft_kerr(alg);
-    all_ok &= cert.pass;
-    std::printf("[%s] Lemma 3.4 / Corollary 3.5 (9 forbidden sets, usage "
-                "<= t-6)\n",
-                verdict(cert.pass));
-  }
-
-  // Step 3: Lemma 2.2 cardinalities on a built CDAG.
+  // Step 3: Lemma 2.2 cardinalities on a built CDAG: validate() compares
+  // every sub-problem level with cdag::census_levels and throws on a
+  // mismatch.
   const std::size_t n = 16;
   const cdag::Cdag cdag = cdag::build_cdag(alg, n);
-  {
-    bool ok = true;
-    for (const auto& level : cdag.subproblem_levels) {
-      const std::size_t expected =
-          cdag::expected_sub_output_count(alg, n, level.r);
-      ok &= (level.output_pool.size() == expected);
-    }
-    all_ok &= ok;
-    std::printf("[%s] Lemma 2.2: |V_out(SUB_H^{r x r})| = (n/r)^{log2 7} "
-                "r^2 for all r | n = %zu\n",
-                verdict(ok), n);
-  }
+  cdag.validate();
+  std::printf("[PASS] Lemma 2.2: |V_out(SUB_H^{r x r})| = (n/r)^{log2 7} "
+              "r^2 for all r | n = %zu\n",
+              n);
 
-  // Step 4: exact minimum dominators (Lemma 3.7).
-  Rng rng(7);
+  // Step 4: disjoint paths (Lemma 3.11).
   {
-    const auto cert = bounds::certify_dominator_bound(
-        cdag, 2, 6, bounds::ZChoice::kUniformRandom, rng);
-    all_ok &= cert.all_hold;
-    std::printf("[%s] Lemma 3.7: min dominator >= |Z|/2 (6 exact max-flow "
-                "samples, worst ratio %.2f)\n",
-                verdict(cert.all_hold), cert.worst_ratio);
-  }
-
-  // Step 5: disjoint paths (Lemma 3.11).
-  {
+    Rng rng(7);
     const auto samples = bounds::certify_disjoint_paths(cdag, 2, 6, rng);
     bool ok = true;
     for (const auto& sample : samples) {
@@ -127,7 +77,7 @@ int main(int argc, char** argv) {
                 verdict(ok));
   }
 
-  // Step 6: segment analysis on a real schedule (Lemma 3.6).
+  // Step 5: segment analysis on a real schedule (Lemma 3.6).
   {
     pebble::SimOptions options;
     options.cache_size = 16;
@@ -143,7 +93,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(analysis.cache_m));
   }
 
-  // Step 7: the same under recomputation.
+  // Step 6: the same under recomputation.
   {
     pebble::SimOptions options;
     options.cache_size = 16;

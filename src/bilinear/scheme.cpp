@@ -437,6 +437,16 @@ SchemeTraits SchemeRegistry::traits(const std::string& key) {
   return traits;
 }
 
+std::vector<std::string> SchemeRegistry::keys() {
+  const std::scoped_lock lock(mutex_);
+  std::vector<std::string> keys;
+  for (const auto& [key, factory] : factories_) {
+    (void)factory;
+    keys.push_back(key);
+  }
+  return keys;
+}
+
 void SchemeRegistry::register_factory(
     const std::string& key, std::function<BilinearAlgorithm()> factory) {
   const std::scoped_lock lock(mutex_);

@@ -171,6 +171,10 @@ class SchemeRegistry {
   /// Resolves a key to its traits (cached; includes the fingerprint).
   SchemeTraits traits(const std::string& key);
 
+  /// The named keys, sorted (catalog and registered constructors; not
+  /// the classic-<n>x<m>x<p> and file:<path> patterns).
+  std::vector<std::string> keys();
+
   /// Registers an additional named constructor for a layer above
   /// bilinear (sweep registers the alternative-basis transforms this
   /// way).  Overwrites.

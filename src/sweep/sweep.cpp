@@ -187,6 +187,19 @@ std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t task_index) {
 
 namespace {
 
+/// The alternative-basis keys and the standard-basis algorithm each
+/// core is the sparsest-basis transform of: the registry builds the
+/// cores from it, and certify_key certifies each core against it
+/// (Theorem 4.1).
+struct AlternativeBasisKey {
+  const char* key;
+  bilinear::BilinearAlgorithm (*original)();
+};
+constexpr AlternativeBasisKey kAlternativeBasisKeys[] = {
+    {"strassen-alt", bilinear::strassen},
+    {"winograd-alt", bilinear::winograd},
+};
+
 /// The process-wide scheme registry, with the alternative-basis variants
 /// registered on first use: their basis transform lives in altbasis,
 /// above bilinear in the layer stack.
@@ -194,14 +207,11 @@ bilinear::SchemeRegistry& registry() {
   auto& registry = bilinear::SchemeRegistry::instance();
   static std::once_flag registered;
   std::call_once(registered, [&registry] {
-    registry.register_factory("strassen-alt", [] {
-      return altbasis::make_alternative_basis(bilinear::strassen())
-          .transformed;
-    });
-    registry.register_factory("winograd-alt", [] {
-      return altbasis::make_alternative_basis(bilinear::winograd())
-          .transformed;
-    });
+    for (const auto& [key, original] : kAlternativeBasisKeys) {
+      registry.register_factory(key, [original = original] {
+        return altbasis::make_alternative_basis(original()).transformed;
+      });
+    }
   });
   return registry;
 }
@@ -214,6 +224,20 @@ bilinear::BilinearAlgorithm resolve_algorithm(const std::string& name) {
 
 bilinear::SchemeTraits resolve_traits(const std::string& name) {
   return registry().traits(name);
+}
+
+std::vector<std::string> algorithm_keys() { return registry().keys(); }
+
+bounds::CertificationReport certify_key(const std::string& name) {
+  const bilinear::BilinearAlgorithm algorithm = resolve_algorithm(name);
+  for (const auto& [key, original] : kAlternativeBasisKeys) {
+    if (name == key) {
+      const bilinear::BilinearAlgorithm source = original();
+      const auto basis = altbasis::make_alternative_basis(source);
+      return bounds::certify_algorithm(algorithm, &source, &basis);
+    }
+  }
+  return bounds::certify_algorithm(algorithm);
 }
 
 std::vector<TaskCell> enumerate_tasks(const SweepSpec& spec) {

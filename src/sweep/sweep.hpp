@@ -50,6 +50,7 @@
 
 #include "bilinear/algorithm.hpp"
 #include "bilinear/scheme.hpp"
+#include "bounds/report.hpp"
 #include "cdag/cdag.hpp"
 #include "obs/run_report.hpp"
 #include "pebble/machine.hpp"
@@ -247,6 +248,14 @@ bilinear::BilinearAlgorithm resolve_algorithm(const std::string& name);
 /// The SchemeTraits of a sweep algorithm name — same key space and
 /// cache as resolve_algorithm.  Throws CheckError for unknown names.
 bilinear::SchemeTraits resolve_traits(const std::string& name);
+
+/// The registry's named keys, strassen-alt / winograd-alt included.
+std::vector<std::string> algorithm_keys();
+
+/// bounds::certify_algorithm on a sweep algorithm name: an
+/// alternative-basis core against the algorithm its bases transform
+/// (Theorem 4.1).  Throws CheckError for unknown names.
+bounds::CertificationReport certify_key(const std::string& name);
 
 /// The deterministic task list of `spec` (no work is performed).
 std::vector<TaskCell> enumerate_tasks(const SweepSpec& spec);

@@ -5,6 +5,8 @@
 // claim of the paper's abstract.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "altbasis/alt_basis.hpp"
 #include "bilinear/catalog.hpp"
 #include "bilinear/executor.hpp"
@@ -19,6 +21,7 @@
 #include "parallel/caps.hpp"
 #include "pebble/machine.hpp"
 #include "pebble/schedules.hpp"
+#include "sweep/sweep.hpp"
 
 namespace fmm {
 namespace {
@@ -96,22 +99,39 @@ TEST(Integration, ParallelMaxBound) {
 
 // Claim (Section IV / Theorem 4.1): alternative-basis algorithms obey the
 // same bounds; their flop savings (coefficient 5) do not change I/O
-// asymptotics.  We execute the transformed algorithm's CDAG and verify
-// the same segment bound.
+// asymptotics.  Lemma 3.6's segment bound holds on the core's CDAG of
+// both alternative-basis keys, resolved through the registry, at every
+// M in {16, 64, 256} with 2 sqrt(M) <= n, with and without
+// recomputation.
 TEST(Integration, AlternativeBasisSegmentsHold) {
-  const auto ab = altbasis::make_alternative_basis(bilinear::winograd());
-  // The transformed algorithm has the same CDAG *shape* machinery: build
-  // its CDAG and run the pipeline (the bounds depend only on the 2x2
-  // recursive structure).
-  const cdag::Cdag cdag = cdag::build_cdag(ab.transformed, 16);
-  cdag.validate();
-  pebble::SimOptions options;
-  options.cache_size = 16;
-  const auto sim =
-      pebble::simulate(cdag, pebble::dfs_schedule(cdag), options);
-  const auto analysis =
-      bounds::analyze_segments(cdag, sim.summary, options.cache_size);
-  EXPECT_TRUE(analysis.all_segments_hold);
+  for (const char* key : {"strassen-alt", "winograd-alt"}) {
+    for (const std::size_t n : {8u, 16u, 32u}) {
+      const cdag::Cdag cdag =
+          cdag::build_cdag(sweep::resolve_algorithm(key), n);
+      cdag.validate();
+      const auto schedule = pebble::dfs_schedule(cdag);
+      for (const std::int64_t m : {16, 64, 256}) {
+        if (2.0 * std::sqrt(static_cast<double>(m)) >
+            static_cast<double>(n)) {
+          continue;
+        }
+        for (const bool remat : {false, true}) {
+          pebble::SimOptions options;
+          options.cache_size = m;
+          options.writeback = remat
+                                  ? pebble::WritebackPolicy::kDropRecomputable
+                                  : options.writeback;
+          const auto sim =
+              remat ? pebble::simulate_with_recomputation(cdag, schedule,
+                                                          options)
+                    : pebble::simulate(cdag, schedule, options);
+          EXPECT_TRUE(
+              bounds::analyze_segments(cdag, sim.summary, m).all_segments_hold)
+              << key << " n=" << n << " M=" << m << " remat=" << remat;
+        }
+      }
+    }
+  }
 }
 
 // Cross-validation: executor flop counts vs the closed-form fast_flops.

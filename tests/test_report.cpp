@@ -1,11 +1,13 @@
 // Tests for JSON export (CDAG) and the certification report bundle.
 #include <gtest/gtest.h>
 
+#include "altbasis/alt_basis.hpp"
 #include "bilinear/catalog.hpp"
 #include "bounds/report.hpp"
 #include "cdag/builder.hpp"
 #include "cdag/json_export.hpp"
 #include "common/math_util.hpp"
+#include "sweep/sweep.hpp"
 
 namespace fmm {
 namespace {
@@ -93,6 +95,12 @@ TEST(Report, ClassicIsValidButNotFast) {
   EXPECT_FALSE(report.is_fast_2x2);
   EXPECT_TRUE(report.all_pass());  // non-fast algorithms only need Brent
   EXPECT_DOUBLE_EQ(report.omega, 3.0);
+  // Its encoder lemmas fail, the paper's expected control, but no
+  // theorem covers it, so they do not gate.
+  EXPECT_EQ(report.theorem, bounds::Theorem::kNone);
+  EXPECT_EQ(report.checks[1].name, "lemmas_a");
+  EXPECT_FALSE(report.checks[1].pass);
+  EXPECT_FALSE(report.checks[1].gating);
 }
 
 TEST(Report, BrokenAlgorithmFails) {
@@ -104,6 +112,47 @@ TEST(Report, BrokenAlgorithmFails) {
   const auto report = bounds::certify_algorithm(broken);
   EXPECT_FALSE(report.brent_valid);
   EXPECT_FALSE(report.all_pass());
+  // Theorem 1.1 still covers a 2x2 rank-7 scheme; its verdict fails and
+  // names the check.
+  EXPECT_EQ(report.theorem, bounds::Theorem::kTheorem11);
+  EXPECT_EQ(report.verdict(), "Theorem 1.1 FAIL: Brent equations");
+}
+
+TEST(Report, AlternativeBasisKeysPassTheorem41) {
+  for (const char* key : {"strassen-alt", "winograd-alt"}) {
+    const auto report = sweep::certify_key(key);
+    EXPECT_EQ(report.theorem, bounds::Theorem::kTheorem41) << key;
+    EXPECT_FALSE(report.brent_valid) << key;  // the core is not A*B
+    EXPECT_EQ(report.checks.front().name, "twisted") << key;
+    EXPECT_TRUE(report.all_pass()) << report.to_text();
+  }
+}
+
+TEST(Report, PerturbedBasisFailsTwistedValidity) {
+  for (const auto& original : {bilinear::strassen(), bilinear::winograd()}) {
+    altbasis::AlternativeBasis basis =
+        altbasis::make_alternative_basis(original);
+    basis.g.at(0, 0) += 1;
+    const auto report =
+        bounds::certify_algorithm(basis.transformed, &original, &basis);
+    EXPECT_FALSE(report.checks.front().pass) << original.name();
+    EXPECT_FALSE(report.all_pass()) << original.name();
+    EXPECT_EQ(report.verdict().rfind("Theorem 4.1 FAIL: Twisted validity", 0),
+              0u)
+        << report.verdict();
+  }
+}
+
+TEST(Report, LargeBasesSkipLemma37AndBasisSearch) {
+  // Base 4 has no 2x2 sub-problems and the basis search refuses 16
+  // dims: both skip, and validity alone gates.
+  const auto report = bounds::certify_algorithm(bilinear::strassen_squared());
+  EXPECT_EQ(report.theorem, bounds::Theorem::kNone);
+  EXPECT_TRUE(report.all_pass());
+  EXPECT_TRUE(report.checks.back().skipped);
+  EXPECT_EQ(report.checks.back().detail, "(base 4 has no 2x2 sub-problems)");
+  EXPECT_EQ(report.alt_basis_linear_ops, 0u);
+  EXPECT_EQ(report.verdict(), "no theorem applies; Brent equations PASS");
 }
 
 TEST(Report, JsonRendering) {

@@ -56,6 +56,11 @@ Checks, per file:
     guarantee), requeues bounded by routed * (retry_max_attempts - 1),
     gave_up == per-row gave_up + unroutable, dead_workers consistent
     with the rows' alive flags, and results.fabric_* cross-checked.
+  - extra.certification (when present): one certification verdict
+    (bounds::CertificationReport) — theorem from {Theorem 1.1,
+    Theorem 4.1, none}; every check a named object with boolean pass,
+    skipped and gating, no skipped check gating; all_pass equal to the
+    AND of the gating checks' pass, and results.all_pass equal to it.
   - extra.snapshot (when present, REQUIRED whenever params.snapshot_dir
     is set): the snapshot store's accounting (docs/SNAPSHOTS.md) —
     schema fmm.snapshot v1, all counters non-negative integers,
@@ -632,6 +637,52 @@ def check_fabric_section(path, fabric, results):
     return ok
 
 
+THEOREMS = ("Theorem 1.1", "Theorem 4.1", "none")
+
+
+def check_certification_section(path, cert, results):
+    """Validate extra.certification — one scheme's verdict.
+
+    all_pass is re-derived from the check rows: validity and the
+    covering theorem's checks gate, the rest only print.
+    """
+    if not isinstance(cert, dict):
+        return fail(path, "extra.certification is not an object")
+    ok = True
+    if cert.get("theorem") not in THEOREMS:
+        ok = fail(path, f"certification.theorem is {cert.get('theorem')!r}, "
+                        f"expected one of {THEOREMS}")
+    checks = cert.get("checks")
+    if not isinstance(checks, list) or not checks:
+        return fail(path, "certification.checks missing or empty")
+    gating_pass = True
+    for i, check in enumerate(checks):
+        if not isinstance(check, dict) or \
+                not isinstance(check.get("name"), str):
+            ok = fail(path, f"certification.checks[{i}] has no name")
+            continue
+        flags = [check.get(k) for k in ("pass", "skipped", "gating")]
+        if not all(isinstance(flag, bool) for flag in flags):
+            ok = fail(path, f"certification check {check['name']!r}: pass, "
+                            "skipped and gating must be booleans")
+            continue
+        passed, skipped, gating = flags
+        if skipped and gating:
+            ok = fail(path, f"certification check {check['name']!r} is "
+                            "skipped but gating")
+        if gating:
+            gating_pass = gating_pass and passed
+    if cert.get("all_pass") != gating_pass:
+        ok = fail(path, f"certification.all_pass is "
+                        f"{cert.get('all_pass')!r}, but the gating checks "
+                        f"give {gating_pass}")
+    if isinstance(results, dict) and "all_pass" in results and \
+            results["all_pass"] != cert.get("all_pass"):
+        ok = fail(path, f"results.all_pass {results['all_pass']!r} != "
+                        f"certification.all_pass {cert.get('all_pass')!r}")
+    return ok
+
+
 SNAPSHOT_COUNTERS = ("lookups", "hits", "misses", "publishes",
                      "evictions", "corrupt_rejected", "files",
                      "store_bytes")
@@ -898,6 +949,9 @@ def check_report(path):
     if "fabric" in extra:
         ok = check_fabric_section(path, extra["fabric"],
                                   doc.get("results", {})) and ok
+    if "certification" in extra:
+        ok = check_certification_section(path, extra["certification"],
+                                         doc.get("results", {})) and ok
     if "snapshot" in extra:
         ok = check_snapshot_section(path, extra["snapshot"]) and ok
     elif isinstance(doc.get("params"), dict) and \
