@@ -362,6 +362,13 @@ std::string QueryService::compute_result(const Request& request) {
           sweep::enumerate_tasks(spec);
       FMM_CHECK_MSG(cells.size() == 1, "one-cell spec enumerated "
                                            << cells.size() << " cells");
+      if (!sweep::cell_needs_cdag(cells[0], spec)) {
+        // A dfs liveness peak is closed-form: nothing is built, loaded,
+        // published or cached.  The census refuses what a build would,
+        // here and not inside run_task, so a refusal reads as before.
+        cdag::census(sweep::resolve_algorithm(request.algorithm), request.n);
+        return sweep::task_row_json(sweep::run_task(cells[0], spec));
+      }
       const std::shared_ptr<const cdag::Cdag> cdag =
           cdag_source_.get_cdag(request.algorithm, request.n);
       const sweep::TaskResult row =

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -277,7 +278,17 @@ pebble::SimResult run_simulation(const TaskCell& cell,
   return pebble::simulate(cdag, schedule, options);
 }
 
-TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
+bool cell_needs_cdag(const TaskCell& cell, const SweepSpec& spec) {
+  return cell.kind != TaskKind::kLiveness ||
+         spec.schedule != SchedulePolicy::kDfs ||
+         !pebble::has_dfs_liveness_closed_form(
+             resolve_algorithm(cell.algorithm));
+}
+
+namespace {
+
+/// Both run_task overloads: `cdag` is null for a cell that needs none.
+TaskResult run_cell(const TaskCell& cell, const cdag::Cdag* cdag,
                     const SweepSpec& spec) {
   TaskResult result;
   result.cell = cell;
@@ -296,27 +307,36 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
     result.scheme_name = traits.name;
     result.scheme_fingerprint = traits.fingerprint;
     result.omega0 = traits.omega0;
+    FMM_CHECK_MSG(cdag != nullptr || !cell_needs_cdag(cell, spec),
+                  "the cell needs its CDAG");
     switch (cell.kind) {
       case TaskKind::kSimulate: {
-        copy_sim_payload(result, run_simulation(cell, cdag, spec));
+        copy_sim_payload(result, run_simulation(cell, *cdag, spec));
         break;
       }
       case TaskKind::kLiveness: {
-        Rng rng(cell.seed);
-        const auto schedule = make_schedule(cdag, spec.schedule, rng);
-        result.liveness_peak = static_cast<std::int64_t>(
-            pebble::liveness_profile(cdag, schedule).peak);
+        std::optional<std::size_t> peak;
+        if (spec.schedule == SchedulePolicy::kDfs) {
+          peak = pebble::dfs_liveness_peak(resolve_algorithm(cell.algorithm),
+                                           cell.n);
+        }
+        if (!peak) {
+          Rng rng(cell.seed);
+          const auto schedule = make_schedule(*cdag, spec.schedule, rng);
+          peak = pebble::liveness_profile(*cdag, schedule).peak;
+        }
+        result.liveness_peak = static_cast<std::int64_t>(*peak);
         break;
       }
       case TaskKind::kDominator: {
-        if (!cdag.has_subproblems(spec.dominator_r) ||
+        if (!cdag->has_subproblems(spec.dominator_r) ||
             cell.n < spec.dominator_r) {
           result.skipped = true;
           break;
         }
         Rng rng(cell.seed);
         const auto cert = bounds::certify_dominator_bound(
-            cdag, spec.dominator_r, spec.dominator_samples,
+            *cdag, spec.dominator_r, spec.dominator_samples,
             bounds::ZChoice::kUniformRandom, rng);
         result.dominator_samples =
             static_cast<std::int64_t>(cert.samples.size());
@@ -325,7 +345,7 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
         break;
       }
       case TaskKind::kBoundCheck: {
-        const pebble::SimResult sim = run_simulation(cell, cdag, spec);
+        const pebble::SimResult sim = run_simulation(cell, *cdag, spec);
         copy_sim_payload(result, sim);
         result.lower_bound = bounds::fast_memory_dependent(
             bounds::mm_params_from_ints(
@@ -364,7 +384,7 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
         }
         try {
           const pebble::OptimalPebbleResult opt =
-              pebble::optimal_io(pebble::to_instance(cdag), options);
+              pebble::optimal_io(pebble::to_instance(*cdag), options);
           result.min_io = opt.min_io;
           result.states_explored =
               static_cast<std::int64_t>(opt.states_explored);
@@ -389,6 +409,17 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
     result.error = cell_prefix(cell) + ": " + e.what();
   }
   return result;
+}
+
+}  // namespace
+
+TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
+                    const SweepSpec& spec) {
+  return run_cell(cell, &cdag, spec);
+}
+
+TaskResult run_task(const TaskCell& cell, const SweepSpec& spec) {
+  return run_cell(cell, nullptr, spec);
 }
 
 std::string task_row_json(const TaskResult& task) {
@@ -699,7 +730,9 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
   // keys; a warm service cache returns instantly); every task of that
   // cell shares it read-only afterwards.  Under a memory budget, a cell
   // whose census footprint exceeds it is not fetched at all — its rows
-  // degrade to skipped(budget) below.
+  // degrade to skipped(budget) below.  A cell whose pending tasks all
+  // need no CDAG is not fetched either: its census stands in for the
+  // build's refusal.
   std::vector<std::pair<std::string, std::size_t>> keys;
   std::map<std::pair<std::string, std::size_t>, std::size_t> key_index;
   for (const TaskCell& cell : cells) {
@@ -708,17 +741,21 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
       keys.push_back(key);
     }
   }
-  std::vector<char> over_budget(keys.size(), 0);
-  std::vector<char> key_needed(keys.size(), 0);
+  enum class Need : char { kNothing, kCensus, kCdag };
+  std::vector<Need> needs(keys.size(), Need::kNothing);
   for (const TaskCell& cell : cells) {
     if (!restored[cell.index]) {
-      key_needed[key_index.at({cell.algorithm, cell.n})] = 1;
+      Need& need = needs[key_index.at({cell.algorithm, cell.n})];
+      need = std::max(
+          need, cell_needs_cdag(cell, spec) ? Need::kCdag : Need::kCensus);
     }
   }
+  std::vector<char> over_budget(keys.size(), 0);
   std::vector<std::shared_ptr<const cdag::Cdag>> cdags(keys.size());
   std::vector<std::string> build_errors(keys.size());
+  std::int64_t fetched = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (!key_needed[i]) {
+    if (needs[i] == Need::kNothing) {
       continue;  // every row of this cell was restored from checkpoint
     }
     if (spec.max_cell_bytes > 0 &&
@@ -727,6 +764,15 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
       over_budget[i] = 1;
       continue;
     }
+    if (needs[i] == Need::kCensus) {
+      try {
+        cdag::census(resolve_algorithm(keys[i].first), keys[i].second);
+      } catch (const std::exception& e) {
+        build_errors[i] = e.what();
+      }
+      continue;
+    }
+    ++fetched;
     pool.submit([&, i] {
       try {
         cdags[i] = cdag_source.get_cdag(keys[i].first, keys[i].second);
@@ -774,15 +820,16 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
       }
       continue;
     }
-    const cdag::Cdag& cdag = *cdags[key];
-    pool.submit([&, cell] {
+    const cdag::Cdag* cdag = cdags[key].get();
+    pool.submit([&, cell, cdag] {
       TaskResult& slot = result.tasks[cell.index];
       if (cancel.cancelled()) {
         slot.cell = cell;
         slot.error = "cancelled";
         return;
       }
-      slot = run_task(cell, cdag, spec);
+      slot = cdag != nullptr ? run_task(cell, *cdag, spec)
+                             : run_task(cell, spec);
       if (checkpoint) {
         const std::scoped_lock lock(checkpoint_mutex);
         checkpoint->append_row(task_row_json(slot));
@@ -880,8 +927,7 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
       .add(static_cast<std::int64_t>(result.num_tasks));
   registry.counter("sweep.task_failures")
       .add(static_cast<std::int64_t>(result.failed));
-  registry.counter("sweep.cdags_built")
-      .add(static_cast<std::int64_t>(keys.size()));
+  registry.counter("sweep.cdags_built").add(fetched);
   registry.counter("sweep.budget_skips")
       .add(static_cast<std::int64_t>(budget_skips));
   if (checkpoint) {

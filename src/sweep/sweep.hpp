@@ -267,10 +267,22 @@ std::vector<TaskCell> enumerate_tasks(const SweepSpec& spec);
 pebble::SimResult run_simulation(const TaskCell& cell, const cdag::Cdag& cdag,
                                  const SweepSpec& spec);
 
-/// Runs one cell against a pre-built CDAG.  Never throws: failures are
-/// recorded in the result with the cell's coordinates.
+/// True iff `cell` needs its (algorithm, n) CDAG.  A liveness cell under
+/// the dfs schedule does not when pebble::has_dfs_liveness_closed_form
+/// holds for its scheme (every registry key and zoo file):
+/// pebble::dfs_liveness_peak counts it without a graph.
+bool cell_needs_cdag(const TaskCell& cell, const SweepSpec& spec);
+
+/// Runs one cell against a pre-built CDAG.  A dfs liveness cell answers
+/// from pebble::dfs_liveness_peak unless that declines.  Never throws:
+/// failures are recorded in the result with the cell's coordinates.
 TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
                     const SweepSpec& spec);
+
+/// Runs one cell that needs no CDAG (!cell_needs_cdag), with the same
+/// row as the overload above; any other cell fails.  A size the builder
+/// refuses fails the cell with the builder's text.
+TaskResult run_task(const TaskCell& cell, const SweepSpec& spec);
 
 /// Renders one task row exactly as it appears in to_json()'s "tasks"
 /// array — also the checkpoint row format.
@@ -336,9 +348,12 @@ SweepResult run_sweep(const SweepSpec& spec);
 
 /// run_sweep against a caller-owned CDAG source: cells fetch their
 /// (algorithm, n) CDAG through `cdags` instead of building privately, so
-/// a warm service cache makes repeated sweeps skip every rebuild.  The
-/// deterministic payload (SweepResult::to_json) is byte-identical to the
-/// source-less overload regardless of the source's cache state.
+/// a warm service cache makes repeated sweeps skip every rebuild.  A key
+/// whose pending cells all need no CDAG (cell_needs_cdag) is not fetched;
+/// its census runs instead, so a size the builder refuses fails the sweep
+/// as its build would.  The deterministic payload (SweepResult::to_json)
+/// is byte-identical to the source-less overload regardless of the
+/// source's cache state.
 SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdags);
 
 }  // namespace fmm::sweep

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,11 +12,13 @@
 #include "bilinear/scheme.hpp"
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
+#include "common/file_io.hpp"
 #include "common/rng.hpp"
 #include "parallel/classical_comm.hpp"
 #include "pebble/liveness.hpp"
 #include "pebble/machine.hpp"
 #include "pebble/schedules.hpp"
+#include "sweep/sweep.hpp"
 
 namespace fmm::pebble {
 namespace {
@@ -149,6 +152,170 @@ TEST(Liveness, RejectsInvalidSchedule) {
   auto schedule = dfs_schedule(cdag);
   schedule.pop_back();
   EXPECT_THROW(liveness_profile(cdag, schedule), CheckError);
+}
+
+std::size_t measured_dfs_peak(const bilinear::BilinearAlgorithm& alg,
+                              std::size_t n) {
+  const cdag::Cdag cdag = build_cdag(alg, n);
+  return liveness_profile(cdag, dfs_schedule(cdag)).peak;
+}
+
+std::string zoo_dir() { return std::string(FMM_SOURCE_ROOT) + "/schemes/"; }
+
+TEST(DfsLivenessPeak, MatchesMeasuredPeakOnEveryKeyAndZooFile) {
+  // Every registry key, classic-3x3x3, classic-4x4x4 and every square zoo
+  // file, at each n up to 64 (bases 2 and 4) or 81 (base 3): 88 cells,
+  // CdagGolden's 16 among them.
+  std::vector<std::string> keys = sweep::algorithm_keys();
+  keys.insert(keys.end(), {"classic-3x3x3", "classic-4x4x4"});
+  for (const auto& entry : std::filesystem::directory_iterator(zoo_dir())) {
+    keys.push_back("file:" + entry.path().string());
+  }
+  std::size_t cells = 0;
+  for (const std::string& key : keys) {
+    const bilinear::BilinearAlgorithm alg = sweep::resolve_algorithm(key);
+    if (!alg.is_square()) {
+      continue;  // rect_336_46: no recursion on H^{n x n}
+    }
+    EXPECT_TRUE(has_dfs_liveness_closed_form(alg)) << key;
+    const std::size_t limit = alg.n() == 3 ? 81 : 64;
+    for (std::size_t n = 1; n <= limit; n *= alg.n()) {
+      EXPECT_EQ(dfs_liveness_peak(alg, n).value_or(0),
+                measured_dfs_peak(alg, n))
+          << key << " n=" << n;
+      ++cells;
+    }
+  }
+  EXPECT_EQ(cells, 88u);
+}
+
+TEST(DfsLivenessPeak, MatchesMeasuredPeakWhereEncodeADecides) {
+  // A rank-4 base (no multiplication scheme, but a CDAG all the same)
+  // whose A operands stay live longer than its B operands: encode A, not
+  // encode B or the children, sets the peak.
+  bilinear::IntMat u(4, 4);
+  bilinear::IntMat v(4, 4);
+  bilinear::IntMat w(4, 4);
+  const int u_rows[4][4] = {{1, 1, 1, 1}, {1, 1, 1, 0}, {1, 0, 0, 0},
+                            {1, 1, 0, 0}};
+  const int v_rows[4][4] = {{1, 1, 1, 0}, {0, 1, 0, 0}, {0, 0, 0, 1},
+                            {0, 0, 1, 0}};
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t q = 0; q < 4; ++q) {
+      u.at(r, q) = u_rows[r][q];
+      v.at(r, q) = v_rows[r][q];
+      w.at(q, r) = 1;
+    }
+  }
+  const bilinear::BilinearAlgorithm alg("rank-4", 2, 2, 2, u, v, w);
+  for (std::size_t n = 1; n <= 64; n *= 2) {
+    EXPECT_EQ(dfs_liveness_peak(alg, n).value_or(0), measured_dfs_peak(alg, n))
+        << "n=" << n;
+  }
+}
+
+TEST(DfsLivenessPeak, PinsThePeaksOfTheRecurrence) {
+  // The walk is the certificate; each scheme's peaks satisfy
+  // P(b s) = b^2 P(s) + c, which checks it beyond the sizes a test can
+  // build: 4n^2 + 1 for Strassen and 4n^2 for Winograd up to n = 512.
+  for (std::size_t n = 2; n <= 512; n *= 2) {
+    EXPECT_EQ(dfs_liveness_peak(bilinear::strassen(), n), 4 * n * n + 1);
+    EXPECT_EQ(dfs_liveness_peak(bilinear::winograd(), n), 4 * n * n);
+  }
+  const bilinear::BilinearAlgorithm laderman =
+      sweep::resolve_algorithm("file:" + zoo_dir() + "laderman_333_23.json");
+  EXPECT_EQ(dfs_liveness_peak(laderman, 81), 36083u);
+}
+
+/// Strassen with an 8th product that is zero, placed first or last, and
+/// read by C11 or by no output: Brent-valid either way.
+bilinear::BilinearAlgorithm strassen_with_zero_product(bool first,
+                                                       bool read) {
+  const bilinear::BilinearAlgorithm strassen = bilinear::strassen();
+  bilinear::IntMat u(8, 4);
+  bilinear::IntMat v(8, 4);
+  bilinear::IntMat w(4, 8);
+  const std::size_t shift = first ? 1 : 0;
+  for (std::size_t r = 0; r < 7; ++r) {
+    for (std::size_t q = 0; q < 4; ++q) {
+      u.at(r + shift, q) = strassen.u().at(r, q);
+      v.at(r + shift, q) = strassen.v().at(r, q);
+      w.at(q, r + shift) = strassen.w().at(q, r);
+    }
+  }
+  if (read) {
+    w.at(0, first ? 0 : 7) = 1;
+  }
+  return {std::string("strassen-zero-") + (first ? "first" : "last") +
+              (read ? "-read" : "-unread"),
+          2, 2, 2, u, v, w};
+}
+
+TEST(DfsLivenessPeak, CountsAZeroProductAndDeclinesAnUnreadOne) {
+  // A zero product that C11 reads keeps the closed form: its encoders
+  // read no operand but are made and read all the same.  One that no
+  // output reads makes the closed form decline, and the sweep measures
+  // the peak on a build.
+  for (const bool first : {true, false}) {
+    const bilinear::BilinearAlgorithm read =
+        strassen_with_zero_product(first, /*read=*/true);
+    ASSERT_TRUE(read.is_valid()) << read.name();
+    EXPECT_TRUE(has_dfs_liveness_closed_form(read)) << read.name();
+    for (std::size_t n = 1; n <= 64; n *= 2) {
+      EXPECT_EQ(dfs_liveness_peak(read, n).value_or(0),
+                measured_dfs_peak(read, n))
+          << read.name() << " n=" << n;
+    }
+
+    const bilinear::BilinearAlgorithm unread =
+        strassen_with_zero_product(first, /*read=*/false);
+    SCOPED_TRACE(unread.name());
+    ASSERT_TRUE(unread.is_valid());
+    EXPECT_FALSE(has_dfs_liveness_closed_form(unread));
+    const std::string path = testing::TempDir() + unread.name() + ".json";
+    write_file_checked(path,
+                       bilinear::scheme_to_json(
+                           bilinear::scheme_from_algorithm(unread)));
+    sweep::SweepSpec spec;
+    spec.algorithms = {"file:" + path};
+    spec.n_grid = {1, 2, 4, 8, 16};
+    spec.m_grid = {1};
+    spec.kinds = {sweep::TaskKind::kLiveness};
+    const sweep::SweepResult result = sweep::run_sweep(spec);
+    ASSERT_EQ(result.tasks.size(), spec.n_grid.size());
+    for (const sweep::TaskResult& row : result.tasks) {
+      EXPECT_TRUE(sweep::cell_needs_cdag(row.cell, spec));
+      EXPECT_EQ(dfs_liveness_peak(unread, row.cell.n), std::nullopt);
+      EXPECT_EQ(row.liveness_peak,
+                static_cast<std::int64_t>(
+                    measured_dfs_peak(unread, row.cell.n)))
+          << "n=" << row.cell.n;
+    }
+    std::filesystem::remove(path);
+  }
+}
+
+TEST(DfsLivenessPeak, RefusesWhatTheBuilderRefuses) {
+  // Same CheckError text as build_cdag: a bad n, a size beyond 32-bit
+  // ids, a rectangular base.
+  const auto refusal = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "no refusal";
+  };
+  const bilinear::BilinearAlgorithm strassen = bilinear::strassen();
+  const bilinear::BilinearAlgorithm rect =
+      sweep::resolve_algorithm("file:" + zoo_dir() + "rect_336_46.json");
+  const std::pair<const bilinear::BilinearAlgorithm*, std::size_t> cells[] =
+      {{&strassen, 0}, {&strassen, 6}, {&strassen, 4096}, {&rect, 3}};
+  for (const auto& [alg, n] : cells) {
+    const std::string built = refusal([&] { build_cdag(*alg, n); });
+    EXPECT_NE(built, "no refusal") << alg->name() << " n=" << n;
+    EXPECT_EQ(refusal([&] { dfs_liveness_peak(*alg, n); }), built);
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "bilinear/catalog.hpp"
 #include "bilinear/scheme.hpp"
 #include "cdag/builder.hpp"
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -392,6 +393,53 @@ TEST(QueryService, CdagAnswersWithoutBuilding) {
   EXPECT_EQ(builds.value(), builds_before);
   EXPECT_EQ(service.cache().stats().entries, 1) << "the payload, no CDAG";
   EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(QueryService, DfsLivenessAnswersWithoutBuilding) {
+  // A liveness request runs the dfs schedule, whose peak is closed-form
+  // (pebble::dfs_liveness_peak): no CDAG is built, cached or published.
+  // A scheme the closed form declines, here Strassen with an 8th product
+  // no output reads, is measured on a build.
+  const std::string dir = testing::TempDir() + "fmm_service_liveness_dfs";
+  std::filesystem::remove_all(dir);
+  ServiceConfig config;
+  config.snapshot_dir = dir;
+  QueryService service(config);
+  obs::Counter& builds = obs::Registry::instance().counter("cdag.builds");
+  const std::int64_t builds_before = builds.value();
+  const std::string response = service.handle_line(
+      "{\"op\": \"liveness\", \"algorithm\": \"strassen\", \"n\": 64}");
+  const JsonValue doc = parse_json(response);
+  ASSERT_TRUE(doc.at("ok").as_bool()) << response;
+  EXPECT_EQ(doc.at("result").at("liveness_peak").as_i64(), 16385);
+  EXPECT_EQ(builds.value(), builds_before);
+  EXPECT_EQ(service.cache().stats().entries, 1) << "the payload, no CDAG";
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+
+  const bilinear::BilinearAlgorithm strassen = bilinear::strassen();
+  bilinear::IntMat u(8, 4);
+  bilinear::IntMat v(8, 4);
+  bilinear::IntMat w(4, 8);
+  for (std::size_t r = 0; r < 7; ++r) {
+    for (std::size_t q = 0; q < 4; ++q) {
+      u.at(r, q) = strassen.u().at(r, q);
+      v.at(r, q) = strassen.v().at(r, q);
+      w.at(q, r) = strassen.w().at(q, r);
+    }
+  }
+  const bilinear::BilinearAlgorithm unread("strassen-unread-8th", 2, 2, 2, u,
+                                           v, w);
+  const std::string path = testing::TempDir() + "strassen_unread_8th.json";
+  write_file_checked(path, bilinear::scheme_to_json(
+                               bilinear::scheme_from_algorithm(unread)));
+  const std::string declined = service.handle_line(
+      "{\"op\": \"liveness\", \"algorithm\": \"file:" + path +
+      "\", \"n\": 16}");
+  EXPECT_TRUE(parse_json(declined).at("ok").as_bool()) << declined;
+  EXPECT_EQ(builds.value(), builds_before + 1);
+  EXPECT_FALSE(std::filesystem::is_empty(dir));
+  std::filesystem::remove(path);
   std::filesystem::remove_all(dir);
 }
 

@@ -327,9 +327,10 @@ TEST(SnapshotSource, ServiceConfigMountsStore) {
   service::QueryService service(config);
   ASSERT_NE(service.snapshot_store(), nullptr);
   EXPECT_EQ(service.snapshot_store()->directory(), dir);
-  // A CDAG-building op publishes; cdag itself answers from the census.
+  // A CDAG-building op publishes; cdag and dfs liveness answer in
+  // closed form.
   const std::string response = service.handle_line(
-      R"({"op": "liveness", "algorithm": "strassen", "n": 4})");
+      R"({"op": "simulate", "algorithm": "strassen", "n": 4, "m": 16})");
   EXPECT_NE(response.find("\"ok\": true"), std::string::npos) << response;
   EXPECT_TRUE(fs::exists(dir));
   std::size_t files = 0;

@@ -9,6 +9,8 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -16,6 +18,7 @@
 
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
+#include "pebble/liveness.hpp"
 #include "pebble/machine.hpp"
 #include "pebble/schedules.hpp"
 #include "service/cache.hpp"
@@ -193,9 +196,93 @@ TEST(SweepDeterminism, UnknownAlgorithmFailsUpFront) {
   EXPECT_THROW(run_sweep(spec), CheckError);
 }
 
+/// Builds like BuildingCdagSource and counts get_cdag calls per key.
+class CountingCdagSource final : public CdagSource {
+ public:
+  std::shared_ptr<const cdag::Cdag> get_cdag(const std::string& algorithm,
+                                             std::size_t n) override {
+    {
+      const std::scoped_lock lock(mutex_);
+      ++calls_[{algorithm, n}];
+    }
+    return inner_.get_cdag(algorithm, n);
+  }
+
+  std::map<std::pair<std::string, std::size_t>, int> calls() {
+    const std::scoped_lock lock(mutex_);
+    return calls_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::pair<std::string, std::size_t>, int> calls_;
+  BuildingCdagSource inner_;
+};
+
+SweepSpec dfs_liveness_spec() {
+  SweepSpec spec;
+  spec.algorithms = {"strassen", "winograd-alt"};
+  spec.n_grid = {4, 8};
+  spec.m_grid = {16, 64};
+  spec.kinds = {TaskKind::kLiveness};
+  spec.num_threads = 2;
+  return spec;
+}
+
+TEST(SweepDeterminism, DfsLivenessSweepFetchesNoCdag) {
+  // The closed form answers every cell, with the peak a build measures.
+  const SweepSpec spec = dfs_liveness_spec();
+  CountingCdagSource source;
+  const SweepResult result = run_sweep(spec, source);
+  EXPECT_TRUE(source.calls().empty());
+  ASSERT_EQ(result.completed, result.num_tasks);
+  for (const TaskResult& row : result.tasks) {
+    EXPECT_FALSE(cell_needs_cdag(row.cell, spec));
+    const cdag::Cdag cdag =
+        cdag::build_cdag(resolve_algorithm(row.cell.algorithm), row.cell.n);
+    EXPECT_EQ(row.liveness_peak,
+              static_cast<std::int64_t>(
+                  pebble::liveness_profile(cdag, pebble::dfs_schedule(cdag))
+                      .peak))
+        << row.cell.algorithm << " n=" << row.cell.n;
+  }
+}
+
+TEST(SweepDeterminism, SimulateAndLivenessFetchEachKeyOnce) {
+  SweepSpec spec = dfs_liveness_spec();
+  spec.kinds = {TaskKind::kSimulate, TaskKind::kLiveness};
+  CountingCdagSource source;
+  const SweepResult result = run_sweep(spec, source);
+  EXPECT_EQ(result.completed, result.num_tasks);
+  const auto calls = source.calls();
+  EXPECT_EQ(calls.size(), 4u);
+  for (const auto& [key, count] : calls) {
+    EXPECT_EQ(count, 1) << key.first << " n=" << key.second;
+  }
+}
+
+TEST(SweepDeterminism, DfsLivenessSweepFailsOnSizesTheBuilderRefuses) {
+  // No CDAG is fetched, but the census fails the sweep with the line a
+  // build failure prints.
+  SweepSpec spec = dfs_liveness_spec();
+  spec.algorithms = {"strassen"};
+  spec.n_grid = {4096};
+  try {
+    run_sweep(spec);
+    ADD_FAILURE() << "expected n=4096 to fail the sweep";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sweep: CDAG build failed for strassen n=4096: "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("overflows VertexId"), std::string::npos) << what;
+  }
+}
+
 TEST(SweepDeterminism, ZeroSizeFailsWithBuildError) {
   // An n the builder refuses fails the sweep with the build's error under
   // any memory budget: a budget judges only the sizes the builder accepts.
+  // A dfs liveness cell, which fetches no CDAG, fails the same way.
   struct BadCell {
     std::string algorithm;
     std::size_t n;
@@ -207,29 +294,32 @@ TEST(SweepDeterminism, ZeroSizeFailsWithBuildError) {
       {"strassen", 0, 2}, {"strassen", 3, 2}, {laderman, 8, 3}};
   for (const std::int64_t budget : {0, 1}) {
     for (const BadCell& cell : cells) {
-      const std::string n = std::to_string(cell.n);
-      SCOPED_TRACE(cell.algorithm + " n=" + n +
-                   " budget=" + std::to_string(budget));
-      SweepSpec spec;
-      spec.algorithms = {cell.algorithm};
-      spec.n_grid = {cell.n};
-      spec.m_grid = {16};
-      spec.kinds = {TaskKind::kSimulate};
-      spec.num_threads = 2;
-      spec.max_cell_bytes = budget;
-      try {
-        run_sweep(spec);
-        ADD_FAILURE() << "expected the bad cell to fail the sweep";
-      } catch (const CheckError& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("sweep: CDAG build failed for " + cell.algorithm +
-                            " n=" + n + ": "),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("n=" + n + " is not a power of base " +
-                            std::to_string(cell.base)),
-                  std::string::npos)
-            << what;
+      for (const TaskKind kind : {TaskKind::kSimulate, TaskKind::kLiveness}) {
+        const std::string n = std::to_string(cell.n);
+        SCOPED_TRACE(cell.algorithm + " n=" + n +
+                     " budget=" + std::to_string(budget) + " " +
+                     task_kind_name(kind));
+        SweepSpec spec;
+        spec.algorithms = {cell.algorithm};
+        spec.n_grid = {cell.n};
+        spec.m_grid = {16};
+        spec.kinds = {kind};
+        spec.num_threads = 2;
+        spec.max_cell_bytes = budget;
+        try {
+          run_sweep(spec);
+          ADD_FAILURE() << "expected the bad cell to fail the sweep";
+        } catch (const CheckError& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("sweep: CDAG build failed for " + cell.algorithm +
+                              " n=" + n + ": "),
+                    std::string::npos)
+              << what;
+          EXPECT_NE(what.find("n=" + n + " is not a power of base " +
+                              std::to_string(cell.base)),
+                    std::string::npos)
+              << what;
+        }
       }
     }
   }
