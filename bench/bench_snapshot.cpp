@@ -6,6 +6,9 @@
 // measures, for Strassen n in {16, 32, 64} and Laderman n = 27:
 //
 //   rebuild     — cdag::build_cdag from the resolved scheme;
+//   publish     — SnapshotStore::publish of the built CDAG: the layout
+//                 and checksums, streamed to a tmp file and renamed
+//                 (recorded, not gated);
 //   load(full)  — snapshot load re-deriving every checksum (the
 //                 SnapshotStore production path: one streaming pass at
 //                 memory bandwidth, still far cheaper than building);
@@ -62,6 +65,7 @@ struct CaseResult {
   std::size_t vertices = 0;
   std::uint64_t snapshot_bytes = 0;
   double build_ms = 0.0;
+  double publish_ms = 0.0;
   double load_full_ms = 0.0;
   double load_mapped_ms = 0.0;
 };
@@ -129,11 +133,13 @@ int main(int argc, char** argv) {
     row.build_ms = ms_since(build_start);
     row.vertices = built.graph.num_vertices();
 
+    const auto publish_start = Clock::now();
     if (!store.publish(fingerprint, c.n, built)) {
       std::fprintf(stderr, "FATAL: publish failed for %s n=%zu\n",
                    c.label.c_str(), c.n);
       return 1;
     }
+    row.publish_ms = ms_since(publish_start);
     const std::string path = store.path_for(fingerprint, c.n);
     row.snapshot_bytes = static_cast<std::uint64_t>(fs::file_size(path));
 
@@ -173,7 +179,8 @@ int main(int argc, char** argv) {
   }
 
   Table table({"Case", "n", "Vertices", "Snapshot MB", "Build ms",
-               "Load(full) ms", "Load(mmap) ms", "mmap speedup"});
+               "Publish ms", "Load(full) ms", "Load(mmap) ms",
+               "mmap speedup"});
   for (const CaseResult& row : results) {
     table.begin_row();
     table.add_cell(row.label);
@@ -182,6 +189,7 @@ int main(int argc, char** argv) {
     table.add_cell(format_double(
         static_cast<double>(row.snapshot_bytes) / (1024.0 * 1024.0)));
     table.add_cell(format_double(row.build_ms));
+    table.add_cell(format_double(row.publish_ms));
     table.add_cell(format_double(row.load_full_ms));
     table.add_cell(format_double(row.load_mapped_ms));
     table.add_cell(format_double(row.build_ms / row.load_mapped_ms));
@@ -231,6 +239,8 @@ int main(int argc, char** argv) {
            << ", \"snapshot_bytes\": " << row.snapshot_bytes
            << ", \"build_ms\": ";
       write_double(rows, row.build_ms);
+      rows << ", \"publish_ms\": ";
+      write_double(rows, row.publish_ms);
       rows << ", \"load_full_ms\": ";
       write_double(rows, row.load_full_ms);
       rows << ", \"load_mapped_ms\": ";

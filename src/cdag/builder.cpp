@@ -58,7 +58,9 @@ class Builder {
 
     prepare_levels();
     cdag_.roles.reserve(census_.vertices);
-    gb_.reserve_edges(census_.edges);
+    in_offsets_.reserve(census_.vertices + 1);
+    in_offsets_.push_back(0);
+    in_edges_.reserve(census_.edges);
 
     const std::size_t n2 = n_ * n_;
     const VertexId a = add_vertices(n2, Role::kInputA);
@@ -69,14 +71,16 @@ class Builder {
     std::iota(cdag_.inputs_b.begin(), cdag_.inputs_b.end(), b);
 
     build_product(depth_, a, b);
-    FMM_CHECK(gb_.num_vertices() == census_.vertices &&
-              gb_.num_edges() == census_.edges);
+    close_in_lists(cdag_.roles.size());
+    FMM_CHECK(cdag_.roles.size() == census_.vertices &&
+              in_edges_.size() == census_.edges);
     cdag_.outputs = staging_[depth_].output_pool;
     for (const VertexId v : cdag_.outputs) {
       cdag_.roles[v] = Role::kOutput;
     }
 
-    cdag_.graph = gb_.freeze();
+    cdag_.graph = graph::CsrGraph::from_in_lists(std::move(in_offsets_),
+                                                 std::move(in_edges_));
 
     // Freeze the staging pools into the levels' FrozenArray views (the
     // recursion is done mutating them).
@@ -121,12 +125,35 @@ class Builder {
   }
 
   VertexId add_vertices(std::size_t count, Role role) {
+    const VertexId first = next_id();
     cdag_.roles.resize(cdag_.roles.size() + count, role);
-    return gb_.add_vertices(count);
+    return first;
   }
 
   VertexId next_id() const {
-    return static_cast<VertexId>(gb_.num_vertices());
+    return static_cast<VertexId>(cdag_.roles.size());
+  }
+
+  /// Opens v's in-list.  Vertices get their operands in id order, so the
+  /// lists of the vertices before v close, empty if they got none; a
+  /// vertex whose list is closed or that does not exist yet is refused.
+  void open_in_list(VertexId v) {
+    FMM_CHECK_MSG(in_offsets_.size() <= std::size_t{v} + 1 && v < next_id(),
+                  "operands of vertex " << v
+                      << " arrive out of target order (open in-list: vertex "
+                      << in_offsets_.size() - 1
+                      << "; vertices created: " << next_id() << ")");
+    close_in_lists(v);
+  }
+
+  /// Appends operand u to the open in-list.
+  void add_operand(VertexId u) { in_edges_.push_back(u); }
+
+  /// Closes the in-lists of every vertex below `v`.
+  void close_in_lists(std::size_t v) {
+    while (in_offsets_.size() <= v) {
+      in_offsets_.push_back(static_cast<std::uint32_t>(in_edges_.size()));
+    }
   }
 
   /// Element index of block (bi, bj), element (ei, ej) in an s x s
@@ -150,11 +177,10 @@ class Builder {
     for (std::size_t r = 0; r < alg_.num_products(); ++r) {
       for (std::size_t ei = 0; ei < sub; ++ei) {
         for (std::size_t ej = 0; ej < sub; ++ej, ++target) {
+          open_in_list(target);
           for (const std::size_t q : rows.row(r)) {
-            gb_.add_edge(static_cast<VertexId>(
-                             elems + blocked_index(s, sub, q / base,
-                                                   q % base, ei, ej)),
-                         target);
+            add_operand(static_cast<VertexId>(
+                elems + blocked_index(s, sub, q / base, q % base, ei, ej)));
           }
         }
       }
@@ -177,8 +203,9 @@ class Builder {
     pools.span_begin[idx] = next_id();
     if (s == 1) {
       outputs[0] = add_vertices(1, Role::kProduct);
-      gb_.add_edge(a, outputs[0]);
-      gb_.add_edge(b, outputs[0]);
+      open_in_list(outputs[0]);
+      add_operand(a);
+      add_operand(b);
       pools.span_end[idx] = next_id();
       return;
     }
@@ -202,9 +229,9 @@ class Builder {
     for (std::size_t q = 0; q < base * base; ++q) {
       const VertexId block = add_vertices(sub2, Role::kDecode);
       for (std::size_t e = 0; e < sub2; ++e) {
+        open_in_list(static_cast<VertexId>(block + e));
         for (const std::size_t r : w_rows_.row(q)) {
-          gb_.add_edge(products[r * sub2 + e],
-                       static_cast<VertexId>(block + e));
+          add_operand(products[r * sub2 + e]);
         }
       }
       for (std::size_t ei = 0; ei < sub; ++ei) {
@@ -234,7 +261,10 @@ class Builder {
   RowSupport u_rows_{alg_.u()};
   RowSupport v_rows_{alg_.v()};
   RowSupport w_rows_{alg_.w()};
-  graph::GraphBuilder gb_;
+  /// The graph's in-CSR, written in place: in_offsets_ holds the start of
+  /// every vertex's list up to the open one, in_edges_ the operands so far.
+  std::vector<std::uint32_t> in_offsets_;
+  std::vector<VertexId> in_edges_;
   std::vector<std::size_t> cursors_;
   std::vector<LevelStaging> staging_;
   Cdag cdag_;

@@ -63,12 +63,17 @@ CdagCensus census(const bilinear::BilinearAlgorithm& algorithm,
 ///   - every operand is a contiguous row-major id range (the inputs, and
 ///     each product's (s/b)^2 encoder block), so a recursive call takes
 ///     its two operands as two first ids;
-///   - each vertex's in-edges are added together, in a fixed order: an
-///     encoder vertex's by block q ascending, a decoder vertex's by
-///     product r ascending, a product's a then b;
-///   - every vertex's out-edges are added in ascending target order.
-/// Those two per-vertex orders fix the bytes of freeze()'s stable
-/// counting sort, whatever the global interleaving of the edges.
+///   - each vertex gets its in-edges together, in id order of the
+///     vertices and in a fixed order within one: an encoder vertex's by
+///     block q ascending, a decoder vertex's by product r ascending, a
+///     product's a then b.  Each in-list is therefore strictly
+///     ascending;
+///   - the out-lists are the in-CSR's transpose, so each ascends by
+///     target.
+/// The build writes the in-CSR in place, sized exactly by the census —
+/// no edge staging, no sort — and graph::CsrGraph::from_in_lists derives
+/// the out-CSR by one transpose.  An in-list opened out of id order is
+/// refused with a one-line CheckError.
 ///
 /// Memory: a build allocates O(levels) arrays — the graph, the roles, the
 /// id lists and each level's four pools — and no vector per call.  A

@@ -37,14 +37,17 @@ Rng::result_type Rng::operator()() {
 
 std::uint64_t Rng::uniform(std::uint64_t bound) {
   FMM_CHECK(bound >= 1);
+  return uniform_from((*this)(), bound);
+}
+
+std::uint64_t Rng::uniform_from(std::uint64_t r, std::uint64_t bound) {
+  FMM_CHECK(bound >= 1);
   // Rejection sampling on the top of the range to avoid modulo bias.
   const std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
-  for (;;) {
-    const std::uint64_t r = (*this)();
-    if (r >= threshold) {
-      return r % bound;
-    }
+  while (r < threshold) {
+    r = (*this)();
   }
+  return r % bound;
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

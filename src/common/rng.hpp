@@ -28,6 +28,11 @@ class Rng {
   /// Uniform integer in [0, bound) using unbiased rejection; bound >= 1.
   std::uint64_t uniform(std::uint64_t bound);
 
+  /// uniform(bound) whose first raw draw, `r`, was taken before `bound`
+  /// was known: returns what uniform(bound) returns after drawing r,
+  /// drawing again exactly when uniform would.
+  std::uint64_t uniform_from(std::uint64_t r, std::uint64_t bound);
+
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 

@@ -1,5 +1,6 @@
 #include "graph/csr.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <numeric>
 #include <sstream>
@@ -48,6 +49,75 @@ void build_direction(const std::vector<VertexId>& keys,
   std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     edges[cursor[keys[i]]++] = values[i];
+  }
+}
+
+/// from_in_lists' cold path: refuses an in-edge (u, v) with u >= v.
+void refuse_in_edge(VertexId u, std::size_t v, std::size_t num_vertices) {
+  FMM_CHECK_MSG(u < num_vertices, "in-edge (" << u << "," << v
+                                              << ") of vertex " << v
+                                              << " out of range "
+                                              << num_vertices);
+  FMM_CHECK_MSG(u < v, "edge (" << u << "," << v
+                                << ") violates topological append order "
+                                   "(u < v)");
+}
+
+/// from_frozen_parts' kValidate interior checks, on parts whose offsets
+/// start at 0 and end at the edge count E.  One cursor merge, target v
+/// ascending: every in-list is strictly ascending, its sources are below
+/// v, and each in-edge (u, v) is the next unmatched out-edge of u, whose
+/// cursor never passes the end of u's out-list.  With monotone
+/// out-offsets and E edges on each side, every out-edge is then matched
+/// exactly once, in ascending target order.  So the in-CSR is the
+/// out-CSR's transpose, and every out-list is in range, topological and
+/// strictly ascending without a pass of its own.
+void validate_canonical_parts(std::span<const std::uint32_t> out_offsets,
+                              std::span<const std::uint32_t> in_offsets,
+                              std::span<const VertexId> out_edges,
+                              std::span<const VertexId> in_edges) {
+  const std::size_t nv = out_offsets.size() - 1;
+  for (std::size_t u = 0; u < nv; ++u) {
+    FMM_CHECK_MSG(out_offsets[u] <= out_offsets[u + 1],
+                  "csr parts: out offsets not monotone at " << u);
+  }
+  // The matches jump around the out-CSR: the cursor and the out-list
+  // slot of an in-edge are prefetched kAhead and 2 kAhead in-edges early.
+  constexpr std::size_t kAhead = 16;
+  const std::size_t ne = in_edges.size();
+  std::vector<std::uint32_t> cursor(out_offsets.begin(), out_offsets.end() - 1);
+  for (std::size_t v = 0; v < nv; ++v) {
+    FMM_CHECK_MSG(in_offsets[v] <= in_offsets[v + 1],
+                  "csr parts: in offsets not monotone at " << v);
+    for (std::size_t k = in_offsets[v]; k < in_offsets[v + 1]; ++k) {
+      if (k + 2 * kAhead < ne && in_edges[k + 2 * kAhead] < nv) {
+        __builtin_prefetch(cursor.data() + in_edges[k + 2 * kAhead]);
+        __builtin_prefetch(out_offsets.data() + in_edges[k + 2 * kAhead] + 1);
+      }
+      if (k + kAhead < ne && in_edges[k + kAhead] < nv) {
+        __builtin_prefetch(out_edges.data() + cursor[in_edges[k + kAhead]]);
+      }
+      const VertexId u = in_edges[k];
+      FMM_CHECK_MSG(u < nv, "csr parts: in edge source " << u
+                                << " out of range " << nv);
+      FMM_CHECK_MSG(u < v, "csr parts: in edge (" << u << "," << v
+                               << ") violates topological order");
+      if (k > in_offsets[v]) {
+        FMM_CHECK_MSG(in_edges[k - 1] != u,
+                      "csr parts: parallel edge (" << u << "," << v
+                          << ") in the in-list of vertex " << v);
+        FMM_CHECK_MSG(in_edges[k - 1] < u,
+                      "csr parts: in-list of vertex "
+                          << v << " is not strictly ascending at edge (" << u
+                          << "," << v << ")");
+      }
+      const std::uint32_t slot = cursor[u]++;
+      FMM_CHECK_MSG(slot < out_offsets[u + 1] && out_edges[slot] == v,
+                    "csr parts: in-edge (" << u << "," << v
+                        << ") is not an out-edge of vertex " << u
+                        << ": the in-CSR is not the transpose of the "
+                           "out-CSR");
+    }
   }
 }
 
@@ -183,6 +253,60 @@ std::size_t CsrGraph::memory_bytes() const {
          in_edges_.size() * sizeof(VertexId);
 }
 
+CsrGraph CsrGraph::from_in_lists(std::vector<std::uint32_t> in_offsets,
+                                 std::vector<VertexId> in_edges) {
+  Stopwatch watch;
+  FMM_CHECK_MSG(!in_offsets.empty() && in_offsets.front() == 0 &&
+                    in_offsets.back() == in_edges.size(),
+                "in-lists: offsets must start at 0 and end at the edge count "
+                    << in_edges.size());
+  const std::size_t nv = in_offsets.size() - 1;
+  FMM_CHECK_MSG(nv < kNoVertex,
+                "vertex count " << nv << " overflows VertexId");
+  // Out-degrees are counted two slots up: after the prefix sum,
+  // out_offsets[u + 1] is where u's out-list starts, the fill advances it
+  // to where that list ends, and that is its final value.  u < v < nv
+  // keeps u + 2 <= nv.
+  std::vector<std::uint32_t> out_offsets(nv + 1, 0);
+  for (std::size_t v = 0; v < nv; ++v) {
+    FMM_CHECK_MSG(in_offsets[v] <= in_offsets[v + 1],
+                  "in-lists: offsets decrease at vertex " << v);
+    for (std::uint32_t k = in_offsets[v]; k < in_offsets[v + 1]; ++k) {
+      const VertexId u = in_edges[k];
+      if (u >= v) [[unlikely]] {
+        refuse_in_edge(u, v, nv);
+      }
+      ++out_offsets[u + 2];
+    }
+  }
+  std::partial_sum(out_offsets.begin(), out_offsets.end(),
+                   out_offsets.begin());
+  std::vector<VertexId> out_edges(in_edges.size());
+  for (std::size_t v = 0; v < nv; ++v) {
+    const auto first = in_edges.begin() + in_offsets[v];
+    for (auto it = first; it != in_edges.begin() + in_offsets[v + 1]; ++it) {
+      std::uint32_t& cursor = out_offsets[*it + 1];
+      // Targets arrive in ascending order, so a parallel (u, v) finds v
+      // in the slot u filled last.  That slot may instead end the list
+      // before u's, so an equal value is confirmed against v's earlier
+      // in-edges.
+      if (cursor > 0 && out_edges[cursor - 1] == v) [[unlikely]] {
+        FMM_CHECK_MSG(std::find(first, it, *it) == it,
+                      "parallel edge (" << *it << "," << v << ")");
+      }
+      out_edges[cursor++] = static_cast<VertexId>(v);
+    }
+  }
+
+  CsrGraph g;
+  g.out_offsets_ = std::move(out_offsets);
+  g.in_offsets_ = std::move(in_offsets);
+  g.out_edges_ = std::move(out_edges);
+  g.in_edges_ = std::move(in_edges);
+  record_freeze_metrics(g, watch.nanoseconds());
+  return g;
+}
+
 CsrGraph CsrGraph::from_frozen_parts(FrozenArray<std::uint32_t> out_offsets,
                                      FrozenArray<std::uint32_t> in_offsets,
                                      FrozenArray<VertexId> out_edges,
@@ -198,38 +322,22 @@ CsrGraph CsrGraph::from_frozen_parts(FrozenArray<std::uint32_t> out_offsets,
     return g;
   }
   const std::size_t nv = out_offsets.size() - 1;
-  const auto check_direction = [&](std::span<const std::uint32_t> offsets,
-                                   std::span<const VertexId> edges,
-                                   bool edges_ascend, const char* name) {
-    FMM_CHECK_MSG(offsets[0] == 0,
-                  "csr parts: " << name << " offsets do not start at 0");
-    FMM_CHECK_MSG(offsets[nv] == edges.size(),
-                  "csr parts: " << name << " offsets end at " << offsets[nv]
-                                << ", edge array has " << edges.size());
-    if (validation == PartsValidation::kTrustChecksummed) {
-      return;  // interiors covered by the caller's checksum
-    }
-    for (std::size_t v = 0; v < nv; ++v) {
-      FMM_CHECK_MSG(offsets[v] <= offsets[v + 1],
-                    "csr parts: " << name << " offsets not monotone at "
-                                  << v);
-      for (std::size_t k = offsets[v]; k < offsets[v + 1]; ++k) {
-        const VertexId w = edges[k];
-        FMM_CHECK_MSG(w < nv, "csr parts: " << name << " edge target "
-                                            << w << " out of range " << nv);
-        // Topological append order: out-neighbors of v are all > v,
-        // in-neighbors all < v.
-        FMM_CHECK_MSG(edges_ascend ? w > v : w < v,
-                      "csr parts: " << name << " edge (" << v << "," << w
-                                    << ") violates topological order");
-      }
-    }
-  };
   FMM_CHECK_MSG(out_edges.size() == in_edges.size(),
                 "csr parts: edge arrays disagree (" << out_edges.size()
                     << " vs " << in_edges.size() << ")");
-  check_direction(out_offsets, out_edges, /*edges_ascend=*/true, "out");
-  check_direction(in_offsets, in_edges, /*edges_ascend=*/false, "in");
+  const auto check_ends = [nv](std::span<const std::uint32_t> offsets,
+                               std::size_t num_edges, const char* name) {
+    FMM_CHECK_MSG(offsets[0] == 0,
+                  "csr parts: " << name << " offsets do not start at 0");
+    FMM_CHECK_MSG(offsets[nv] == num_edges,
+                  "csr parts: " << name << " offsets end at " << offsets[nv]
+                                << ", edge array has " << num_edges);
+  };
+  check_ends(out_offsets, out_edges.size(), "out");
+  check_ends(in_offsets, in_edges.size(), "in");
+  if (validation == PartsValidation::kValidate) {
+    validate_canonical_parts(out_offsets, in_offsets, out_edges, in_edges);
+  }
   g.out_offsets_ = std::move(out_offsets);
   g.in_offsets_ = std::move(in_offsets);
   g.out_edges_ = std::move(out_edges);

@@ -8,15 +8,22 @@
 // vertex) so whole-graph sweeps, BFS, and degree lookups are contiguous
 // reads.
 //
-// Ownership model: build-then-freeze.  A GraphBuilder accumulates
-// vertices and edges append-only; freeze() validates the result once —
-// every edge must point from a lower to a higher id (topological append
-// order, making acyclicity a construction invariant rather than a
-// per-query check) and parallel edges are rejected — then computes both
-// adjacency directions in one stable counting sort.  Stability matters:
-// per-vertex neighbor order equals edge insertion order, so pebble
-// simulations (whose LRU clock ticks in neighbor-iteration order) are a
-// pure function of the construction sequence.
+// Ownership model: build-then-freeze, through one of two doors, each
+// validating once: every edge must point from a lower to a higher id
+// (topological append order, making acyclicity a construction invariant
+// rather than a per-query check), and parallel edges are rejected.
+//   - GraphBuilder accumulates vertices and edges append-only in any
+//     order; freeze() computes both adjacency directions in one stable
+//     counting sort.  Stability matters: per-vertex neighbor order equals
+//     edge insertion order, so pebble simulations (whose LRU clock ticks
+//     in neighbor-iteration order) are a pure function of the
+//     construction sequence.  The FFT CDAG, the oracle's instances and
+//     the tests build this way.
+//   - CsrGraph::from_in_lists takes a graph already written as its
+//     in-CSR, each vertex's in-neighbors in the caller's order, and
+//     derives the out-CSR by one transpose, so out-lists ascend by
+//     target.  The CDAG builder writes its in-lists in place this way,
+//     with no edge staging and no sort.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +48,8 @@ inline constexpr std::size_t kDotVertexLimit = 5000;
 class GraphBuilder;
 
 /// Frozen directed acyclic graph in dual-direction CSR form.  Instances
-/// are only produced by GraphBuilder::freeze() and from_frozen_parts();
-/// there is no mutation API.
+/// are only produced by GraphBuilder::freeze(), from_in_lists() and
+/// from_frozen_parts(); there is no mutation API.
 class CsrGraph {
  public:
   /// Empty graph (0 vertices); assign from a freeze() result to populate.
@@ -104,12 +111,15 @@ class CsrGraph {
 
   /// Validation depth for from_frozen_parts.
   enum class PartsValidation {
-    /// Re-validate the structural invariants freeze() established:
-    /// monotone offsets ending at the edge count, every edge id in range
-    /// and obeying topological order.  Parallel-edge freedom and out/in
-    /// consistency are NOT re-verified — the snapshot checksums cover
-    /// byte integrity, and those invariants cannot cause out-of-bounds
-    /// traversal.
+    /// Re-validate what a CDAG build establishes: monotone offsets
+    /// ending at the edge count, every edge id in range and obeying
+    /// topological order, every in-list and out-list strictly ascending
+    /// (so no parallel edge), and the in-CSR the transpose of the
+    /// out-CSR.  One cursor merge, O(V + E) with one V-sized cursor
+    /// array: each in-edge (u, v), target v ascending, must be the next
+    /// unmatched out-edge of u.  Refuses the non-ascending lists a
+    /// GraphBuilder graph may legally have, so it is for CDAG-shaped
+    /// parts.  Each refusal is one line naming the vertex and the edge.
     kValidate,
     /// O(1) boundary checks only (array-size consistency, offsets start
     /// at 0 and end at the edge count); the array interiors are trusted.
@@ -117,6 +127,18 @@ class CsrGraph {
     /// a checksum at publish time (Verify::kMapped loads).
     kTrustChecksummed,
   };
+
+  /// Freezes a graph given as its in-CSR: vertex v's in-neighbors are
+  /// in_edges[in_offsets[v] .. in_offsets[v + 1]), kept in the given
+  /// order.  The out-CSR is their transpose, filled target by target, so
+  /// every out-list ascends and a parallel edge is an adjacent duplicate:
+  /// no mark array.  Throws a one-line CheckError naming the edge for an
+  /// out-of-range id, u >= v or a parallel edge, and refuses offsets that
+  /// do not start at 0, decrease or do not end at the edge count.
+  /// Records the metrics GraphBuilder::freeze records, with
+  /// graph.csr.freeze_ns timing the transpose.
+  static CsrGraph from_in_lists(std::vector<std::uint32_t> in_offsets,
+                                std::vector<VertexId> in_edges);
 
   /// Reconstructs a frozen graph from externally owned flat arrays —
   /// the mmap-backed snapshot reader's zero-copy path.  Throws
@@ -156,21 +178,13 @@ class GraphBuilder {
   VertexId add_vertex() { return add_vertices(1); }
 
   /// Records edge u -> v.  Bounds-checked immediately; ordering and
-  /// duplicate validation happen at freeze().  Inline: a CDAG build
-  /// stages millions of edges through it.
+  /// duplicate validation happen at freeze().
   void add_edge(VertexId u, VertexId v) {
     if (u >= num_vertices_ || v >= num_vertices_) [[unlikely]] {
       check_edge_range(u, v);
     }
     edge_src_.push_back(u);
     edge_dst_.push_back(v);
-  }
-
-  /// Preallocates staging for `count` edges, so a caller that knows its
-  /// exact edge count stages them without regrowth copies.
-  void reserve_edges(std::size_t count) {
-    edge_src_.reserve(count);
-    edge_dst_.reserve(count);
   }
 
   std::size_t num_vertices() const { return num_vertices_; }

@@ -79,29 +79,61 @@ std::vector<graph::VertexId> bfs_schedule(const cdag::Cdag& cdag) {
 std::vector<graph::VertexId> random_topological_schedule(
     const cdag::Cdag& cdag, Rng& rng) {
   std::vector<std::uint16_t> indeg = in_degrees(cdag);
-  std::vector<graph::VertexId> frontier;
-  for (graph::VertexId v = 0; v < indeg.size(); ++v) {
-    if (indeg[v] == 0) {
-      frontier.push_back(v);
-    }
-  }
   const auto out_offsets = cdag.graph.out_offset_array();
   const auto out_edges = cdag.graph.out_edge_array();
+  // A ready vertex carries what its pop reads, so the pop's first miss is
+  // its out-edges, which the pop before can prefetch.
+  struct Ready {
+    graph::VertexId v;
+    std::uint32_t edges_begin;
+    std::uint32_t edges_end;
+    bool input;
+  };
+  const auto ready = [&](graph::VertexId v) {
+    return Ready{v, out_offsets[v], out_offsets[v + 1], is_input(cdag, v)};
+  };
+  std::vector<Ready> frontier;
+  for (graph::VertexId v = 0; v < indeg.size(); ++v) {
+    if (indeg[v] == 0) {
+      frontier.push_back(ready(v));
+    }
+  }
   std::vector<graph::VertexId> schedule;
   schedule.reserve(cdag.graph.num_vertices());
+  // Each pick is Rng::uniform(frontier size), split in two: the raw draw
+  // is taken as soon as the frontier is sure to be non-empty at the next
+  // pick — before this pop's pushes, if the pop left an entry — and
+  // uniform_from reduces it once the size is known, so the draws are
+  // uniform's, draw for draw.  A draw taken early names the slot the
+  // next pick lands on for each count of pushes, and those slots'
+  // out-edges are prefetched while the pushes run.
+  std::uint64_t draw = frontier.empty() ? 0 : rng();
   while (!frontier.empty()) {
-    const std::size_t pick =
-        static_cast<std::size_t>(rng.uniform(frontier.size()));
-    const graph::VertexId v = frontier[pick];
+    const std::size_t pick = rng.uniform_from(draw, frontier.size());
+    const Ready pop = frontier[pick];
     frontier[pick] = frontier.back();
     frontier.pop_back();
-    if (!is_input(cdag, v)) {
-      schedule.push_back(v);
+    if (!pop.input) {
+      schedule.push_back(pop.v);
     }
-    for (std::uint32_t e = out_offsets[v]; e < out_offsets[v + 1]; ++e) {
-      if (--indeg[out_edges[e]] == 0) {
-        frontier.push_back(out_edges[e]);
+    const bool drawn_early = !frontier.empty();
+    if (drawn_early) {
+      draw = rng();
+      const std::size_t kept = frontier.size();
+      const std::size_t most = kept + (pop.edges_end - pop.edges_begin);
+      for (std::size_t size = kept; size <= most; ++size) {
+        if (const std::size_t slot = draw % size; slot < kept) {
+          __builtin_prefetch(out_edges.data() + frontier[slot].edges_begin);
+        }
       }
+    }
+    for (std::uint32_t e = pop.edges_begin; e < pop.edges_end; ++e) {
+      if (--indeg[out_edges[e]] == 0) {
+        frontier.push_back(ready(out_edges[e]));
+      }
+    }
+    if (!drawn_early && !frontier.empty()) {
+      draw = rng();
     }
   }
   return schedule;

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <fstream>
+#include <span>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -106,123 +108,152 @@ std::uint64_t snap_checksum(const void* data, std::size_t size) {
   return h;
 }
 
-std::string serialize_snapshot(const cdag::Cdag& cdag) {
-  const graph::CsrGraph& g = cdag.graph;
-  const std::size_t nv = g.num_vertices();
-  const std::size_t ne = g.num_edges();
-  FMM_CHECK_MSG(cdag.roles.size() == nv,
-                "snapshot: roles/vertex count disagree (" << cdag.roles.size()
-                    << " vs " << nv << ")");
-  FMM_CHECK_MSG(cdag.algorithm_name.size() <= kMaxNameBytes,
-                "snapshot: algorithm name too long");
-  FMM_CHECK_MSG(cdag.subproblem_levels.size() <= kMaxLevels,
-                "snapshot: too many sub-problem levels");
+namespace {
 
-  std::string meta;
-  const auto meta_u64 = [&meta](std::uint64_t v) {
-    char b[sizeof(v)];
-    std::memcpy(b, &v, sizeof(v));
-    meta.append(b, sizeof(v));
-  };
-  meta_u64(cdag.n);
-  meta_u64(cdag.base);
-  meta_u64(cdag.num_products);
-  meta_u64(nv);
-  meta_u64(ne);
-  meta_u64(cdag.subproblem_levels.size());
-  meta_u64(cdag.algorithm_name.size());
-  meta += cdag.algorithm_name;
+/// The fmm.snap file a CDAG serializes to, laid out once without copying
+/// a section: the header and section table with every checksum filled
+/// in, read straight from the CDAG's arrays, and each section's bytes at
+/// its 64-byte-aligned offset.  The sections are views into the CDAG,
+/// which must outlive the layout.
+class SnapshotLayout {
+ public:
+  explicit SnapshotLayout(const cdag::Cdag& cdag) {
+    const graph::CsrGraph& g = cdag.graph;
+    const std::size_t nv = g.num_vertices();
+    FMM_CHECK_MSG(cdag.roles.size() == nv,
+                  "snapshot: roles/vertex count disagree ("
+                      << cdag.roles.size() << " vs " << nv << ")");
+    FMM_CHECK_MSG(cdag.algorithm_name.size() <= kMaxNameBytes,
+                  "snapshot: algorithm name too long");
+    FMM_CHECK_MSG(cdag.subproblem_levels.size() <= kMaxLevels,
+                  "snapshot: too many sub-problem levels");
 
-  std::string level_meta;
-  for (const cdag::SubproblemLevel& level : cdag.subproblem_levels) {
-    char b[16];
-    const auto r = static_cast<std::uint64_t>(level.r);
-    const auto count = static_cast<std::uint64_t>(level.count);
-    std::memcpy(b, &r, 8);
-    std::memcpy(b + 8, &count, 8);
-    level_meta.append(b, sizeof(b));
+    for (const std::uint64_t field :
+         {std::uint64_t{cdag.n}, std::uint64_t{cdag.base},
+          std::uint64_t{cdag.num_products}, std::uint64_t{nv},
+          std::uint64_t{g.num_edges()},
+          std::uint64_t{cdag.subproblem_levels.size()},
+          std::uint64_t{cdag.algorithm_name.size()}}) {
+      append_u64(meta_, field);
+    }
+    meta_ += cdag.algorithm_name;
+    for (const cdag::SubproblemLevel& level : cdag.subproblem_levels) {
+      append_u64(level_meta_, level.r);
+      append_u64(level_meta_, level.count);
+    }
+
+    add(kMeta, 0, meta_.data(), meta_.size());
+    add(kLevelMeta, 0, level_meta_.data(), level_meta_.size());
+    add_ids(kOutOffsets, 0, g.out_offset_array());
+    add_ids(kInOffsets, 0, g.in_offset_array());
+    add_ids(kOutEdges, 0, g.out_edge_array());
+    add_ids(kInEdges, 0, g.in_edge_array());
+    add(kRoles, 0, cdag.roles.data(), cdag.roles.size());
+    add_ids(kInputsA, 0, cdag.inputs_a);
+    add_ids(kInputsB, 0, cdag.inputs_b);
+    add_ids(kOutputs, 0, cdag.outputs);
+    for (std::size_t i = 0; i < cdag.subproblem_levels.size(); ++i) {
+      const cdag::SubproblemLevel& level = cdag.subproblem_levels[i];
+      const auto li = static_cast<std::uint32_t>(i);
+      add_ids(kOutputPool, li, level.output_pool);
+      add_ids(kInputPool, li, level.input_pool);
+      add_ids(kSpanBegin, li, level.span_begin);
+      add_ids(kSpanEnd, li, level.span_end);
+    }
+
+    // Canonical layout: sections packed in order, each 64-byte aligned,
+    // zero padding in the gaps, no trailing pad after the last section.
+    head_.assign(kHeaderBytes + sections_.size() * kSectionEntryBytes, '\0');
+    std::size_t cursor = align_up(head_.size());
+    for (std::size_t i = 0; i < sections_.size(); ++i) {
+      Section& section = sections_[i];
+      section.offset = cursor;
+      cursor = align_up(cursor + section.length);
+      const std::size_t at = kHeaderBytes + i * kSectionEntryBytes;
+      put_u32(head_, at, section.kind);
+      put_u32(head_, at + 4, section.level);
+      put_u64(head_, at + 8, section.offset);
+      put_u64(head_, at + 16, section.length);
+      put_u64(head_, at + 24, snap_checksum(section.data, section.length));
+    }
+    file_bytes_ = sections_.back().offset + sections_.back().length;
+    std::memcpy(head_.data(), kMagic, sizeof(kMagic));
+    put_u32(head_, 8, kFormatVersion);
+    put_u32(head_, 12, kEndianTag);
+    put_u64(head_, 16, file_bytes_);
+    put_u32(head_, 24, static_cast<std::uint32_t>(sections_.size()));
+    // bytes 28..32 and 40..48 are reserved zeros (already zero-filled).
+    put_u64(head_, 32,
+            snap_checksum(head_.data() + kHeaderBytes,
+                          head_.size() - kHeaderBytes));
+    put_u64(head_, 48, snap_checksum(head_.data(), 48));
   }
 
+  SnapshotLayout(const SnapshotLayout&) = delete;
+  SnapshotLayout& operator=(const SnapshotLayout&) = delete;
+
+  std::size_t file_bytes() const { return file_bytes_; }
+
+  /// The file's bytes in order: header and table, then each section
+  /// after its zero padding.
+  std::vector<std::string_view> pieces() const {
+    static constexpr char kZeros[kSectionAlignment] = {};
+    std::vector<std::string_view> pieces = {head_};
+    std::size_t at = head_.size();
+    for (const Section& section : sections_) {
+      if (section.offset > at) {
+        pieces.emplace_back(kZeros, section.offset - at);
+      }
+      if (section.length > 0) {
+        pieces.emplace_back(static_cast<const char*>(section.data),
+                            section.length);
+      }
+      at = section.offset + section.length;
+    }
+    return pieces;
+  }
+
+ private:
   struct Section {
     std::uint32_t kind;
     std::uint32_t level;
     const void* data;
     std::size_t length;
+    std::size_t offset = 0;
   };
-  std::vector<Section> sections;
-  const auto add = [&sections](std::uint32_t kind, std::uint32_t level,
-                               const void* data, std::size_t length) {
-    sections.push_back({kind, level, data, length});
-  };
-  add(kMeta, 0, meta.data(), meta.size());
-  add(kLevelMeta, 0, level_meta.data(), level_meta.size());
-  const auto oo = g.out_offset_array();
-  const auto io = g.in_offset_array();
-  const auto oe = g.out_edge_array();
-  const auto ie = g.in_edge_array();
-  add(kOutOffsets, 0, oo.data(), oo.size_bytes());
-  add(kInOffsets, 0, io.data(), io.size_bytes());
-  add(kOutEdges, 0, oe.data(), oe.size_bytes());
-  add(kInEdges, 0, ie.data(), ie.size_bytes());
-  add(kRoles, 0, cdag.roles.data(), cdag.roles.size());
-  add(kInputsA, 0, cdag.inputs_a.data(),
-      cdag.inputs_a.size() * sizeof(graph::VertexId));
-  add(kInputsB, 0, cdag.inputs_b.data(),
-      cdag.inputs_b.size() * sizeof(graph::VertexId));
-  add(kOutputs, 0, cdag.outputs.data(),
-      cdag.outputs.size() * sizeof(graph::VertexId));
-  for (std::size_t i = 0; i < cdag.subproblem_levels.size(); ++i) {
-    const cdag::SubproblemLevel& level = cdag.subproblem_levels[i];
-    const auto li = static_cast<std::uint32_t>(i);
-    add(kOutputPool, li, level.output_pool.data(),
-        level.output_pool.size() * sizeof(graph::VertexId));
-    add(kInputPool, li, level.input_pool.data(),
-        level.input_pool.size() * sizeof(graph::VertexId));
-    add(kSpanBegin, li, level.span_begin.data(),
-        level.span_begin.size() * sizeof(graph::VertexId));
-    add(kSpanEnd, li, level.span_end.data(),
-        level.span_end.size() * sizeof(graph::VertexId));
+
+  static void append_u64(std::string& out, std::uint64_t v) {
+    char b[sizeof(v)];
+    std::memcpy(b, &v, sizeof(v));
+    out.append(b, sizeof(v));
   }
 
-  // Canonical layout: sections packed in order, each 64-byte aligned,
-  // zero padding in the gaps, no trailing pad after the last section.
-  const std::size_t table_end =
-      kHeaderBytes + sections.size() * kSectionEntryBytes;
-  std::vector<std::size_t> offsets(sections.size());
-  std::size_t cursor = align_up(table_end);
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    offsets[i] = cursor;
-    cursor = align_up(cursor + sections[i].length);
+  void add(std::uint32_t kind, std::uint32_t level, const void* data,
+           std::size_t length) {
+    sections_.push_back({kind, level, data, length});
   }
-  const std::size_t file_bytes =
-      offsets.back() + sections.back().length;
 
-  std::string out(file_bytes, '\0');
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    if (sections[i].length > 0) {
-      std::memcpy(out.data() + offsets[i], sections[i].data,
-                  sections[i].length);
-    }
+  void add_ids(std::uint32_t kind, std::uint32_t level,
+               std::span<const std::uint32_t> ids) {
+    add(kind, level, ids.data(), ids.size_bytes());
   }
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    const std::size_t at = kHeaderBytes + i * kSectionEntryBytes;
-    put_u32(out, at, sections[i].kind);
-    put_u32(out, at + 4, sections[i].level);
-    put_u64(out, at + 8, offsets[i]);
-    put_u64(out, at + 16, sections[i].length);
-    put_u64(out, at + 24,
-            snap_checksum(out.data() + offsets[i], sections[i].length));
+
+  std::string meta_;
+  std::string level_meta_;
+  std::vector<Section> sections_;
+  std::string head_;
+  std::size_t file_bytes_ = 0;
+};
+
+}  // namespace
+
+std::string serialize_snapshot(const cdag::Cdag& cdag) {
+  const SnapshotLayout layout(cdag);
+  std::string out;
+  out.reserve(layout.file_bytes());
+  for (const std::string_view piece : layout.pieces()) {
+    out.append(piece);
   }
-  std::memcpy(out.data(), kMagic, sizeof(kMagic));
-  put_u32(out, 8, kFormatVersion);
-  put_u32(out, 12, kEndianTag);
-  put_u64(out, 16, file_bytes);
-  put_u32(out, 24, static_cast<std::uint32_t>(sections.size()));
-  // bytes 28..32 and 40..48 are reserved zeros (already zero-filled).
-  put_u64(out, 32,
-          snap_checksum(out.data() + kHeaderBytes,
-                        sections.size() * kSectionEntryBytes));
-  put_u64(out, 48, snap_checksum(out.data(), 48));
   return out;
 }
 
@@ -516,7 +547,8 @@ cdag::Cdag deserialize_snapshot(std::span<const std::byte> bytes,
 }
 
 void write_snapshot_file(const cdag::Cdag& cdag, const std::string& path) {
-  write_file_checked(path, serialize_snapshot(cdag));
+  const SnapshotLayout layout(cdag);
+  write_file_checked(path, layout.pieces());
 }
 
 #ifdef __unix__

@@ -54,7 +54,8 @@
 // Verification policy: Verify::kFull (the SnapshotStore default)
 // re-derives every section checksum and re-validates the structural
 // invariants (monotone offsets, in-range topologically ordered edges,
-// in-range pool/input/output ids) — any corrupt, truncated or
+// strictly ascending in- and out-lists, an in-CSR that is the out-CSR's
+// transpose, in-range pool/input/output ids) — any corrupt, truncated or
 // version-mismatched file is refused with a one-line CheckError and
 // never dereferenced out of bounds.  Verify::kMapped checks the
 // header, section table, layout, metadata sections and the small
@@ -95,7 +96,8 @@ enum class Verify {
   kMapped,
 };
 
-/// Serializes a frozen CDAG into fmm.snap v1 bytes.
+/// Serializes a frozen CDAG into fmm.snap v1 bytes: the bytes
+/// write_snapshot_file writes, assembled from the same layout.
 std::string serialize_snapshot(const cdag::Cdag& cdag);
 
 /// Validates `bytes` and reconstructs the CDAG as zero-copy views over
@@ -105,8 +107,12 @@ cdag::Cdag deserialize_snapshot(std::span<const std::byte> bytes,
                                 std::shared_ptr<const void> keep_alive,
                                 Verify verify = Verify::kFull);
 
-/// serialize_snapshot + binary write to `path` (not atomic — the
-/// SnapshotStore wraps this in tmp-then-rename publish).
+/// Writes serialize_snapshot's bytes to `path` without assembling them:
+/// the header, table and checksums are computed from the CDAG's arrays,
+/// then header, zero padding and sections are streamed in order, so no
+/// buffer the size of the file is allocated.  Throws a one-line
+/// CheckError naming `path` when the write fails.  Not atomic — the
+/// SnapshotStore wraps this in tmp-then-rename publish.
 void write_snapshot_file(const cdag::Cdag& cdag, const std::string& path);
 
 /// mmaps `path` (falling back to a buffered read off POSIX) and

@@ -8,7 +8,7 @@
 // frozen CDAG, so a filename IS a cache key and files never need
 // invalidation — only eviction.  Multiple processes (the fork/exec
 // worker fabric) share one directory: writers publish atomically
-// (serialize to `<name>.tmp.<pid>`, then rename — the same
+// (stream to `<name>.tmp.<pid>`, then rename — the same
 // crash-consistency discipline as resilience::CheckpointWriter), so
 // readers either see a complete, checksummed file or no file at all.
 //
@@ -67,10 +67,11 @@ class SnapshotStore {
   std::optional<cdag::Cdag> try_load(const std::string& fingerprint,
                                      std::size_t n);
 
-  /// Serializes and atomically publishes `cdag` unless a snapshot for
-  /// (fingerprint, n) already exists (first writer wins — callers in
-  /// other processes may have raced us).  Returns true if this call
-  /// published.  Applies the byte budget afterwards.
+  /// Atomically publishes `cdag` unless a snapshot for (fingerprint, n)
+  /// already exists (first writer wins — callers in other processes may
+  /// have raced us), streaming it from the CDAG's arrays
+  /// (write_snapshot_file).  Returns true if this call published.
+  /// Applies the byte budget afterwards.
   bool publish(const std::string& fingerprint, std::size_t n,
                const cdag::Cdag& cdag);
 

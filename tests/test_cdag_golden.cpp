@@ -17,12 +17,17 @@
 // allocate only the arrays it returns) and runs builds on several threads
 // at once, two of them on the same key, to catch scratch memory shared
 // between concurrent builders (run_sweep and the service build on their
-// pool threads).
+// pool threads).  It also pins what a snapshot publish writes: every
+// cell's published file is serialize_snapshot's bytes, streamed from the
+// CDAG's arrays without a buffer the size of the file.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <new>
 #include <span>
 #include <sstream>
@@ -37,14 +42,19 @@
 #include "common/hash.hpp"
 #include "obs/metrics.hpp"
 #include "service/cache.hpp"
+#include "snapshot/format.hpp"
+#include "snapshot/store.hpp"
 #include "sweep/sweep.hpp"
 
 namespace {
 
 std::atomic<std::int64_t> g_allocations{0};
+std::atomic<std::int64_t> g_allocated_bytes{0};
 
 void* counted_malloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<std::int64_t>(size),
+                              std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
 
@@ -370,6 +380,44 @@ TEST(CdagGolden, StrassenBuildAllocatesOnlyItsArrays) {
   const std::int64_t allocations = g_allocations.load() - before;
   EXPECT_EQ(cdag.graph.num_vertices(), golden_cell("strassen", 32).vertices);
   EXPECT_LE(allocations, 1000);
+}
+
+/// A fresh snapshot store under the test's temporary directory.
+snapshot::SnapshotStore fresh_store(const std::string& tag) {
+  const std::string dir = std::string(testing::TempDir()) + "golden_" + tag;
+  std::filesystem::remove_all(dir);
+  return snapshot::SnapshotStore({dir, 0, snapshot::Verify::kFull});
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(CdagGolden, PublishedFilesEqualSerializedBytes) {
+  snapshot::SnapshotStore store = fresh_store("publish");
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(describe(golden));
+    const Cdag cdag = build_cdag(resolve(golden.scheme), golden.n);
+    const std::string key = std::string("golden-") + std::to_string(
+        &golden - kGolden);
+    ASSERT_TRUE(store.publish(key, golden.n, cdag));
+    EXPECT_EQ(file_bytes(store.path_for(key, golden.n)),
+              snapshot::serialize_snapshot(cdag));
+  }
+}
+
+TEST(CdagGolden, StrassenPublishAllocatesUnder64KiB) {
+  // Publish streams the header, the table and the CDAG's own arrays into
+  // the file; nothing the size of the 3.4 MB file is allocated.
+  snapshot::SnapshotStore store = fresh_store("publish_bytes");
+  const Cdag cdag = build_cdag(bilinear::strassen(), 32);
+  const std::int64_t before = g_allocated_bytes.load();
+  ASSERT_TRUE(store.publish("strassen", 32, cdag));
+  const std::int64_t bytes = g_allocated_bytes.load() - before;
+  EXPECT_GT(std::filesystem::file_size(store.path_for("strassen", 32)),
+            3u << 20);
+  EXPECT_LT(bytes, 64 * 1024);
 }
 
 TEST(CdagGolden, ConcurrentBuildsMatchSerial) {

@@ -1,7 +1,8 @@
 // Unit tests for the immutable CSR graph (GraphBuilder / CsrGraph).  The
 // `Digraph` suite pins the directed-graph contract the CDAG code relies
 // on (degrees, sources/sinks, order, acyclicity, reachability, DOT); the
-// `CsrGraph` and `GraphBuilder` suites pin the frozen layout and freeze().
+// `CsrGraph` and `GraphBuilder` suites pin the frozen layout, freeze()
+// and from_in_lists().
 #include <gtest/gtest.h>
 
 #include <string>
@@ -296,6 +297,60 @@ TEST(CsrGraph, ReachabilityBothDirections) {
   EXPECT_FALSE(bwd[2]);
   EXPECT_FALSE(bwd[3]);
   EXPECT_THROW(g.reachable_from({9}), CheckError);
+}
+
+/// The one-line CheckError from_in_lists throws, or "" if it accepts.
+std::string in_lists_error(std::vector<std::uint32_t> offsets,
+                           std::vector<VertexId> edges) {
+  try {
+    CsrGraph::from_in_lists(std::move(offsets), std::move(edges));
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    return what;
+  }
+  return "";
+}
+
+TEST(CsrGraph, FromInListsKeepsInOrderAndTransposesByTarget) {
+  // Vertex 3's in-list in a chosen order; the out-lists ascend by target.
+  const CsrGraph g = CsrGraph::from_in_lists({0, 0, 1, 2, 5}, {0, 0, 2, 0, 1});
+  const auto ins = g.in_neighbors(3);
+  EXPECT_EQ(std::vector<VertexId>(ins.begin(), ins.end()),
+            (std::vector<VertexId>{2, 0, 1}));
+  const auto outs = g.out_neighbors(0);
+  EXPECT_EQ(std::vector<VertexId>(outs.begin(), outs.end()),
+            (std::vector<VertexId>{1, 2, 3}));
+  // freeze() gives the same graph when each source's edges are added in
+  // ascending target order.
+  EXPECT_TRUE(g == dag(4, {{0, 1}, {0, 2}, {2, 3}, {0, 3}, {1, 3}}));
+}
+
+TEST(CsrGraph, FromInListsRefusesBadEdgesInOneLine) {
+  // Offsets {0, 0, 1, k}: vertex 1's in-list is edges[0], vertex 2's the
+  // rest.
+  EXPECT_NE(in_lists_error({0, 0, 1, 2}, {0, 7})
+                .find("in-edge (7,2) of vertex 2 out of range 3"),
+            std::string::npos);
+  EXPECT_NE(in_lists_error({0, 0, 1, 2}, {2, 0})
+                .find("edge (2,1) violates topological append order"),
+            std::string::npos);
+  EXPECT_NE(in_lists_error({0, 0, 1, 2}, {1, 0})
+                .find("edge (1,1) violates topological append order"),
+            std::string::npos);
+  EXPECT_NE(in_lists_error({0, 0, 1, 3}, {0, 0, 0}).find("parallel edge (0,2)"),
+            std::string::npos);
+  EXPECT_NE(
+      in_lists_error({0, 0, 1, 4}, {0, 0, 1, 0}).find("parallel edge (0,2)"),
+      std::string::npos);
+  // Vertex 0's last out-slot and vertex 1's first both hold 2: adjacent
+  // in out_edges, but two edges.
+  EXPECT_EQ(in_lists_error({0, 0, 0, 2}, {0, 1}), "");
+  EXPECT_NE(in_lists_error({1, 1}, {0}).find("offsets must start at 0"),
+            std::string::npos);
+  EXPECT_NE(in_lists_error({0, 0, 1, 0, 1}, {0})
+                .find("offsets decrease at vertex 2"),
+            std::string::npos);
 }
 
 TEST(CsrGraph, DotOutputAndGuard) {

@@ -279,8 +279,10 @@ TEST(Machine, MissingOutputDetected) {
 }
 
 /// `cdag` with its in-CSR edited by `edit`, which gets the in-edge array
-/// and the in-offsets; the out-CSR is left as built.  Goes through the
-/// validating from_frozen_parts, as a loaded snapshot does.
+/// and the in-offsets; the out-CSR is left as built.  Goes through
+/// from_frozen_parts with the boundary checks of a Verify::kMapped
+/// snapshot load: kValidate, the kFull load, refuses both forgeries
+/// below, and the machine is what stands between a mapped file and them.
 template <typename Edit>
 cdag::Cdag with_in_csr_edited(const cdag::Cdag& cdag, Edit&& edit) {
   const graph::CsrGraph& g = cdag.graph;
@@ -292,7 +294,8 @@ cdag::Cdag with_in_csr_edited(const cdag::Cdag& cdag, Edit&& edit) {
   cdag::Cdag forged = cdag;
   forged.graph = graph::CsrGraph::from_frozen_parts(
       copy(g.out_offset_array()), copy(g.in_offset_array()),
-      copy(g.out_edge_array()), std::move(in_edges));
+      copy(g.out_edge_array()), std::move(in_edges),
+      graph::CsrGraph::PartsValidation::kTrustChecksummed);
   return forged;
 }
 

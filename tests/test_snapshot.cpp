@@ -144,6 +144,21 @@ TEST(SnapshotFormat, FileRoundTrip) {
   expect_equal_cdags(built, load_snapshot_file(path, Verify::kMapped));
 }
 
+TEST(SnapshotFormat, WriteToFullDeviceNamesThePath) {
+  if (!fs::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this platform";
+  }
+  try {
+    write_snapshot_file(build_strassen(8), "/dev/full");
+    FAIL() << "a write to /dev/full was accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    EXPECT_NE(what.find("cannot write /dev/full"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(SnapshotFormat, ChecksumSeparatesNearbyInputs) {
   std::string data(4096, '\x5a');
   const std::uint64_t reference = snap_checksum(data.data(), data.size());

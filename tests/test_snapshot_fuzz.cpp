@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bilinear/catalog.hpp"
@@ -294,6 +295,67 @@ TEST(SnapshotFuzz, NonzeroPaddingIsRefused) {
     fix_checksums(mutant);  // padding is outside every checksum
     expect_refused(mutant, "nonzero inter-section padding");
   }
+}
+
+/// Byte offset of section `index` (canonical order: 3 is in_offsets, 5
+/// in_edges, 6 roles) in a pristine file.
+std::uint64_t section_offset(const std::string& bytes, std::size_t index) {
+  return read_u64(bytes, kHeaderBytes + index * kSectionEntryBytes + 8);
+}
+
+/// Vertex v's in-list [begin, end) as in_edges indices.
+std::pair<std::uint32_t, std::uint32_t> in_list(const std::string& bytes,
+                                                std::uint32_t v) {
+  const std::uint64_t offsets = section_offset(bytes, 3);
+  return {read_u32(bytes, offsets + 4 * v),
+          read_u32(bytes, offsets + 4 * (v + 1))};
+}
+
+// A CDAG's CSR is canonical: the in-CSR is the out-CSR's transpose and
+// every list ascends strictly.  Two forgeries that keep every other
+// invariant, with all checksums re-forged, on Strassen n = 8.
+TEST(SnapshotFuzz, InCsrThatIsNotTheTransposeIsRefused) {
+  // In-edge 408 -> 422 rewired to 16 -> 422; the out-CSR is untouched.
+  std::string mutant = pristine_bytes();
+  const auto [begin, end] = in_list(mutant, 422);
+  const std::uint64_t in_edges = section_offset(mutant, 5);
+  std::uint32_t k = begin;
+  while (k < end && read_u32(mutant, in_edges + 4 * k) != 408) {
+    ++k;
+  }
+  ASSERT_LT(k, end) << "408 is not an in-neighbor of 422";
+  write_u32(mutant, in_edges + 4 * k, 16);
+  fix_checksums(mutant);
+  const std::string msg = expect_refused(mutant, "rewired in-edge");
+  EXPECT_NE(msg.find("in-edge (16,422) is not an out-edge of vertex 16"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(SnapshotFuzz, SwappedInNeighborsAreRefused) {
+  // The first product's two operands, a then b, swapped.
+  std::string mutant = pristine_bytes();
+  const std::uint64_t roles = section_offset(mutant, 6);
+  std::uint32_t product = 0;
+  while (static_cast<cdag::Role>(mutant[roles + product]) !=
+         cdag::Role::kProduct) {
+    ++product;
+  }
+  const auto [begin, end] = in_list(mutant, product);
+  ASSERT_EQ(end - begin, 2u);
+  const std::uint64_t at = section_offset(mutant, 5) + 4 * begin;
+  const std::uint32_t a = read_u32(mutant, at);
+  const std::uint32_t b = read_u32(mutant, at + 4);
+  ASSERT_LT(a, b);
+  write_u32(mutant, at, b);
+  write_u32(mutant, at + 4, a);
+  fix_checksums(mutant);
+  const std::string msg = expect_refused(mutant, "swapped in-neighbors");
+  EXPECT_NE(msg.find("in-list of vertex " + std::to_string(product) +
+                     " is not strictly ascending at edge (" +
+                     std::to_string(a) + "," + std::to_string(product) + ")"),
+            std::string::npos)
+      << msg;
 }
 
 TEST(SnapshotFuzz, MutantsNeverPoisonSubsequentLoads) {

@@ -66,6 +66,10 @@ Checks, per file:
     schema fmm.snapshot v1, all counters non-negative integers,
     lookups == hits + misses, corrupt_rejected <= misses, and a
     coherent live census (zero files implies zero store_bytes).
+  - extra.bench_snapshot (when present): bench_snapshot's per-case rows
+    (N1) — a non-empty case list, each row naming its case and carrying
+    positive integer n, vertices and snapshot_bytes and non-negative
+    build_ms, publish_ms, load_full_ms and load_mapped_ms.
 
 Exit code 0 iff every file passes; failures are listed on stderr.
 This is invoked from ctest (see bench/CMakeLists.txt) against reports
@@ -735,6 +739,41 @@ def check_snapshot_section(path, snapshot):
     return ok
 
 
+BENCH_SNAPSHOT_COUNTS = ("n", "vertices", "snapshot_bytes")
+BENCH_SNAPSHOT_TIMES = ("build_ms", "publish_ms", "load_full_ms",
+                        "load_mapped_ms")
+
+
+def check_bench_snapshot_section(path, section):
+    """Validate extra.bench_snapshot — N1's per-case rows.
+
+    Each case records what one CDAG costs to build, to publish into the
+    store and to load back both ways; the timings are not gated here, but
+    every row must carry all four.
+    """
+    cases = section.get("cases") if isinstance(section, dict) else None
+    if not isinstance(cases, list) or not cases:
+        return fail(path, "bench_snapshot.cases missing or empty")
+    ok = True
+    for i, row in enumerate(cases):
+        if not isinstance(row, dict) or not isinstance(row.get("case"), str) \
+                or not row["case"]:
+            ok = fail(path, f"bench_snapshot.cases[{i}] has no case name")
+            continue
+        for key in BENCH_SNAPSHOT_COUNTS:
+            value = row.get(key)
+            if not isinstance(value, int) or isinstance(value, bool) or \
+                    value <= 0:
+                ok = fail(path, f"bench_snapshot.cases[{i}].{key} {value!r} "
+                                "is not a positive integer")
+        for key in BENCH_SNAPSHOT_TIMES:
+            value = row.get(key)
+            if not is_num(value) or value < 0:
+                ok = fail(path, f"bench_snapshot.cases[{i}].{key} {value!r} "
+                                "is not a non-negative number")
+    return ok
+
+
 TELEMETRY_PHASES = ("queue_wait", "parse", "cache_lookup", "cdag_build",
                     "simulate", "render", "emit")
 CACHE_VERDICTS = ("uncacheable", "miss", "miss_coalesced", "hit")
@@ -952,6 +991,9 @@ def check_report(path):
     if "certification" in extra:
         ok = check_certification_section(path, extra["certification"],
                                          doc.get("results", {})) and ok
+    if "bench_snapshot" in extra:
+        ok = check_bench_snapshot_section(path, extra["bench_snapshot"]) \
+            and ok
     if "snapshot" in extra:
         ok = check_snapshot_section(path, extra["snapshot"]) and ok
     elif isinstance(doc.get("params"), dict) and \
